@@ -30,7 +30,7 @@ wrappers have been removed; call ``Engine.compile`` (or the underlying
 for the research knobs).
 """
 
-__version__ = "1.6.0"
+__version__ = "1.9.0"
 
 from .codegen import available_strategies
 from .core import plan_query

@@ -2,9 +2,10 @@
 
 The generated kernels (:mod:`repro.codegen.vectorize`) are ``exec``'d
 with this module's helpers bound into their globals. Everything here is
-plain NumPy over whole columns — no event emission, no simulated-cost
-accounting — but every helper is written to be *byte-identical* to the
-instrumented executor's semantics (:mod:`repro.codegen.physexec`):
+plain NumPy over the columns of one row block — no event emission, no
+simulated-cost accounting — but every helper is written to be
+*byte-identical* to the instrumented executor's semantics
+(:mod:`repro.codegen.physexec`):
 
 - grouped results are ``{"keys": int64 ascending, "aggs": int64 2-D}``,
   exactly what ``HashTable.items()`` + ``grouped_result`` produce;
@@ -24,9 +25,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.program import merge_partials
 from ..errors import PlanError
+from .common import slice_columns
 
 __all__ = [
+    "BLOCK_BYTES",
     "VectorizedProgram",
     "group_sorted",
     "member",
@@ -81,8 +85,8 @@ def member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[pos] == values
 
 
-#: Dense-code grouping applies while every 32-bit partial sum stays
-#: exactly representable in float64 (``n * 2**32 < 2**53``).
+#: Rows per hi/lo-split bincount pass: every 32-bit partial sum stays
+#: exactly representable in float64 (``n * 2**32 <= 2**53``).
 _BINCOUNT_MAX_ROWS = 1 << 21
 
 _LO_MASK = np.int64(0xFFFFFFFF)
@@ -97,7 +101,7 @@ def _dense_codes(keys: np.ndarray):
     (dictionary codes, group expressions, FK ids) qualify; sparse ones
     (hashes, wide surrogate keys) take the argsort path.
     """
-    if keys.size == 0 or keys.size >= _BINCOUNT_MAX_ROWS:
+    if keys.size == 0:
         return None
     kmin = int(keys.min())
     spread = int(keys.max()) - kmin
@@ -109,19 +113,32 @@ def _dense_codes(keys: np.ndarray):
 
 
 def _bincount_i64(codes: np.ndarray, delta: np.ndarray, length: int):
-    """Exact int64 per-code sums via two float64 bincounts.
+    """Exact int64 per-code sums out of float64 ``np.bincount``.
 
-    ``np.bincount`` only sums float64 weights, so the int64 deltas are
-    split into a signed high half and an unsigned low half; both
-    partial sums stay below 2**53 (guaranteed by ``_BINCOUNT_MAX_ROWS``)
-    and therefore exact, and the recombination wraps mod 2**64 exactly
-    like the int64 adds of the sort path.
+    ``np.bincount`` only sums float64 weights. While ``rows *
+    max|delta| < 2**53`` no partial sum can leave float64's exact
+    integer range, so one pass over the deltas themselves is exact —
+    the common case, since a row block bounds ``rows``. Otherwise the
+    deltas are split into a signed high half and an unsigned low half,
+    ``_BINCOUNT_MAX_ROWS`` rows at a time so both halves' partial sums
+    stay exact, and the recombination wraps mod 2**64 exactly like the
+    int64 adds of the sort path.
     """
-    hi = delta >> 32
-    lo = delta & _LO_MASK
-    hs = np.bincount(codes, weights=hi, minlength=length)
-    ls = np.bincount(codes, weights=lo, minlength=length)
-    return hs.astype(np.int64) * _HI_SCALE + ls.astype(np.int64)
+    bound = max(-int(delta.min()), int(delta.max())) if delta.size else 0
+    if delta.size * bound < 2**53:
+        return np.bincount(codes, weights=delta, minlength=length).astype(
+            np.int64
+        )
+    total = np.zeros(length, dtype=np.int64)
+    for at in range(0, delta.size, _BINCOUNT_MAX_ROWS):
+        part = delta[at : at + _BINCOUNT_MAX_ROWS]
+        part_codes = codes[at : at + _BINCOUNT_MAX_ROWS]
+        hs = np.bincount(part_codes, weights=part >> 32, minlength=length)
+        ls = np.bincount(
+            part_codes, weights=part & _LO_MASK, minlength=length
+        )
+        total += hs.astype(np.int64) * _HI_SCALE + ls.astype(np.int64)
+    return total
 
 
 def group_sorted(
@@ -236,14 +253,28 @@ RUNTIME_ENV: Dict[str, Any] = {
 }
 
 
+#: Working-set budget of one row block. The kernel emitter knows the
+#: bytes per row of the temporaries it allocates, so a splittable scan
+#: runs ``BLOCK_BYTES // row_bytes`` rows at a time: the temporaries of
+#: a block stay cache resident and below the allocator's mmap threshold
+#: instead of being mapped, faulted in and unmapped once per column
+#: (EXPERIMENTS.md, "Block sweep", is the measurement behind the value).
+BLOCK_BYTES = 4 << 20
+
+
 class VectorizedProgram:
     """A compiled physical plan as a list of executable column kernels.
 
     ``kernels`` pairs each pipeline with its generated function
     ``fn(view, state, lo) -> result | None``; ``data`` caches the base
-    columns per pipeline so the serving path does no per-query dict
-    rebuilding. ``source`` is the full generated Python text (the
+    columns each kernel reads, so the serving path does no per-query
+    dict rebuilding. ``source`` is the full generated Python text (the
     vectorized analogue of the instrumented backend's pseudo-C).
+
+    ``row_bytes`` is what the final kernel allocates per input row when
+    that pipeline is splittable into row ranges, ``None`` when it is
+    not; it fixes ``block_rows``, the rows the final kernel is called
+    with at a time (``None``: the whole view is one block).
     """
 
     def __init__(
@@ -252,6 +283,7 @@ class VectorizedProgram:
         data: List[Dict[str, np.ndarray]],
         source: str,
         finalize: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
+        row_bytes: Optional[int] = None,
     ) -> None:
         if not kernels:
             raise PlanError("vectorized program needs at least one pipeline")
@@ -260,15 +292,18 @@ class VectorizedProgram:
         self.source = source
         #: Post-merge cleanup applied once to the final (serial) or
         #: merged (parallel) result — eager aggregation's victim-key
-        #: deletion lives here so morsel partials stay mergeable.
+        #: deletion lives here so block and morsel partials stay
+        #: mergeable.
         self.finalize = finalize
+        self.block_rows: Optional[int] = (
+            None
+            if row_bytes is None
+            else max(BLOCK_BYTES // max(row_bytes, 1), 1)
+        )
 
     def execute(self) -> Dict[str, Any]:
         """Run every pipeline in order; the last one yields the answer."""
-        state: Dict[str, Dict[str, Any]] = {}
-        result: Optional[Dict[str, Any]] = None
-        for (pipe, fn), view in zip(self.kernels, self.data):
-            result = fn(view, state, 0)
+        result = self.run_final(self.data[-1], self.run_setup(), 0)
         if result is None:
             raise PlanError("physical plan produced no result")
         if self.finalize is not None:
@@ -288,6 +323,19 @@ class VectorizedProgram:
         state: Optional[Dict[str, Dict[str, Any]]],
         lo: int,
     ) -> Dict[str, Any]:
-        """Run the final pipeline over one morsel's row-range view."""
+        """Run the final pipeline over ``view`` — the whole scan, or one
+        morsel's or shard's row range of it starting at row ``lo`` —
+        block by block, merging the per-block partials."""
         _, fn = self.kernels[-1]
-        return fn(view, state if state is not None else {}, lo)
+        if state is None:
+            state = {}
+        # An empty view is still one (empty) block: the kernel shapes
+        # the zero answer.
+        rows = max(rows_of(view), 1)
+        step = self.block_rows or rows
+        return merge_partials(
+            [
+                fn(slice_columns(view, at, at + step), state, lo + at)
+                for at in range(0, rows, step)
+            ]
+        )

@@ -3,8 +3,9 @@
 The second execution backend. Where :mod:`repro.codegen.physexec`
 *interprets* a :class:`~repro.plan.physical.PhysicalPlan` op by op —
 doing the work and emitting priced access events — this module
-*generates* one plain-Python function per pipeline (whole-column NumPy
-statements, no events, no hash tables), compiles the text with
+*generates* one plain-Python function per pipeline (NumPy statements
+over the columns of one row block, no events, no hash tables), compiles
+the text with
 ``compile``/``exec``, and returns a
 :class:`~repro.codegen.npexec.VectorizedProgram` ready to serve.
 
@@ -80,6 +81,7 @@ from ..plan.physical import (
     SemiHashBuild,
 )
 from ..storage.database import Database
+from .lower import parallelizable
 from .npexec import RUNTIME_ENV, VectorizedProgram
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
@@ -153,6 +155,34 @@ def compile_expr(expr: Expr, data: str, env: _Env) -> str:
     return f"{bound}.evaluate({data})"
 
 
+def _temp_bytes(expr: Expr, view: Dict[str, np.ndarray]) -> int:
+    """Bytes per row of the full-length temporaries the code
+    :func:`compile_expr` emits for ``expr`` allocates: one per boolean
+    node, eight per int64 arithmetic result, and eight more for each
+    narrow (encoded) ``view`` column an ``_i64`` widens on the way in."""
+    if isinstance(expr, (Col, Const)):
+        return 0
+    if isinstance(expr, Arith):
+        total = 8
+        for side in (expr.left, expr.right):
+            if isinstance(side, Col):
+                column = view.get(side.name)
+                if column is not None and column.dtype.itemsize < 8:
+                    total += 8
+            else:
+                total += _temp_bytes(side, view)
+        return total
+    if isinstance(expr, Compare):
+        return 1 + _temp_bytes(expr.left, view) + _temp_bytes(expr.right, view)
+    if isinstance(expr, (And, Or)):
+        return 1 + sum(_temp_bytes(term, view) for term in expr.terms)
+    if isinstance(expr, InSet):
+        return 1 + _temp_bytes(expr.child, view)
+    if isinstance(expr, StrMatch):
+        return 1
+    return 8  # a bound expression object's result column
+
+
 def _bool(src: str) -> str:
     return f"np.asarray({src}, dtype=bool)"
 
@@ -164,7 +194,18 @@ class _KernelEmitter:
         self.pipe = pipe
         self.db = db
         self.env = env
-        self.view_cols = frozenset(db.data(pipe.table).keys())
+        # The scan view the pipeline was planned for: columns the
+        # access-encoding pass chose stream as physical codes (narrow
+        # dtypes), everything else decoded. The kernels are value safe
+        # over codes — keys and aggregate deltas cast through int64 and
+        # comparisons promote — so output stays byte-identical.
+        self.view = db.scan_view(pipe.table, pipe.encodings)
+        self.view_cols = frozenset(self.view)
+        #: View columns the kernel reads (all the program binds).
+        self.reads: set = set()
+        #: Bytes per input row of the temporaries the kernel allocates;
+        #: sizes the row blocks of a splittable final pipeline.
+        self.row_bytes = 0
         self.lines: List[str] = []
         self.has_mask = False
         self.has_result = False
@@ -180,12 +221,25 @@ class _KernelEmitter:
         self._tmp += 1
         return f"{stem}{self._tmp}"
 
+    def col(self, column: str) -> str:
+        """Source for a view column, recorded as read."""
+        self.reads.add(column)
+        return f"v[{column!r}]"
+
+    def expr(self, expr: Expr, data: str = "v") -> str:
+        """:func:`compile_expr` with the kernel's bookkeeping: the view
+        columns read and the temporaries allocated."""
+        self.reads.update(expr.columns() & self.view_cols)
+        self.row_bytes += _temp_bytes(expr, self.view)
+        return compile_expr(expr, data, self.env)
+
     def selected(self, src: str) -> str:
         """``src`` narrowed to the live selection (no-op without one)."""
         return f"{src}[mask]" if self.has_mask else src
 
     def narrow(self, term: str) -> None:
         """``ctx.narrow``: AND ``term`` into the mask (or adopt it)."""
+        self.row_bytes += 1
         if self.has_mask:
             self.out(f"mask = mask & {term}")
         else:
@@ -201,23 +255,35 @@ class _KernelEmitter:
         self.out(f"{off} = {full}[lo:lo + n]")
         return off
 
+    def member(self, fk_column: str, state: str) -> str:
+        """Membership of the FK column in a build side's sorted keys
+        (the widened probe values plus their search positions)."""
+        self.row_bytes += 16
+        return (
+            f"_member({self.col(fk_column)}.astype(np.int64), "
+            f"state[{state!r}]['keys'])"
+        )
+
     def keys_i64(self, column: str) -> str:
         """Selected key values, widened to int64 (both access styles
         of ``_read_keys`` produce the selected values in row order)."""
-        return f"{self.selected(f'v[{column!r}]')}.astype(np.int64)"
+        self.row_bytes += 8
+        return f"{self.selected(self.col(column))}.astype(np.int64)"
 
     def carried_snapshot(self, carry: Tuple[str, ...]) -> str:
         """Full-length payload columns for a build-side state entry."""
+        self.reads.update(self.view_cols.intersection(carry))
         items = ", ".join(
             f"{c!r}: carried.get({c!r}, v.get({c!r}))" for c in carry
         )
         return "{" + items + "}"
 
     def agg_delta(self, agg, data: str, count_len: str) -> str:
+        """One int64 delta column per aggregate."""
+        self.row_bytes += 8
         if agg.func == "count":
             return f"np.ones({count_len}, dtype=np.int64)"
-        src = compile_expr(agg.expr, data, self.env)
-        return f"np.asarray({src}, dtype=np.int64)"
+        return f"np.asarray({self.expr(agg.expr, data)}, dtype=np.int64)"
 
     # -- operators -------------------------------------------------------
 
@@ -239,13 +305,13 @@ class _KernelEmitter:
             conj for conj in op.conjuncts if conj not in view_conjs
         ]
         for conj in view_conjs:
-            self.narrow(_bool(compile_expr(conj, "v", self.env)))
+            self.narrow(_bool(self.expr(conj)))
         if carried_conjs:
             full = self.name("full")
             self.out(f"{full} = dict(v)")
             self.out(f"{full}.update(carried)")
             for conj in carried_conjs:
-                self.narrow(_bool(compile_expr(conj, full, self.env)))
+                self.narrow(_bool(self.expr(conj, full)))
 
     def op_semihash_build(self, op: SemiHashBuild) -> None:
         self.out(
@@ -275,10 +341,7 @@ class _KernelEmitter:
 
     def op_hash_semi_probe(self, op: HashSemiProbe) -> None:
         hit = self.name("hit")
-        self.out(
-            f"{hit} = _member(v[{op.fk_column!r}].astype(np.int64), "
-            f"state[{op.state!r}]['keys'])"
-        )
+        self.out(f"{hit} = {self.member(op.fk_column, op.state)}")
         self.narrow(f"~{hit}" if op.negate else hit)
 
     def op_bitmap_semi_probe(self, op: BitmapSemiProbe) -> None:
@@ -287,42 +350,36 @@ class _KernelEmitter:
 
     def op_column_materialize(self, op: ColumnMaterialize) -> None:
         entry = self.name("entry")
-        src = compile_expr(op.expr, "v", self.env)
+        src = self.expr(op.expr)
         self.out(
             f"{entry} = state.setdefault("
             f"{op.state!r}, {{'columns': {{}}, 'rows': n}})"
         )
         self.out(f"{entry}['columns'][{op.column!r}] = np.asarray({src})")
 
-    def op_index_gather(self, op: IndexGather) -> None:
-        off = self.fk_offsets_slice(op.fk_column)
-        for column in op.columns:
+    def gather(self, columns, state: str, entry: str, off: str) -> None:
+        """Gather build-side payload columns through the FK offsets."""
+        for column in columns:
+            self.row_bytes += 8
             self.out(
                 f"carried[{column!r}] = "
-                f"state[{op.state!r}]['columns'][{column!r}][{off}]"
+                f"state[{state!r}][{entry!r}][{column!r}][{off}]"
             )
+
+    def op_index_gather(self, op: IndexGather) -> None:
+        off = self.fk_offsets_slice(op.fk_column)
+        self.gather(op.columns, op.state, "columns", off)
 
     def op_carried_gather(self, op: CarriedGather) -> None:
         off = self.fk_offsets_slice(op.fk_column)
-        for column in op.columns:
-            self.out(
-                f"carried[{column!r}] = "
-                f"state[{op.state!r}]['carried'][{column!r}][{off}]"
-            )
+        self.gather(op.columns, op.state, "carried", off)
 
     def op_hash_join_carry_probe(self, op: HashJoinCarryProbe) -> None:
         hit = self.name("hit")
-        self.out(
-            f"{hit} = _member(v[{op.fk_column!r}].astype(np.int64), "
-            f"state[{op.state!r}]['keys'])"
-        )
+        self.out(f"{hit} = {self.member(op.fk_column, op.state)}")
         self.narrow(hit)
         off = self.fk_offsets_slice(op.fk_column)
-        for column in op.carry:
-            self.out(
-                f"carried[{column!r}] = "
-                f"state[{op.state!r}]['carried'][{column!r}][{off}]"
-            )
+        self.gather(op.carry, op.state, "carried", off)
 
     def op_exists_bitmap_build(self, op: ExistsBitmapBuild) -> None:
         off = self.fk_offsets_slice(op.fk_column)
@@ -345,7 +402,7 @@ class _KernelEmitter:
 
     def op_multi_bitmap_build(self, op: MultiBitmapBuild) -> None:
         masks = ", ".join(
-            _bool(compile_expr(bp, "v", self.env)) for bp in op.disjuncts
+            _bool(self.expr(bp)) for bp in op.disjuncts
         )
         self.out(
             f"state[{op.state!r}] = {{'masks': [{masks}], 'rows': n}}"
@@ -364,8 +421,7 @@ class _KernelEmitter:
         items = ", ".join(f"{c!r}: {table}[{c!r}][{off}]" for c in build_cols)
         self.out(f"{rows} = {{{items}}}")
         arms = " | ".join(
-            f"({_bool(compile_expr(bp, rows, self.env))}"
-            f" & {_bool(compile_expr(pp, 'v', self.env))})"
+            f"({_bool(self.expr(bp, rows))} & {_bool(self.expr(pp))})"
             for bp, pp in op.disjuncts
         )
         self.narrow(f"({arms})")
@@ -375,8 +431,7 @@ class _KernelEmitter:
         bitmaps = self.name("bitmaps")
         self.out(f"{bitmaps} = state[{op.state!r}]['masks']")
         arms = " | ".join(
-            f"({bitmaps}[{i}][{off}]"
-            f" & {_bool(compile_expr(pp, 'v', self.env))})"
+            f"({bitmaps}[{i}][{off}] & {_bool(self.expr(pp))})"
             for i, (_, pp) in enumerate(op.disjuncts)
         )
         self.narrow(f"({arms})")
@@ -389,7 +444,7 @@ class _KernelEmitter:
         # into the same bucket either way.
         build_rows = self.db.table(op.build_table).num_rows
         uk, cnt = self.name("uk"), self.name("cnt")
-        fks = self.selected(f"v[{op.fk_column!r}]")
+        fks = self.selected(self.col(op.fk_column))
         self.out(
             f"{uk}, {cnt} = _count_by({fks}.astype(np.int64))"
         )
@@ -428,15 +483,16 @@ class _KernelEmitter:
             self.name("keys"),
             self.name("sub"),
         )
-        self.out(
-            f"{hit} = _member(v[{op.fk_column!r}].astype(np.int64), "
-            f"state[{op.state!r}]['keys'])"
-        )
+        self.out(f"{hit} = {self.member(op.fk_column, op.state)}")
         self.out(
             f"{smask} = mask & {hit}" if self.has_mask else f"{smask} = {hit}"
         )
-        self.out(f"{keys} = v[{op.fk_column!r}][{smask}].astype(np.int64)")
-        items = ", ".join(f"{c!r}: v[{c!r}][{smask}]" for c in base_cols)
+        self.out(
+            f"{keys} = {self.col(op.fk_column)}[{smask}].astype(np.int64)"
+        )
+        items = ", ".join(
+            f"{c!r}: {self.col(c)}[{smask}]" for c in base_cols
+        )
         self.out(f"{sub} = {{{items}}}")
         deltas = ", ".join(
             self.agg_delta(agg, sub, f"{keys}.shape[0]")
@@ -450,7 +506,7 @@ class _KernelEmitter:
         values (the conditional/gathered aggregation input)."""
         sub = self.name("sub")
         items = ", ".join(
-            f"{c!r}: {self.selected(f'v[{c!r}]')}" for c in cols
+            f"{c!r}: {self.selected(self.col(c))}" for c in cols
         )
         self.out(f"{sub} = {{{items}}}")
         if self.has_mask:
@@ -485,8 +541,9 @@ class _KernelEmitter:
                     count = "int(mask.sum())" if self.has_mask else "n"
                     self.out(f"result[{agg.name!r}] = {count}")
                     continue
-                src = compile_expr(agg.expr, "v", self.env)
-                values = f"np.asarray({src}, dtype=np.int64)"
+                values = (
+                    f"np.asarray({self.expr(agg.expr)}, dtype=np.int64)"
+                )
                 total = f"np.sum({values}, dtype=np.int64)"
                 if self.has_mask:
                     total = (
@@ -536,7 +593,7 @@ class _KernelEmitter:
             # masking zeroes their deltas and drops never-hit groups —
             # both equal to grouping only the selected rows.
             keys = self.name("keys")
-            key_src = compile_expr(op.key, "v", self.env)
+            key_src = self.expr(op.key)
             self.out(f"{keys} = np.asarray({key_src}, dtype=np.int64)")
             delta_names = []
             for agg in op.aggregates:
@@ -559,7 +616,7 @@ class _KernelEmitter:
             k = self.name("k")
             self.out(f"{k} = {count}")
             keys = self.name("keys")
-            key_src = compile_expr(op.key, sub, self.env)
+            key_src = self.expr(op.key, sub)
             self.out(f"{keys} = np.asarray({key_src}, dtype=np.int64)")
             deltas = ", ".join(
                 self.agg_delta(agg, sub, k) for agg in op.aggregates
@@ -606,9 +663,9 @@ class _KernelEmitter:
 
         self.finalize = cleanup
         for conj in query.predicate_conjuncts():
-            self.narrow(_bool(compile_expr(conj, "v", self.env)))
+            self.narrow(_bool(self.expr(conj)))
         keys = self.name("keys")
-        self.out(f"{keys} = v[{join.fk_column!r}].astype(np.int64)")
+        self.out(f"{keys} = {self.col(join.fk_column)}.astype(np.int64)")
         delta_names = []
         for agg in query.aggregates:
             d = self.name("d")
@@ -622,6 +679,18 @@ class _KernelEmitter:
         self.has_result = True
 
     # -- assembly --------------------------------------------------------
+
+    def bound_view(self) -> Dict[str, np.ndarray]:
+        """The view columns the emitted kernel reads — what a row block
+        slices, a handful of arrays instead of the whole table. One
+        column at least: the kernel takes its row count from the view.
+        """
+        keep = self.reads or {next(iter(self.view))}
+        return {
+            column: values
+            for column, values in self.view.items()
+            if column in keep
+        }
 
     def emit(self, fn_name: str) -> str:
         for op in self.pipe.ops:
@@ -662,6 +731,24 @@ _HANDLERS = {
 }
 
 
+def splittable(physical: PhysicalPlan) -> bool:
+    """Whether the final pipeline's kernel may run over row ranges.
+
+    On top of the morsel-splittable plans the vectorized kernels split
+    eager aggregation: partials are plain grouped dicts (no hash-table
+    state), and the victim-key cleanup runs once as the program's
+    finalize step.
+    """
+    if parallelizable(physical):
+        return True
+    final_ops = physical.pipelines[-1].ops
+    return (
+        not physical.interpreted
+        and len(final_ops) == 1
+        and isinstance(final_ops[0], EagerAggregate)
+    )
+
+
 def compile_physical(
     physical: PhysicalPlan, db: Database, name: str = "query"
 ) -> VectorizedProgram:
@@ -670,13 +757,12 @@ def compile_physical(
     sources: List[str] = [
         f"# vectorized kernels for {name} [{physical.strategy}]",
     ]
-    fn_names: List[str] = []
+    emitters: List[_KernelEmitter] = []
     finalize = None
     for idx, pipe in enumerate(physical.pipelines):
-        fn_name = f"_kernel_{idx}"
         emitter = _KernelEmitter(pipe, db, env)
-        sources.append(emitter.emit(fn_name))
-        fn_names.append(fn_name)
+        sources.append(emitter.emit(f"_kernel_{idx}"))
+        emitters.append(emitter)
         if emitter.finalize is not None:
             finalize = emitter.finalize
     source = "\n\n".join(sources) + "\n"
@@ -684,19 +770,21 @@ def compile_physical(
     namespace = env.bindings
     exec(code, namespace)  # noqa: S102 - the source is generated above
     kernels = [
-        (pipe, namespace[fn_name])
-        for pipe, fn_name in zip(physical.pipelines, fn_names)
+        (emitter.pipe, namespace[f"_kernel_{idx}"])
+        for idx, emitter in enumerate(emitters)
     ]
-    # Serve each kernel the scan view its pipeline was planned for:
-    # columns the access-encoding pass chose stream as physical codes
-    # (narrow dtypes), everything else decoded. The kernels are value
-    # safe over codes — keys and aggregate deltas cast through int64
-    # and comparisons promote — so output stays byte-identical.
-    data = [
-        db.scan_view(pipe.table, pipe.encodings)
-        for pipe in physical.pipelines
-    ]
-    return VectorizedProgram(kernels, data, source, finalize=finalize)
+    return VectorizedProgram(
+        kernels,
+        [emitter.bound_view() for emitter in emitters],
+        source,
+        finalize=finalize,
+        row_bytes=emitters[-1].row_bytes if splittable(physical) else None,
+    )
 
 
-__all__ = ["VectorizeError", "compile_expr", "compile_physical"]
+__all__ = [
+    "VectorizeError",
+    "compile_expr",
+    "compile_physical",
+    "splittable",
+]

@@ -60,25 +60,46 @@ def merge_partials(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
 
     Scalar aggregates (sums/counts) add; grouped results merge by key
     with ascending-key output, which makes the merged group-by output
-    deterministic regardless of morsel boundaries or worker timing.
+    deterministic regardless of morsel boundaries or worker timing. A
+    single part is already the answer (its keys are ascending and
+    unique) and is returned unchanged.
     """
     if not parts:
         return {}
     first = parts[0]
+    if len(parts) == 1:
+        return first
     if "keys" in first and "aggs" in first:
         keys = np.concatenate([np.asarray(p["keys"]) for p in parts])
         aggs = np.concatenate(
             [np.atleast_2d(np.asarray(p["aggs"])) for p in parts]
         )
-        unique, inverse = np.unique(keys, return_inverse=True)
-        merged = np.zeros((unique.shape[0], aggs.shape[1]), dtype=aggs.dtype)
-        np.add.at(merged, inverse, aggs)
-        return {"keys": unique, "aggs": merged}
+        if keys.size == 0:
+            return {"keys": keys, "aggs": aggs}
+        # Same-key rows become one run each (stable sort keeps them in
+        # part order), summed by a segmented reduction.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1]))
+        )
+        return {
+            "keys": keys[starts],
+            "aggs": np.add.reduceat(aggs[order], starts, axis=0),
+        }
     out: Dict[str, Any] = {}
     for part in parts:
         for name, value in part.items():
             out[name] = out.get(name, 0) + value
-    return out
+    # Integer partials are int64 sums: fold the unbounded Python total
+    # back into two's complement, so an overflowing aggregate wraps
+    # exactly as the one int64 sum over the whole scan would.
+    return {
+        name: (total + 2**63) % 2**64 - 2**63
+        if isinstance(total, int)
+        else total
+        for name, total in out.items()
+    }
 
 
 @dataclass

@@ -15,7 +15,11 @@ strategy, serially and morsel-parallel. These tests pin that contract:
   anti-join build, all-unmatched outer groupjoin, empty-bitmap
   disjunct);
 * the grouping runtime's two internal paths (dense bincount vs sorted
-  reduceat) against each other and against int64 wraparound semantics;
+  reduceat) against each other and against int64 wraparound semantics,
+  and the bincount's single-pass and hi/lo-split forms as a property;
+* block-at-a-time execution: wherever the block boundaries fall — odd
+  sizes, a one-row tail, blocks no row of which qualifies, an empty
+  table — the answer is the whole-column answer, byte for byte;
 * the engine-level seams: backend-qualified plan-cache keys, the
   recorded effective backend, and the instrumented fallback when
   vectorization fails.
@@ -23,6 +27,8 @@ strategy, serially and morsel-parallel. These tests pin that contract:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codegen import npexec
 from repro.codegen.pipeline import compile_pipeline
@@ -33,6 +39,9 @@ from repro.engine.program import results_equal
 from repro.plan.builder import PlanBuilder, scan
 from repro.plan.expressions import And, Col, Const, DictEq
 from repro.plan.logical import AggSpec
+from repro.storage.column import Column, LogicalType
+from repro.storage.database import Database
+from repro.storage.table import Table
 from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
 
 
@@ -301,6 +310,231 @@ class TestGroupingRuntime:
         assert np.array_equal(got_counts, counts)
 
 
+@st.composite
+def _bincount_cases(draw):
+    """Codes and int64 deltas whose magnitude straddles the single-pass
+    bound ``2**53 / rows``, with both signs."""
+    rows = draw(st.integers(min_value=1, max_value=300))
+    length = draw(st.integers(min_value=1, max_value=8))
+    edge = 2**53 // rows
+    magnitude = draw(
+        st.sampled_from(
+            [1000, edge - 1, edge, edge + 1, 4 * edge, 2**62, 2**63 - 1]
+        )
+    )
+    values = st.integers(min_value=-magnitude, max_value=magnitude)
+    delta = draw(st.lists(values, min_size=rows, max_size=rows))
+    codes = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=length - 1),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return (
+        np.asarray(codes, dtype=np.intp),
+        np.asarray(delta, dtype=np.int64),
+        length,
+    )
+
+
+class TestBincountExactness:
+    """``_bincount_i64`` picks a single float64 pass when no partial
+    sum can leave float64's exact range and the hi/lo split otherwise;
+    both must be the wrapping int64 scatter-add."""
+
+    @given(case=_bincount_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_both_forms_match_int64_scatter_add(self, case):
+        codes, delta, length = case
+        want = np.zeros(length, dtype=np.int64)
+        np.add.at(want, codes, delta)
+        got = npexec._bincount_i64(codes, delta, length)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        # One out-of-range delta in a bucket of its own forces the
+        # hi/lo split over the very same rows.
+        split = npexec._bincount_i64(
+            np.append(codes, length),
+            np.append(delta, np.int64(2**62)),
+            length + 1,
+        )
+        assert np.array_equal(split[:length], want)
+
+    def test_split_stays_exact_past_one_pass_of_rows(self, monkeypatch):
+        # More rows than one hi/lo pass may sum exactly: the split runs
+        # pass by pass and still equals the int64 scatter-add.
+        monkeypatch.setattr(npexec, "_BINCOUNT_MAX_ROWS", 64)
+        rng = np.random.default_rng(7)
+        codes = rng.integers(0, 4, size=1000).astype(np.intp)
+        delta = rng.integers(-(2**62), 2**62, size=1000, dtype=np.int64)
+        want = np.zeros(4, dtype=np.int64)
+        np.add.at(want, codes, delta)
+        assert np.array_equal(npexec._bincount_i64(codes, delta, 4), want)
+
+
+def _pin_block_rows(monkeypatch, engine, plan, strategy, rows):
+    """Recompile ``plan`` on ``engine`` so a splittable final kernel
+    runs ``rows`` rows per block (``rows`` may be a function of the scan
+    length). Returns the block size in force, ``None`` for a plan whose
+    final pipeline does not split — the one-block case."""
+    engine.invalidate()
+    compiled = engine.compile(plan, strategy, backend="vectorized")
+    if compiled.notes["block_rows"] is None:
+        return None
+    if callable(rows):
+        rows = rows(compiled.parallel.n_rows)
+    row_bytes = npexec.BLOCK_BYTES // compiled.notes["block_rows"]
+    monkeypatch.setattr(npexec, "BLOCK_BYTES", rows * row_bytes)
+    engine.invalidate()
+    pinned = engine.compile(plan, strategy, backend="vectorized")
+    assert pinned.notes["block_rows"] == rows
+    return rows
+
+
+def _skewed_db(rows):
+    """One table whose qualifying rows (``a < 50``) all sit in the
+    first 100 rows, so every later block's mask is all-false."""
+    rng = np.random.default_rng(11)
+    a = np.full(rows, 99, dtype=np.int32)
+    a[:100] = rng.integers(0, 100, size=min(rows, 100))[:rows]
+    db = Database()
+    db.add_table(
+        Table(
+            name="T",
+            columns=(
+                Column("a", LogicalType.INT32, a),
+                Column("g", LogicalType.INT32, rng.integers(0, 5, rows)),
+                Column("x", LogicalType.INT64, rng.integers(0, 1000, rows)),
+            ),
+        )
+    )
+    return db
+
+
+def _skewed_plans():
+    qualifying = PlanBuilder.scan("T").filter(Col("a") < Const(50))
+    return {
+        "scalar": qualifying.group_agg(
+            AggSpec("sum", Col("x") * Col("a"), name="s"),
+            AggSpec("count", None, name="c"),
+        ).build("be-block-scalar"),
+        "grouped": qualifying.group_agg(
+            AggSpec("sum", Col("x"), name="s"),
+            AggSpec("count", None, name="c"),
+            key="g",
+        ).build("be-block-grouped"),
+    }
+
+
+class TestBlockBoundaries:
+    """The block driver gives the whole-column bytes wherever the
+    boundaries fall, on the serial path and under morsels alike."""
+
+    @pytest.fixture(scope="class")
+    def engines(self, tpch_db):
+        knobs = ExecutionKnobs(morsel_rows=1500)
+        with Engine(db=tpch_db, workers=4, knobs=knobs) as auto:
+            with Engine(
+                db=tpch_db, workers=4, knobs=knobs, encoding="off"
+            ) as off:
+                yield {"auto": auto, "off": off}
+
+    @pytest.mark.parametrize(
+        "rows",
+        (1000, 4097, lambda n: n - 1),
+        ids=("1000", "4097", "one-row-tail"),
+    )
+    @pytest.mark.parametrize("name", PIPELINE_QUERIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_cell_gives_whole_column_bytes(
+        self, monkeypatch, engines, tpch_engine, name, strategy, rows
+    ):
+        plan = logical_plan(name)
+        whole = tpch_engine.execute(
+            plan, strategy, workers=1, backend="instrumented"
+        )
+        for encoding, engine in engines.items():
+            _pin_block_rows(monkeypatch, engine, plan, strategy, rows)
+            for workers in (1, 4):
+                blocked = engine.execute(
+                    plan, strategy, workers=workers, backend="vectorized"
+                )
+                assert results_equal(whole, blocked), (
+                    name,
+                    strategy,
+                    encoding,
+                    workers,
+                )
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("shape", ("scalar", "grouped"))
+    @pytest.mark.parametrize("table_rows", (0, 1, 5000))
+    def test_all_false_blocks_and_empty_table(
+        self, monkeypatch, shape, table_rows
+    ):
+        plan = _skewed_plans()[shape]
+        with Engine(db=_skewed_db(table_rows)) as engine:
+            for strategy in ("datacentric", "hybrid", "swole"):
+                whole = engine.execute(
+                    plan, strategy, backend="instrumented"
+                )
+                assert _pin_block_rows(
+                    monkeypatch, engine, plan, strategy, 256
+                ) == 256
+                blocked = engine.execute(
+                    plan, strategy, backend="vectorized"
+                )
+                assert results_equal(whole, blocked), (strategy, table_rows)
+                monkeypatch.undo()
+
+    def test_no_block_qualifies(self, monkeypatch, tpch_engine):
+        plan = (
+            PlanBuilder.scan("lineitem")
+            .filter(IMPOSSIBLE)
+            .group_agg(
+                AggSpec("sum", Col("l_quantity"), name="qty"),
+                key="l_returnflag",
+            )
+            .build("be-block-none-qualify")
+        )
+        with Engine(db=tpch_engine.db) as engine:
+            for strategy in ("hybrid", "swole"):
+                _pin_block_rows(monkeypatch, engine, plan, strategy, 1000)
+                blocked = engine.execute(plan, strategy, backend="vectorized")
+                assert blocked.value["keys"].size == 0
+                assert blocked.value["aggs"].shape == (0, 1)
+                monkeypatch.undo()
+
+    def test_overflowing_scalar_sum_wraps_like_one_int64_sum(
+        self, monkeypatch
+    ):
+        db = Database()
+        db.add_table(
+            Table(
+                name="T",
+                columns=(
+                    Column(
+                        "x",
+                        LogicalType.INT64,
+                        np.full(8, 2**61, dtype=np.int64),
+                    ),
+                ),
+            )
+        )
+        plan = (
+            PlanBuilder.scan("T")
+            .group_agg(AggSpec("sum", Col("x") * Const(1), name="s"))
+            .build("be-block-wrap")
+        )
+        with Engine(db=db) as engine:
+            whole = engine.execute(plan, "swole", backend="instrumented")
+            _pin_block_rows(monkeypatch, engine, plan, "swole", 3)
+            blocked = engine.execute(plan, "swole", backend="vectorized")
+            assert results_equal(whole, blocked)
+            assert blocked.value["s"] == 0  # 8 * 2**61 wraps to zero
+
+
 class TestEngineSeams:
     """Backend selection is visible and isolated at the engine layer."""
 
@@ -338,6 +572,40 @@ class TestEngineSeams:
         )
         assert compiled.notes["backend"] == "instrumented"
         assert "synthetic" in compiled.notes["backend_fallback"]
+
+    def test_notes_carry_the_kernel_source_and_block_rows(self, tpch_db):
+        vectorized = compile_pipeline(
+            logical_plan("Q6"), tpch_db, "swole", backend="vectorized"
+        )
+        assert vectorized.notes["vectorized_source"] == vectorized.source
+        assert "def _kernel_0(v, state, lo):" in vectorized.source
+        assert vectorized.notes["block_rows"] > 0
+        # Q14's IndexGather final pipeline does not split: one block.
+        unsplit = compile_pipeline(
+            logical_plan("Q14"), tpch_db, "swole", backend="vectorized"
+        )
+        assert unsplit.notes["block_rows"] is None
+        instrumented = compile_pipeline(
+            logical_plan("Q6"), tpch_db, "swole", backend="instrumented"
+        )
+        assert "vectorized_source" not in instrumented.notes
+        assert "block_rows" not in instrumented.notes
+
+    def test_kernels_are_bound_only_the_columns_they_read(self, tpch_db):
+        from repro.codegen.lower import lower_plan
+        from repro.codegen.vectorize import compile_physical
+        from repro.engine.machine import PAPER_MACHINE
+        from repro.plan.passes import run_passes
+
+        bound, decisions, _ = run_passes(
+            logical_plan("Q6"), tpch_db, PAPER_MACHINE, "swole"
+        )
+        program = compile_physical(
+            lower_plan(bound, decisions, tpch_db, "swole"), tpch_db
+        )
+        assert set(program.data[-1]) == {
+            "l_shipdate", "l_discount", "l_quantity", "l_extendedprice",
+        }
 
     def test_unknown_backend_rejected(self, tpch_db):
         with Engine(db=tpch_db) as engine:
