@@ -12,44 +12,31 @@ the cost models pick well enough that the planner's regret stays small.
 
 import pytest
 
-from repro.bench import microbench as sweep
-from repro.core import planner as P
-from repro.core.swole import compile_swole
-from repro.codegen import compile_query
 from repro.datagen import microbench as mb
 from repro.engine.session import Session
+from repro.plan.passes import VALUE_MASK
 
-from conftest import BENCH_CONFIG
+from conftest import instrumented_engine, staged_program
 
 SELS = (1, 10, 25, 50, 75, 90, 99)
 
 
 @pytest.fixture(scope="module")
-def costs(micro_db, micro_machine):
+def costs(micro_db, micro_machine, micro_engine):
     """Measured cycles per (selectivity, variant) for µQ1-mul and -div."""
     session = Session(machine=micro_machine)
     out = {}
     for op in ("mul", "div"):
         for sel in SELS:
             query = mb.q1(sel, op)
-            row = {}
-            row["hybrid"] = (
-                compile_query(query, micro_db, "hybrid").run(session).cycles
+            forced = staged_program(
+                query, micro_db, micro_machine, agg_mode=VALUE_MASK
             )
-            row["forced_vm"] = (
-                compile_swole(
-                    query, micro_db, machine=micro_machine,
-                    force=P.VALUE_MASKING,
-                )
-                .run(session)
-                .cycles
-            )
-            row["planned"] = (
-                compile_swole(query, micro_db, machine=micro_machine)
-                .run(session)
-                .cycles
-            )
-            out[(op, sel)] = row
+            out[(op, sel)] = {
+                "hybrid": micro_engine.execute(query, "hybrid").cycles,
+                "forced_vm": forced.run(session).cycles,
+                "planned": micro_engine.execute(query, "swole").cycles,
+            }
     return out
 
 
@@ -91,10 +78,9 @@ def test_bench_planned_compile_and_run(benchmark, micro_db, micro_machine):
     session = Session(machine=micro_machine)
 
     def run():
-        compiled = compile_swole(
-            mb.q1(50), micro_db, machine=micro_machine
-        )
-        return compiled.run(session)
+        # a fresh engine per round: plan, lower and run, uncached
+        engine = instrumented_engine(micro_db, micro_machine)
+        return engine.compile(mb.q1(50), "swole").run(session)
 
     benchmark.group = "ablation:cost-model"
     benchmark.pedantic(run, rounds=3, iterations=1)

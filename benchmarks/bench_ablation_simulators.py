@@ -23,7 +23,7 @@ from repro.engine.cache import (
     random_trace,
 )
 from repro.engine.costing import CostAccountant
-from repro.engine.events import CondRead, RandomAccess
+from repro.engine.events import CondRead
 from repro.engine.machine import MachineModel
 
 #: A miniature machine whose caches the trace simulator can hold.

@@ -9,13 +9,18 @@ column exactly once.
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core import planner as P
-from repro.core.swole import compile_swole
 from repro.datagen import microbench as mb
 from repro.engine.events import SeqRead
 from repro.engine.session import Session
+from repro.plan.passes import VALUE_MASK
 
-from conftest import BENCH_CONFIG, BENCH_SELS
+from conftest import BENCH_CONFIG, BENCH_SELS, staged_program
+
+#: Both panels, every sweep point: masked aggregation with the
+#: predicate column's read merged into it.
+FIG10_DECISIONS = dict.fromkeys(
+    BENCH_SELS, "aggregation=value_mask, access_merging=['r_x']"
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +36,8 @@ def fig10b(micro_db):
 
 
 @pytest.mark.parametrize("col", ("r_b", "r_x"))
-def test_fig10_wall_time(benchmark, micro_db, micro_session, micro_machine,
-                         col):
-    compiled = compile_swole(mb.q3(50, col), micro_db, machine=micro_machine)
+def test_fig10_wall_time(benchmark, micro_engine, micro_session, col):
+    compiled = micro_engine.compile(mb.q3(50, col), "swole")
     benchmark.group = f"fig10:col={col}"
     benchmark.pedantic(
         lambda: compiled.run(micro_session), rounds=3, iterations=1
@@ -51,16 +55,15 @@ def test_fig10_merging_never_hurts(micro_db, micro_machine):
     session = Session(machine=micro_machine)
     for col in ("r_b", "r_x"):
         query = mb.q3(50, col)
-        merged = compile_swole(
-            query, micro_db, machine=micro_machine, force=P.VALUE_MASKING
+        merged = staged_program(
+            query, micro_db, micro_machine, agg_mode=VALUE_MASK
         ).run(session)
         assert merged.cycles > 0
 
 
 def test_fig10_merged_column_read_once(micro_db, micro_machine):
-    compiled = compile_swole(
-        mb.q3(50, "r_x"), micro_db, machine=micro_machine,
-        force=P.VALUE_MASKING,
+    compiled = staged_program(
+        mb.q3(50, "r_x"), micro_db, micro_machine, agg_mode=VALUE_MASK
     )
     result = compiled.run(Session(machine=micro_machine))
     reads_of_x = [
@@ -84,3 +87,8 @@ def test_fig10_reusing_both_attributes_gains_more(fig10a, fig10b):
     assert gain(fig10a) > 1.0
     assert gain(fig10b) > 1.0
     assert gain(fig10b) >= gain(fig10a) * 0.85
+
+
+def test_fig10_planner_decisions_unchanged(fig10a, fig10b):
+    assert fig10a.decisions == FIG10_DECISIONS
+    assert fig10b.decisions == FIG10_DECISIONS

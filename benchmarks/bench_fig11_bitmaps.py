@@ -9,14 +9,18 @@ few hash lookups happen anyway.
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core.swole import compile_swole
-from repro.codegen import compile_query
 from repro.datagen import microbench as mb
 from repro.engine.session import Session
 
-from conftest import BENCH_CONFIG, BENCH_SELS
+from conftest import BENCH_CONFIG, BENCH_SELS, instrumented_engine
 
 CONFIGS = (("probe", 10), ("probe", 90), ("build", 10), ("build", 90))
+
+#: All four panels, every sweep point: a positional bitmap built with
+#: unconditional mask writes, feeding a masked aggregation.
+FIG11_DECISIONS = dict.fromkeys(
+    BENCH_SELS, "aggregation=value_mask, join(r_fk)=bitmap_mask"
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +47,8 @@ def join_db():
 
 @pytest.mark.parametrize("strategy", ("hybrid", "swole"))
 def test_fig11_wall_time(benchmark, join_db, micro_machine, strategy):
-    query = mb.q4(90, 50)
-    if strategy == "swole":
-        compiled = compile_swole(query, join_db, machine=micro_machine)
-    else:
-        compiled = compile_query(query, join_db, strategy)
+    engine = instrumented_engine(join_db, micro_machine)
+    compiled = engine.compile(mb.q4(90, 50), strategy)
     session = Session(machine=micro_machine)
     benchmark.group = "fig11"
     benchmark.pedantic(
@@ -84,3 +85,8 @@ def test_fig11_pushdowns_comparable(panels):
     mid = result.x_values.index(50)
     ratio = result.series["datacentric"][mid] / result.series["hybrid"][mid]
     assert 0.5 < ratio < 3.0
+
+
+def test_fig11_planner_decisions_unchanged(panels):
+    for key, result in panels.items():
+        assert result.decisions == FIG11_DECISIONS, key

@@ -16,6 +16,10 @@ from repro.engine.session import Session
 
 from conftest import BENCH_CONFIG, BENCH_SELS
 
+#: First sweep point at which the planner rewrites the groupjoin to
+#: eager aggregation, per panel (earlier for the cache-resident build).
+FIG12_FIRST_EAGER = {mb.PAPER_S_SMALL: 50, mb.PAPER_S_LARGE: 75}
+
 
 @pytest.fixture(scope="module")
 def small_panel():
@@ -94,3 +98,19 @@ def test_fig12_pushdowns_similar(large_panel):
         / large_panel.series["hybrid"][mid]
     )
     assert 0.6 < ratio < 2.0
+
+
+def test_fig12_planner_decisions_unchanged(small_panel, large_panel):
+    for panel, s_rows in (
+        (small_panel, mb.PAPER_S_SMALL),
+        (large_panel, mb.PAPER_S_LARGE),
+    ):
+        assert panel.decisions == {
+            sel: "aggregation=gathered, join(r_fk)=hash, groupjoin="
+            + (
+                "eager_aggregation"
+                if sel >= FIG12_FIRST_EAGER[s_rows]
+                else "groupjoin"
+            )
+            for sel in BENCH_SELS
+        }, s_rows

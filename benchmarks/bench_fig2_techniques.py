@@ -9,13 +9,23 @@ models, so it should stay trivially cheap relative to execution).
 import pytest
 
 from repro.core import planner as P
-from repro.core.planner import plan_query, technique_matrix
+from repro.core.planner import technique_matrix
 from repro.datagen import microbench as mb
+from repro.plan import passes as PS
+from repro.plan.ops import from_query
 
 
 @pytest.fixture(scope="module")
 def machine(micro_machine):
     return micro_machine
+
+
+def plan_query(query, db, machine):
+    """The SWOLE pass pipeline's decisions for a microbench query."""
+    _, decisions, _ = PS.run_passes(
+        from_query(query), db, machine, "swole", None, encoding="auto"
+    )
+    return decisions
 
 
 def test_fig2_matrix_rows():
@@ -27,12 +37,12 @@ def test_fig2_matrix_rows():
 
 def test_fig2_value_masking_reachable(micro_db, machine):
     plan = plan_query(mb.q1(50), micro_db, machine)
-    assert plan.aggregation == P.VALUE_MASKING
+    assert plan.agg_mode == PS.VALUE_MASK
 
 
 def test_fig2_hybrid_fallback_reachable(micro_db, machine):
     plan = plan_query(mb.q1(20, "div"), micro_db, machine)
-    assert plan.aggregation == P.HYBRID
+    assert plan.agg_mode == PS.GATHERED
 
 
 def test_fig2_key_masking_reachable(machine):
@@ -45,7 +55,7 @@ def test_fig2_key_masking_reachable(machine):
     found = False
     for sel in (60, 70, 80, 90, 99):
         plan = plan_query(mb.q2(sel), db, scaled_machine(config))
-        if plan.aggregation == P.KEY_MASKING:
+        if plan.agg_mode == PS.KEY_MASK:
             found = True
             break
     assert found, "key masking unreachable on a large group-by"
@@ -54,7 +64,8 @@ def test_fig2_key_masking_reachable(machine):
 def test_fig2_bitmaps_always_selected_for_semijoins(micro_db, machine):
     for sel1, sel2 in ((10, 10), (50, 50), (90, 90)):
         plan = plan_query(mb.q4(sel1, sel2), micro_db, machine)
-        assert plan.semijoin_build is not None
+        (mode,) = plan.join_modes.values()
+        assert mode in (PS.BITMAP_MASK, PS.BITMAP_OFFSETS)
 
 
 def test_fig2_eager_aggregation_reachable(micro_db, machine):

@@ -10,7 +10,8 @@ headline >2.6x speedup exists). Print the full table with
 import pytest
 
 from repro.bench.tpch import PAPER_SWOLE_SPEEDUPS, run_fig6
-from repro.tpch import compile_tpch, query_names
+from repro.codegen.pipeline import compile_pipeline
+from repro.tpch import logical_plan, query_names
 
 from conftest import BENCH_TPCH
 
@@ -26,7 +27,7 @@ def fig6_report(tpch_db):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("query", QUERIES)
 def test_fig6_wall_time(benchmark, tpch_db, tpch_session, query, strategy):
-    compiled = compile_tpch(query, strategy, tpch_db)
+    compiled = compile_pipeline(logical_plan(query), tpch_db, strategy)
     benchmark.group = f"fig6:{query}"
     benchmark.pedantic(
         lambda: compiled.run(tpch_session), rounds=3, iterations=1

@@ -11,11 +11,17 @@ Shape assertions (paper §IV-B1):
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.codegen import compile_query
-from repro.core.swole import compile_swole
 from repro.datagen import microbench as mb
 
 from conftest import BENCH_CONFIG, BENCH_SELS
+
+#: The planner's choice per sweep point (8a: masking everywhere; 8b:
+#: the hybrid fallback until only ~1 % of the divisions are wasted).
+FIG8A_DECISIONS = dict.fromkeys(BENCH_SELS, "aggregation=value_mask")
+FIG8B_DECISIONS = {
+    **dict.fromkeys(BENCH_SELS, "aggregation=gathered"),
+    99: "aggregation=value_mask",
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +38,9 @@ def fig8b(micro_db):
 
 @pytest.mark.parametrize("strategy", ("datacentric", "hybrid", "swole"))
 @pytest.mark.parametrize("sel", (10, 50, 90))
-def test_fig8_wall_time(benchmark, micro_db, micro_session, micro_machine,
-                        strategy, sel):
-    query = mb.q1(sel)
-    if strategy == "swole":
-        compiled = compile_swole(query, micro_db, machine=micro_machine)
-    else:
-        compiled = compile_query(query, micro_db, strategy)
+def test_fig8_wall_time(benchmark, micro_engine, micro_session, strategy,
+                        sel):
+    compiled = micro_engine.compile(mb.q1(sel), strategy)
     benchmark.group = f"fig8a:sel={sel}"
     benchmark.pedantic(
         lambda: compiled.run(micro_session), rounds=3, iterations=1
@@ -79,8 +81,11 @@ def test_fig8b_masking_only_near_full_selectivity(fig8b):
     assert _at(fig8b, "swole", 50) == pytest.approx(
         _at(fig8b, "hybrid", 50), rel=0.02
     )
-    assert "hybrid" in fig8b.decisions[50]
-    assert "value_masking" in fig8b.decisions[99]
+
+
+def test_fig8_planner_decisions_unchanged(fig8a, fig8b):
+    assert fig8a.decisions == FIG8A_DECISIONS
+    assert fig8b.decisions == FIG8B_DECISIONS
 
 
 def test_fig8b_datacentric_does_not_recover_after_peak(fig8b):

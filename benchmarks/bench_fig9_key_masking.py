@@ -11,13 +11,27 @@ Shape assertions (paper §IV-B2):
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.core.swole import compile_swole
-from repro.codegen import compile_query
 from repro.datagen import microbench as mb
+from repro.engine.session import Session
 
-from conftest import BENCH_CONFIG, BENCH_SELS
+from conftest import BENCH_CONFIG, BENCH_SELS, instrumented_engine
 
 CARDS = (10, 1_000, 10_000_000)
+
+#: The planner's switch points per panel: pushdown -> value masking at
+#: 50 % on the cache-resident tables; on the 10M-key table pushdown
+#: holds through 50 %, key masking takes 75-90 %, value masking 99 %.
+_SMALL = dict(zip(BENCH_SELS, ["gathered"] * 3 + ["value_mask"] * 4))
+FIG9_DECISIONS = {
+    10: _SMALL,
+    1_000: _SMALL,
+    10_000_000: dict(
+        zip(
+            BENCH_SELS,
+            ["gathered"] * 4 + ["key_mask"] * 2 + ["value_mask"],
+        )
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +51,8 @@ def test_fig9_wall_time(benchmark, micro_machine, strategy, card):
         s_rows=BENCH_CONFIG.s_rows,
         c_cardinality=scaled_card,
     )
-    db = mb.generate(config)
-    query = mb.q2(50)
-    if strategy == "swole":
-        compiled = compile_swole(query, db, machine=micro_machine)
-    else:
-        compiled = compile_query(query, db, strategy)
-    from repro.engine.session import Session
-
+    engine = instrumented_engine(mb.generate(config), micro_machine)
+    compiled = engine.compile(mb.q2(50), strategy)
     session = Session(machine=micro_machine)
     benchmark.group = f"fig9:card={card}"
     benchmark.pedantic(
@@ -88,5 +96,12 @@ def test_fig9_masking_not_dominant(panels):
     pushdown beats every masking variant."""
     big = panels[10_000_000]
     low = big.x_values.index(10)
-    assert "hybrid" in big.decisions[10]
+    assert "gathered" in big.decisions[10]
     assert big.series["hybrid"][low] <= big.series["datacentric"][low]
+
+
+def test_fig9_planner_decisions_unchanged(panels):
+    for card, expected in FIG9_DECISIONS.items():
+        assert panels[card].decisions == {
+            sel: f"aggregation={mode}" for sel, mode in expected.items()
+        }, card

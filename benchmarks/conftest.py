@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Engine
 from repro.bench import microbench as sweep
+from repro.codegen.lower import lower_plan
+from repro.codegen.physexec import execute_plan
 from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.engine.machine import PAPER_MACHINE
+from repro.engine.program import CompiledQuery
 from repro.engine.session import Session
+from repro.plan.ops import from_query
+from repro.plan.passes import run_passes
 
 #: Microbench scale for benchmark runs (paper: 100M rows).
 BENCH_CONFIG = mb.MicrobenchConfig(num_rows=200_000, s_rows=2_000,
@@ -31,6 +37,31 @@ BENCH_SELS = (1, 10, 25, 50, 75, 90, 99)
 BENCH_TPCH = tpchgen.TpchConfig(scale_factor=0.005)
 
 
+def staged_program(query, db, machine, strategy="swole", **forced):
+    """A forced-technique program through the public stages:
+    ``run_passes`` -> write ``forced`` over the ``Decisions`` ->
+    ``lower_plan`` -> ``physexec.execute_plan`` (decoded scans)."""
+    plan = from_query(query)
+    bound, decisions, _ = run_passes(
+        plan, db, machine, strategy, None, encoding="off"
+    )
+    for name, value in forced.items():
+        assert hasattr(decisions, name), name
+        setattr(decisions, name, value)
+    physical = lower_plan(bound, decisions, db, strategy)
+    return CompiledQuery(
+        name=plan.name,
+        strategy=strategy,
+        source=physical.describe(),
+        _fn=lambda session: execute_plan(physical, db, session),
+    )
+
+
+def instrumented_engine(db, machine) -> Engine:
+    """Simulated cycles are the instrumented backend's job."""
+    return Engine(db, machine=machine, backend="instrumented")
+
+
 @pytest.fixture(scope="session")
 def micro_db():
     return mb.generate(BENCH_CONFIG)
@@ -39,6 +70,11 @@ def micro_db():
 @pytest.fixture(scope="session")
 def micro_machine():
     return sweep.scaled_machine(BENCH_CONFIG)
+
+
+@pytest.fixture(scope="session")
+def micro_engine(micro_db, micro_machine):
+    return instrumented_engine(micro_db, micro_machine)
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,10 @@ Generates the paper's microbenchmark table R, builds
 operator tree with the fluent :class:`repro.PlanBuilder` (the front-door
 query API), executes it under the interpreter, data-centric, hybrid, and
 SWOLE strategies, and prints the answer (identical by construction),
-simulated runtime, and the SWOLE planner's technique choice. The ROF
-strategy predates the pass framework, so its row runs the same query
-through the legacy microbench spec. The table runs on the instrumented
-backend (the costing authority); a second pass shows the vectorized
-serving backend (the engine default) — same bits, real wall-clock
-speed, plan cache hit.
+simulated runtime, and the SWOLE planner's technique choice. The table
+runs on the instrumented backend (the costing authority); a second pass
+shows the vectorized serving backend (the engine default) — same bits,
+real wall-clock speed, plan cache hit.
 
 Run:  python examples/quickstart.py
 """
@@ -44,11 +42,6 @@ def main() -> None:
         )
         for strategy in ("interpreter", "datacentric", "hybrid", "swole")
     }
-    # ROF predates the operator-tree pass framework; the legacy
-    # microbench Query spelling still drives it.
-    results["rof"] = engine.execute(
-        mb.q1(13), "rof", workers=1, backend="instrumented"
-    )
     swole = engine.compile(plan)  # "auto" resolves to SWOLE; cached
     print(f"SWOLE plan: {swole.notes['plan']}")
     print()

@@ -16,6 +16,7 @@ from repro import Engine
 from repro.bench.tpch import run_fig6
 from repro.datagen import tpch as tpchgen
 from repro.engine.machine import PAPER_MACHINE
+from repro.tpch import logical_plan
 
 
 def main() -> None:
@@ -33,9 +34,15 @@ def main() -> None:
     print()
 
     print("Q4 anatomy (hash semijoin vs positional bitmap):")
-    engine = Engine(db, machine=PAPER_MACHINE.scaled(config.machine_scale))
+    # The instrumented backend prices every access; the vectorized
+    # serving default reports no cycles.
+    engine = Engine(
+        db,
+        machine=PAPER_MACHINE.scaled(config.machine_scale),
+        backend="instrumented",
+    )
     for strategy in ("hybrid", "swole"):
-        result = engine.execute("Q4", strategy)
+        result = engine.execute(logical_plan("Q4"), strategy)
         print(f"--- {strategy}")
         print(result.report.breakdown())
     print()

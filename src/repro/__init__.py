@@ -19,21 +19,21 @@ Operator-tree plans are the primary query API: build one fluently with
 ``repro.tpch.logical_plan``) and hand it to ``Engine.execute`` /
 ``Engine.explain`` — or to a remote query server, which carries the
 same plan over the wire as structural JSON plus its IR fingerprint
-(:mod:`repro.plan.serde`). Addressing TPC-H queries by bare name string
-still works but is deprecated.
+(:mod:`repro.plan.serde`). A legacy microbench :class:`Query` is lifted
+to its operator tree at the engine's door; past it there is one query
+type and one compiler.
 
 ``Engine.explain(query, strategy)`` renders the staged lowering pipeline
-(logical plan -> passes -> physical plan) for any query with an operator
-tree. The pre-1.2 module-level ``compile_query`` / ``compile_swole``
-wrappers have been removed; call ``Engine.compile`` (or the underlying
-``repro.codegen.base.compile_query`` / ``repro.core.swole.compile_swole``
-for the research knobs).
+(logical plan -> passes -> physical plan) for any query. For
+forced-technique ablations the stages are public:
+``repro.plan.passes.run_passes`` -> edit the returned ``Decisions`` ->
+``repro.codegen.lower.lower_plan`` ->
+``repro.codegen.physexec.execute_plan``.
 """
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 from .codegen import available_strategies
-from .core import plan_query
 from .engine import (
     Engine,
     ExecutionKnobs,
@@ -80,5 +80,4 @@ __all__ = [
     "__version__",
     "available_strategies",
     "from_query",
-    "plan_query",
 ]

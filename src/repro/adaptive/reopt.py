@@ -103,8 +103,8 @@ class ReOptimizer:
         """Run one drift check; returns True when plans were invalidated.
 
         ``estimated_stats`` is the compiled plan's recorded estimate
-        block (``CompiledQuery.notes["estimated_stats"]``) — absent for
-        hand-coded programs, which have no estimates to drift from.
+        block (``CompiledQuery.notes["estimated_stats"]``); without
+        one there is nothing to drift from.
         """
         if not estimated_stats:
             return False

@@ -45,7 +45,7 @@ from ..server.protocol import QueryRequest
 from ..server.service import QueryService
 from ..storage.database import Database
 from ..storage.table import Column, Table
-from ..tpch.base import STRATEGIES
+from ..tpch import STRATEGIES
 from .microbench import scaled_machine
 
 #: Selectivities (percent) before and after the mid-run shift. The

@@ -33,13 +33,14 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..codegen.pipeline import compile_pipeline
 from ..core.cost_models import decoded_scan_cost, encoded_scan_cost
 from ..datagen import tpch as tpchgen
 from ..datagen.cache import load_dataset
 from ..engine.machine import PAPER_MACHINE
 from ..engine.program import results_equal
 from ..engine.session import Session
-from ..tpch.base import STRATEGIES, compile_tpch, query_names
+from ..tpch import STRATEGIES, logical_plan, query_names
 
 #: Code widths of the model sweep — the byte widths the three codecs
 #: actually produce (dict codes, null-suppressed ints, fixed-point),
@@ -99,12 +100,13 @@ def run_tpch_sweep(db, machine) -> Dict[str, Any]:
     cells: List[Dict[str, Any]] = []
     identical = 0
     for name in query_names():
+        plan = logical_plan(name)
         for strategy in STRATEGIES:
-            encoded_prog = compile_tpch(
-                name, strategy, db, machine=machine, encoding="auto"
+            encoded_prog = compile_pipeline(
+                plan, db, strategy, machine=machine, encoding="auto"
             )
-            decoded_prog = compile_tpch(
-                name, strategy, db, machine=machine, encoding="off"
+            decoded_prog = compile_pipeline(
+                plan, db, strategy, machine=machine, encoding="off"
             )
             encoded = encoded_prog.run(Session(machine=machine))
             decoded = decoded_prog.run(Session(machine=machine))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.swole import compile_swole
 from ..datagen import microbench as mb
 from ..datagen.cache import load_dataset
 from ..engine.facade import Engine
@@ -137,8 +136,12 @@ def _sweep(
         )
         for strategy, value in seconds.items():
             result.add(sel, strategy, value)
-        swole_compiled = compile_swole(query, db, machine=machine)
-        result.decisions[sel] = swole_compiled.notes.get("plan", "")
+        # The planner's technique choice, read off the SWOLE program
+        # the sweep just ran (a plan-cache hit when "swole" is among
+        # the series), minus the per-column encoding suffix — not a
+        # technique, and it would swamp the table.
+        plan = engine.compile(query, "swole").notes["plan"]
+        result.decisions[sel] = plan.split(", encoded_scans=")[0]
     result.cache_stats = engine.cache_stats.snapshot()
     return result
 

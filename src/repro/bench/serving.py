@@ -102,8 +102,8 @@ def effective_concurrency(requested: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 #: Wire-format workload mixes (shared by both transports). TPC-H
-#: queries travel as plan envelopes — structural JSON + IR fingerprint
-#: — the non-deprecated wire spelling.
+#: queries travel as plan envelopes — structural JSON + IR
+#: fingerprint.
 WORKLOADS: Dict[str, List[Tuple[str, Any]]] = {
     "tpch-q1q6": [
         ("Q1", plan_to_wire(logical_plan("Q1"))),

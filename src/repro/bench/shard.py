@@ -45,8 +45,7 @@ from ..datagen import tpch as tpchgen
 from ..datagen.cache import load_dataset
 from ..engine import Engine
 from ..engine.machine import PAPER_MACHINE
-from ..tpch import logical_plan
-from ..tpch.base import STRATEGIES, query_names
+from ..tpch import STRATEGIES, logical_plan, query_names
 
 #: The serving workload of the throughput phase: the two biggest
 #: lineitem scans — the queries the serving bench also hammers.

@@ -16,7 +16,7 @@ from ..datagen.cache import load_dataset
 from ..engine.facade import Engine
 from ..engine.machine import PAPER_MACHINE
 from ..storage.database import Database
-from ..tpch import query_names
+from ..tpch import logical_plan, query_names
 
 #: Strategy series of Figure 6 (interpreter plays HyPer's sanity role).
 FIG6_SERIES = ("interpreter", "datacentric", "hybrid", "swole")
@@ -119,8 +119,9 @@ def run_fig6(
     for name in queries or query_names():
         if plan_cache == "cold":
             engine.invalidate()
+        plan = logical_plan(name)
         seconds = {
-            strategy: engine.execute(name, strategy).metrics.parallel_seconds
+            strategy: engine.execute(plan, strategy).metrics.parallel_seconds
             for strategy in strategies
         }
         report.rows.append(TpchRow(query=name, seconds=seconds))

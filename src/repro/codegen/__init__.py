@@ -1,11 +1,17 @@
-"""Code-generation strategies: data-centric, hybrid, ROF (and SWOLE via
-:mod:`repro.core`, which registers itself under the name ``"swole"``)."""
+"""Code generation: the staged lowering pipeline
+(:func:`repro.codegen.pipeline.compile_pipeline` — passes, then
+:mod:`~repro.codegen.lower`, then the instrumented
+:mod:`~repro.codegen.physexec` interpreter or the generated
+:mod:`~repro.codegen.vectorize` kernels)."""
 
-from .base import available_strategies, compile_query, get_strategy
+from typing import List
 
-# Importing the strategy modules registers them.
-from . import datacentric as _datacentric  # noqa: F401
-from . import hybrid as _hybrid  # noqa: F401
-from . import rof as _rof  # noqa: F401
+from ..plan.passes import STRATEGIES
 
-__all__ = ["available_strategies", "compile_query", "get_strategy"]
+
+def available_strategies() -> List[str]:
+    """Names of the strategies the pipeline compiles (sorted)."""
+    return sorted(STRATEGIES)
+
+
+__all__ = ["available_strategies"]

@@ -1,9 +1,10 @@
-"""Helpers shared by the code-generation strategies.
+"""Helpers shared by the physical-plan interpreter and the technique
+kernels it calls.
 
-These build on the kernel library to express the recurring pieces of each
-strategy — per-conjunct predicate evaluation with the right access
-pattern, aggregate computation over a selected subset, and result
-normalisation — so the strategy modules read like the paper's pseudocode.
+These build on the kernel library to express the recurring pieces —
+per-conjunct predicate evaluation with the right access pattern, event
+accounting for column reads and expression arithmetic, and result
+normalisation — so the operator bodies read like the paper's pseudocode.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import numpy as np
 
 from ..engine import kernels as K
 from ..engine.events import Branch, Compute, CondRead, SeqRead
-from ..engine.hashtable import HashTable
 from ..engine.session import Session
 from ..plan.expressions import Expr, StrMatch, arith_ops
-from ..plan.logical import AggSpec, Query
+from ..plan.logical import AggSpec
 
 
 def column_width(data: Dict[str, np.ndarray], name: str) -> int:
@@ -181,56 +181,7 @@ def agg_exprs_columns(aggs: Sequence[AggSpec]) -> Tuple[str, ...]:
     return tuple(sorted(cols))
 
 
-def eval_aggregates_subset(
-    session: Session,
-    data: Dict[str, np.ndarray],
-    aggs: Sequence[AggSpec],
-    mask: np.ndarray,
-    simd: bool,
-) -> Dict[str, int]:
-    """Compute aggregates over the selected subset (pushdown semantics).
-
-    Column accesses are *not* accounted here — the caller has already
-    emitted the CondRead/gather events appropriate to its strategy. Only
-    the arithmetic is accounted.
-    """
-    k = int(mask.sum())
-    subset = {name: values[mask] for name, values in data.items()}
-    result: Dict[str, int] = {}
-    for agg in aggs:
-        if agg.func == "count":
-            session.tracer.emit(Compute(n=k, op="add", simd=simd))
-            result[agg.name] = k
-            continue
-        emit_expr_compute(session, agg.expr, k, simd=simd)
-        session.tracer.emit(Compute(n=k, op="add", simd=simd))
-        values = agg.expr.evaluate(subset) if k else np.zeros(0, dtype=np.int64)
-        result[agg.name] = int(np.sum(values, dtype=np.int64)) if k else 0
-    return result
-
-
 def grouped_result(keys: np.ndarray, aggs: np.ndarray) -> Dict[str, np.ndarray]:
     """Normalise grouped output: keys ascending, aggregates aligned."""
     order = np.argsort(keys, kind="stable")
     return {"keys": keys[order], "aggs": aggs[order]}
-
-
-def groups_from_hashtable(table: HashTable) -> Dict[str, np.ndarray]:
-    keys, aggs = table.items()
-    return grouped_result(keys, aggs)
-
-
-def drop_empty_groups(result: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Remove groups whose aggregates are all zero *and* were never hit.
-
-    Strategies that pre-insert keys (eager aggregation) can leave
-    zero-count groups behind; queries compare equal only on groups that
-    actually contain qualifying tuples, so every strategy funnels its
-    grouped output through the same normaliser using an explicit count
-    column when present.
-    """
-    return result
-
-
-def query_label(query: Query, strategy: str) -> str:
-    return f"{strategy}:{query.name}"

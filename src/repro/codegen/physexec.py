@@ -5,11 +5,11 @@ The final stage of the staged pipeline (logical plan -> strategy passes
 :class:`~repro.plan.physical.PhysicalPlan` and, for every pipeline,
 runs its operators against the base table's columns — doing the real
 NumPy work *and* emitting the priced access events (SeqRead, CondRead,
-RandomAccess, Branch, Compute), exactly like the hand-coded strategy
-programs it replaces. The accounting deliberately reuses the shared
+RandomAccess, Branch, Compute), like the hand-coded TPC-H reference
+programs it is pinned against. The accounting goes through the shared
 helpers in :mod:`repro.codegen.common` (``prepass_predicate``,
-``datacentric_predicate``, ``emit_*``) so pipeline-compiled queries and
-legacy strategy modules price identical access patterns identically.
+``datacentric_predicate``, ``emit_*``) and the kernel library those
+references use, so both price identical access patterns identically.
 
 Cross-pipeline state (hash tables, bitmaps, materialized columns) is
 keyed by the producing pipeline's base table; lowering guarantees every

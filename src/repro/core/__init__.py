@@ -1,4 +1,5 @@
-"""SWOLE core: techniques, cost models, and the technique planner."""
+"""SWOLE core: the §III cost models, the per-decision choosers built on
+them, and the technique kernels the physical-plan interpreter calls."""
 
 from .cost_models import (
     ModelInputs,
@@ -10,19 +11,14 @@ from .cost_models import (
     price_events,
     value_masking_cost,
 )
-from .planner import SwolePlan, model_inputs, plan_query, technique_matrix
-from .swole import compile_swole
+from .planner import technique_matrix
 
 __all__ = [
     "ModelInputs",
-    "SwolePlan",
-    "compile_swole",
     "eager_aggregation_cost",
     "groupjoin_cost",
     "hybrid_cost",
     "key_masking_cost",
-    "model_inputs",
-    "plan_query",
     "planned_ht_bytes",
     "price_events",
     "technique_matrix",

@@ -18,23 +18,12 @@ dominant strategy Voodoo suggested).
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 import numpy as np
 
-from ..codegen.common import (
-    agg_exprs_columns,
-    emit_expr_compute,
-    emit_seq_reads,
-    grouped_result,
-    prepass_predicate,
-)
 from ..engine import kernels as K
 from ..engine.events import Compute
-from ..engine.hashtable import NULL_KEY, HashTable
+from ..engine.hashtable import NULL_KEY
 from ..engine.session import Session
-from ..plan.logical import Query
-from .value_masking import _distinct_estimate
 
 
 def mask_keys(
@@ -53,53 +42,3 @@ def mask_keys(
     masked = np.where(mask, keys, NULL_KEY)
     K.seq_write(session, masked, f"key({array})", resident=True)
     return masked
-
-
-def grouped_pipeline(
-    session: Session,
-    data: Dict[str, np.ndarray],
-    query: Query,
-) -> Dict[str, Any]:
-    """Key-masked group-by aggregation."""
-    conjs = query.predicate_conjuncts()
-    n = int(next(iter(data.values())).shape[0])
-    with session.tracer.overlap():
-        if conjs:
-            mask = prepass_predicate(session, data, conjs)
-        else:
-            mask = np.ones(n, dtype=bool)
-        return _km_grouped_body(session, data, query, mask)
-
-
-def _km_grouped_body(session, data, query, mask):
-    n = int(next(iter(data.values())).shape[0])
-    with session.tracer.kernel("km group-by"):
-        emit_seq_reads(session, data, [query.group_by])
-        raw_keys = data[query.group_by].astype(np.int64)
-        keys = mask_keys(session, raw_keys, mask, query.group_by)
-
-        num_aggs = len(query.aggregates)
-        table = HashTable(
-            expected_keys=_distinct_estimate(raw_keys) + 1, num_aggs=num_aggs
-        )
-        # Second loop: every tuple aggregates — valid keys to their entry,
-        # masked keys to the throwaway. Values are NOT masked here (the
-        # masking happened on the key), so deltas are the raw expression.
-        cols = agg_exprs_columns(query.aggregates)
-        emit_seq_reads(session, data, cols)
-        slots = None
-        for i, agg in enumerate(query.aggregates):
-            if agg.func == "count":
-                deltas = np.ones(n, dtype=np.int64)
-                session.tracer.emit(Compute(n=n, op="add", simd=True))
-            else:
-                emit_expr_compute(session, agg.expr, n, simd=True)
-                deltas = np.asarray(agg.expr.evaluate(data), dtype=np.int64)
-            if slots is None:
-                K.ht_aggregate(session, table, keys, deltas, agg=i)
-                slots, _ = table.lookup(keys)
-            else:
-                K.ht_add_at(session, table, slots, i, deltas)
-        result_keys, aggs = table.items()
-        keep = result_keys != NULL_KEY
-        return grouped_result(result_keys[keep], aggs[keep])

@@ -1,29 +1,25 @@
-"""The SWOLE planner: picks techniques using the §III cost models.
+"""The SWOLE planner's decisions: one §III cost-model choice at a time.
 
-Given a logical query, sampled statistics, and a machine model, the
-planner decides:
+Given symbolic-execution inputs and a machine model, each ``choose_*``
+function decides one thing:
 
 * how to aggregate — ``hybrid`` (pushdown fallback), ``value_masking`` or
   ``key_masking``;
-* whether to apply access merging (always, when a column is reused);
-* how to execute a semijoin — positional bitmap, with an unconditional
-  (mask-write) or selection-vector build;
+* how to build a semijoin's positional bitmap — unconditional
+  (mask-write) or selection-vector;
 * whether to replace a groupjoin with eager aggregation.
 
-The resulting :class:`SwolePlan` records every candidate's estimated cost
-so the ablation bench can compare planner decisions against measured
-best choices.
+Every chooser returns ``(choice, estimates)`` — the candidate costs ride
+along so the strategy passes (:mod:`repro.plan.passes`, the only caller)
+can record them in their pass notes and the ablation bench can compare
+planner decisions against measured best choices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..engine.machine import MachineModel
-from ..plan.expressions import col_refs
-from ..plan.logical import Query, QueryStats, sample_stats
-from ..storage.database import Database
 from . import cost_models as cm
 
 #: Technique identifiers (match paper Fig. 2 rows).
@@ -35,134 +31,6 @@ BITMAP_MASK = "bitmap_mask"
 BITMAP_OFFSETS = "bitmap_offsets"
 EAGER = "eager_aggregation"
 GROUPJOIN = "groupjoin"
-
-
-@dataclass
-class SwolePlan:
-    """Technique selection for one query, with candidate cost estimates."""
-
-    aggregation: str = HYBRID
-    merged_columns: Tuple[str, ...] = ()
-    semijoin_build: Optional[str] = None
-    groupjoin_mode: Optional[str] = None
-    estimates: Dict[str, float] = field(default_factory=dict)
-    stats: Optional[QueryStats] = None
-
-    @property
-    def uses_pullup(self) -> bool:
-        """Whether any predicate-pullup technique was selected."""
-        return (
-            self.aggregation in (VALUE_MASKING, KEY_MASKING)
-            or self.semijoin_build is not None
-            or self.groupjoin_mode == EAGER
-            or bool(self.merged_columns)
-        )
-
-    def describe(self) -> str:
-        parts = [f"aggregation={self.aggregation}"]
-        if self.merged_columns:
-            parts.append(f"access_merging={list(self.merged_columns)}")
-        if self.semijoin_build is not None:
-            parts.append(f"semijoin={self.semijoin_build}")
-        if self.groupjoin_mode is not None:
-            parts.append(f"groupjoin={self.groupjoin_mode}")
-        return ", ".join(parts)
-
-
-def model_inputs(query: Query, db: Database, stats: QueryStats) -> cm.ModelInputs:
-    """Assemble symbolic-execution inputs from a query and statistics."""
-    widths = dict(stats.column_widths)
-
-    def width_of(table: str, column: str) -> int:
-        if column in widths:
-            return widths[column]
-        return int(db.table(table)[column].dtype.itemsize)
-
-    pred_widths = tuple(
-        width_of(query.table, name)
-        for conj in query.predicate_conjuncts()
-        for name in sorted(conj.columns())
-    )
-    agg_widths = tuple(
-        width_of(query.table, name)
-        for agg in query.aggregates
-        if agg.expr is not None
-        for name in col_refs(agg.expr)
-    )
-    merged_widths = tuple(
-        width_of(query.table, name) for name in query.reused_columns()
-    )
-
-    build_pred_widths: Tuple[int, ...] = ()
-    pk_width = fk_width = 8
-    if query.join is not None:
-        join = query.join
-        if join.build_predicate is not None:
-            build_pred_widths = tuple(
-                width_of(join.build_table, name)
-                for name in sorted(join.build_predicate.columns())
-            )
-        pk_width = width_of(join.build_table, join.pk_column)
-        fk_width = width_of(query.table, join.fk_column)
-
-    group_width = (
-        width_of(query.table, query.group_by)
-        if query.group_by is not None
-        else 8
-    )
-
-    return cm.ModelInputs(
-        num_rows=stats.num_rows,
-        selectivity=stats.selectivity,
-        pred_widths=pred_widths,
-        agg_widths=agg_widths,
-        agg_ops=tuple(stats.agg_ops),
-        num_aggs=len(query.aggregates),
-        group_width=group_width,
-        group_cardinality=stats.group_cardinality,
-        build_rows=stats.build_rows,
-        build_selectivity=stats.build_selectivity,
-        build_pred_widths=build_pred_widths,
-        pk_width=pk_width,
-        fk_width=fk_width,
-        join_match_fraction=stats.join_match_fraction,
-        merged_widths=merged_widths,
-    )
-
-
-def plan_query(
-    query: Query,
-    db: Database,
-    machine: MachineModel,
-    stats: Optional[QueryStats] = None,
-) -> SwolePlan:
-    """Produce a :class:`SwolePlan` for ``query``."""
-    if stats is None:
-        stats = sample_stats(query, db.all_data())
-    plan = SwolePlan(stats=stats)
-    plan.merged_columns = query.reused_columns()
-    inputs = model_inputs(query, db, stats)
-
-    if query.join is None:
-        if query.group_by is None:
-            _plan_scalar(plan, machine, inputs)
-        else:
-            _plan_grouped(plan, machine, inputs)
-    elif query.is_groupjoin:
-        _plan_groupjoin(plan, machine, inputs)
-    else:
-        _plan_semijoin(plan, machine, inputs)
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# Pass API: public per-decision choosers.
-#
-# Each takes (machine, inputs) and returns (choice, estimates) so callers
-# other than plan_query — notably the strategy-pass framework in
-# repro.plan.passes — can invoke one §III decision at a time against an
-# operator-tree node and record the candidate costs in its pass notes.
-# ---------------------------------------------------------------------------
 
 
 def choose_aggregation_scalar(
@@ -220,24 +88,6 @@ def choose_semijoin_build(
     return choice, estimates
 
 
-def semijoin_combined_inputs(inputs: cm.ModelInputs) -> cm.ModelInputs:
-    """Model inputs for the aggregation downstream of a semijoin.
-
-    The effective selectivity at the aggregation is the local predicate
-    selectivity times the fraction of probe rows whose FK survives the
-    build-side filter.
-    """
-    return cm.ModelInputs(
-        num_rows=inputs.num_rows,
-        selectivity=inputs.selectivity * inputs.join_match_fraction,
-        pred_widths=inputs.pred_widths,
-        agg_widths=inputs.agg_widths,
-        agg_ops=inputs.agg_ops,
-        num_aggs=inputs.num_aggs,
-        merged_widths=inputs.merged_widths,
-    )
-
-
 def choose_groupjoin_mode(
     machine: MachineModel, inputs: cm.ModelInputs
 ) -> Tuple[str, Dict[str, float]]:
@@ -254,50 +104,6 @@ def choose_groupjoin_mode(
     }
     mode = EAGER if estimates[EAGER] <= estimates[GROUPJOIN] else GROUPJOIN
     return mode, estimates
-
-
-def _plan_scalar(
-    plan: SwolePlan, machine: MachineModel, inputs: cm.ModelInputs
-) -> None:
-    plan.aggregation, plan.estimates = choose_aggregation_scalar(
-        machine, inputs
-    )
-
-
-def _plan_grouped(
-    plan: SwolePlan, machine: MachineModel, inputs: cm.ModelInputs
-) -> None:
-    plan.aggregation, plan.estimates = choose_aggregation_grouped(
-        machine, inputs
-    )
-
-
-def _plan_semijoin(
-    plan: SwolePlan, machine: MachineModel, inputs: cm.ModelInputs
-) -> None:
-    # Positional bitmaps are "always better" (paper Fig. 2); the model
-    # only chooses the build flavour and the final aggregation mode.
-    plan.semijoin_build, build_estimates = choose_semijoin_build(
-        machine, inputs
-    )
-    combined = semijoin_combined_inputs(inputs)
-    _, agg_estimates = choose_aggregation_scalar(machine, combined)
-    plan.estimates = {**build_estimates, **agg_estimates}
-    # Downstream of a bitmap probe the masked path is preferred on ties:
-    # the probe already produced the mask value masking consumes.
-    plan.aggregation = (
-        VALUE_MASKING
-        if agg_estimates[VALUE_MASKING] <= agg_estimates[HYBRID]
-        else HYBRID
-    )
-
-
-def _plan_groupjoin(
-    plan: SwolePlan, machine: MachineModel, inputs: cm.ModelInputs
-) -> None:
-    plan.groupjoin_mode, plan.estimates = choose_groupjoin_mode(
-        machine, inputs
-    )
 
 
 def technique_matrix() -> Dict[str, Dict[str, str]]:

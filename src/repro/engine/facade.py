@@ -1,15 +1,15 @@
 """The unified query-engine facade: compile -> cache -> execute -> metrics.
 
-:class:`Engine` is the single entry point that replaces the historical
-trio of ``compile_query`` / ``compile_swole`` / ``plan_query`` call
-sites. It owns the plan cache (keyed compilation artifacts, LRU) and
-the morsel executor (parallel scans + run metrics). Every query-taking
+:class:`Engine` is the single entry point. It owns the plan cache
+(keyed compilation artifacts, LRU) and the morsel executor (parallel
+scans + run metrics). Every query-taking
 method accepts a :class:`~repro.plan.ops.LogicalPlan` operator tree
 (the primary API — build one with :class:`repro.PlanBuilder` or look a
-TPC-H plan up via ``repro.tpch.logical_plan``), a legacy microbench
-:class:`~repro.plan.logical.Query`, or — deprecated — a TPC-H query
-name string (``"Q1"`` .. ``"Q19"``, a thin lookup into
-:mod:`repro.tpch.plans`).
+TPC-H plan up via ``repro.tpch.logical_plan``) or a legacy microbench
+:class:`~repro.plan.logical.Query`, which is lifted to its operator
+tree at the door (:func:`~repro.engine.plan_cache.normalize_query`):
+past that point there is one query type and one compiler,
+:func:`repro.codegen.pipeline.compile_pipeline`.
 
 Usage::
 
@@ -25,16 +25,15 @@ Usage::
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import ReproError
 from ..obs import MetricsRegistry, metrics_registry, span
 from .cancellation import CancelToken
 from .executor import MorselExecutor
 from .machine import PAPER_MACHINE, MachineModel
-from .plan_cache import PlanCache, plan_key
+from .plan_cache import PlanCache, normalize_query, plan_key
 from .pool import WorkerPool
 from .program import CompiledQuery, QueryResult
 from .session import ExecutionKnobs, Session
@@ -129,9 +128,9 @@ class Engine:
         through the dataset cache (it carries the fingerprint workers
         map by); raises :class:`~repro.errors.ReproError` otherwise.
         Workers fork lazily on the first sharded query — call
-        :meth:`start_shards` to pre-fork (the server does). Queries
-        with no wire form, or scans below the fan-out floor, fall back
-        to the thread executor transparently.
+        :meth:`start_shards` to pre-fork (the server does). Scans
+        below the fan-out floor fall back to the thread executor
+        transparently.
 
     The engine is a context manager; ``with Engine(db) as engine:``
     shuts the pool down on exit, and an ``atexit`` hook covers engines
@@ -307,16 +306,14 @@ class Engine:
         """Compile ``query`` (cache-aware) and return the program.
 
         ``query`` is a :class:`~repro.plan.ops.LogicalPlan` operator
-        tree, a legacy microbench :class:`~repro.plan.logical.Query`,
-        or — deprecated — a TPC-H query name string. ``strategy`` is
-        any registered strategy name, or ``"auto"`` for the
+        tree or a legacy microbench :class:`~repro.plan.logical.Query`
+        (lifted to its tree at the door). ``strategy`` is one of
+        :func:`repro.available_strategies`, or ``"auto"`` for the
         planner-driven SWOLE strategy. ``backend`` overrides the
         engine's default execution backend for this call.
         """
-        compiled, _, _, _, _ = self._compile_cached(
-            query, strategy, backend
-        )
-        return compiled
+        plan, fingerprint = normalize_query(query)
+        return self._compile_cached(plan, fingerprint, strategy, backend)[0]
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
         resolved = backend if backend is not None else self.knobs.backend
@@ -327,22 +324,13 @@ class Engine:
         return resolved
 
     def _compile_cached(
-        self, query, strategy: str, backend: Optional[str] = None,
-        shards: int = 0,
+        self, plan, fingerprint: str, strategy: str,
+        backend: Optional[str] = None, shards: int = 0,
     ):
-        if isinstance(query, str):
-            warnings.warn(
-                "addressing queries by TPC-H name string is deprecated; "
-                "pass the operator tree instead — "
-                "repro.tpch.logical_plan(name), or build one with "
-                "repro.PlanBuilder",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         resolved = AUTO_STRATEGY if strategy == "auto" else strategy
         chosen = self._resolve_backend(backend)
         key = plan_key(
-            query,
+            plan,
             resolved,
             self.machine,
             self.tile,
@@ -356,90 +344,39 @@ class Engine:
                 "compile", self.registry,
                 strategy=resolved, backend=chosen,
             ):
-                return self._compile(query, resolved, chosen)
+                # An adaptive engine recompiles a drifted plan with its
+                # measured statistics; the override a program was
+                # compiled with rides in ``notes["stats_override"]`` so
+                # the shard path ships the *same* one to its workers.
+                overrides = (
+                    self.adaptive.override_for(fingerprint)
+                    if self.adaptive is not None
+                    else None
+                )
+                return self._compile_with(
+                    plan, resolved, chosen, overrides
+                )
 
         compiled, was_hit = self.plan_cache.get_or_compile(
             key, timed_compile
         )
-        return compiled, was_hit, resolved, chosen, key
-
-    def _compile(
-        self, query, strategy: str, backend: str
-    ) -> CompiledQuery:
-        overrides = None
-        if self.adaptive is not None:
-            from .plan_cache import query_fingerprint
-
-            overrides = self.adaptive.override_for(
-                query_fingerprint(query)
-            )
-        compiled = self._compile_with(query, strategy, backend, overrides)
-        if overrides is not None:
-            # The shard path ships the override a program was compiled
-            # with to the worker processes, so they compile the *same*
-            # program from the same measured statistics.
-            compiled.notes.setdefault("stats_override", overrides)
-        return compiled
+        return compiled, was_hit, resolved, chosen
 
     def _compile_with(
-        self, query, strategy: str, backend: str, overrides
+        self, plan, strategy: str, backend: str, overrides
     ) -> CompiledQuery:
-        from ..plan.ops import LogicalPlan
+        from ..codegen.pipeline import compile_pipeline
 
-        if isinstance(query, str):
-            from ..tpch import compile_tpch
-
-            return compile_tpch(
-                query,
-                strategy,
-                self.db,
-                machine=self.machine,
-                registry=self.registry,
-                backend=backend,
-                overrides=overrides,
-                encoding=self.encoding,
-            )
-        if isinstance(query, LogicalPlan):
-            from ..codegen.pipeline import compile_pipeline
-
-            return compile_pipeline(
-                query,
-                self.db,
-                strategy,
-                machine=self.machine,
-                registry=self.registry,
-                backend=backend,
-                overrides=overrides,
-                encoding=self.encoding,
-            )
-        if backend == "vectorized" and strategy in (
-            "interpreter", "datacentric", "hybrid", "swole"
-        ):
-            # Legacy microbench Query objects have no hand-written
-            # vectorized programs; their operator-tree conversion
-            # compiles through the staged pipeline instead (results
-            # pinned byte-identical to the hand-coded programs by the
-            # backend equivalence sweep).
-            from ..codegen.pipeline import compile_pipeline
-            from ..plan.ops import from_query
-
-            return compile_pipeline(
-                from_query(query),
-                self.db,
-                strategy,
-                machine=self.machine,
-                registry=self.registry,
-                backend=backend,
-                overrides=overrides,
-                encoding=self.encoding,
-            )
-        if strategy == "swole":
-            from ..core.swole import compile_swole
-
-            return compile_swole(query, self.db, machine=self.machine)
-        from ..codegen.base import compile_query
-
-        return compile_query(query, self.db, strategy)
+        return compile_pipeline(
+            plan,
+            self.db,
+            strategy,
+            machine=self.machine,
+            registry=self.registry,
+            backend=backend,
+            overrides=overrides,
+            encoding=self.encoding,
+        )
 
     def explain(
         self, query, strategy: str = "auto", *,
@@ -449,45 +386,34 @@ class Engine:
 
         Shows the logical plan, every strategy pass with its cost-model
         estimates, the physical plan, and the execution backend the
-        compiled program runs on. Hand-coded programs (TPC-H queries
-        without an operator tree) have no staged rendering; their
-        emitted source is returned instead.
+        compiled program runs on.
         """
         compiled = self.compile(query, strategy, backend=backend)
-        explain = compiled.notes.get("explain")
-        if explain is not None:
-            chosen = compiled.notes.get("backend", "instrumented")
-            lines = [explain, "", "== Backend ==", chosen]
-            fallback = compiled.notes.get("backend_fallback")
-            if fallback:
-                lines.append(f"(fallback from vectorized: {fallback})")
-            lines.extend(self._explain_feedback(query, compiled))
-            return "\n".join(lines)
-        return (
-            f"// hand-coded {compiled.strategy} program for "
-            f"{compiled.name} (no staged lowering)\n" + compiled.source
-        )
-
-    def _explain_feedback(self, query, compiled: CompiledQuery) -> list:
-        """``== Feedback ==`` explain lines: estimated vs observed
-        cycles and selectivity, the measured-best arm, and any active
-        override. Empty until the adaptive loop has at least one
-        observation for the fingerprint, so a static engine's explain
-        output — including the committed snapshots — is unchanged."""
-        if self.adaptive is None:
-            return []
-        from .plan_cache import query_fingerprint
-
-        feedback = self.adaptive.explain_feedback(
-            query_fingerprint(query), compiled.notes
-        )
-        return [""] + feedback if feedback else []
+        lines = [
+            compiled.notes["explain"], "", "== Backend ==",
+            compiled.notes["backend"],
+        ]
+        fallback = compiled.notes.get("backend_fallback")
+        if fallback:
+            lines.append(f"(fallback from vectorized: {fallback})")
+        # ``== Feedback ==``: estimated vs observed cycles and
+        # selectivity, the measured-best arm, and any active override.
+        # Empty until the adaptive loop has observed the fingerprint,
+        # so a static engine's explain output — including the committed
+        # snapshots — is unchanged.
+        if self.adaptive is not None:
+            feedback = self.adaptive.explain_feedback(
+                compiled.notes["fingerprint"], compiled.notes
+            )
+            if feedback:
+                lines.extend([""] + feedback)
+        return "\n".join(lines)
 
     # -- execution -------------------------------------------------------
 
     def execute(
         self,
-        query: Union[str, object],
+        query,
         strategy: str = "auto",
         *,
         workers: Optional[int] = None,
@@ -507,9 +433,9 @@ class Engine:
 
         ``shards`` overrides the engine's default shard-process count
         for this call (``0`` forces in-process execution). When the
-        effective count is ``>= 1`` and the query has a wire form, the
-        morsels scatter over the shard worker processes instead of the
-        thread pool; results remain byte-identical either way.
+        effective count is ``>= 1``, the morsels scatter over the shard
+        worker processes instead of the thread pool; results remain
+        byte-identical either way.
 
         ``deadline`` gives the run a relative budget in seconds;
         ``cancel`` threads an existing
@@ -527,24 +453,10 @@ class Engine:
                     "pass either deadline= or cancel=, not both"
                 )
             cancel = CancelToken.after(deadline)
+        plan, fingerprint = normalize_query(query)
         n_shards = (
             shards if shards is not None else (self.knobs.shards or 0)
         )
-        spec = None
-        if n_shards >= 1:
-            from ..plan.logical import Query as _LegacyQuery
-            from ..plan.ops import from_query
-            from .shard import wire_spec_for
-
-            # Canonicalise legacy query objects to their operator tree
-            # *before* compiling: the workers compile from the wire
-            # form (a tree), and parent and workers must compile the
-            # same program for partial shapes — and answers — to agree.
-            if isinstance(query, _LegacyQuery):
-                query = from_query(query)
-            spec = wire_spec_for(query)
-            if spec is None:
-                n_shards = 0  # no wire form: in-process fallback
         if strategy == "auto" and self.adaptive is not None:
             # Adaptive routing: auto means "the measured-best arm",
             # with deterministic periodic exploration keeping every
@@ -552,19 +464,17 @@ class Engine:
             # sampled. A per-call ``backend=`` is honoured as the
             # exploit default but exploration may still try the other
             # backend; pass an explicit strategy to opt a call out.
-            from .plan_cache import query_fingerprint
-
             strategy, backend = self.adaptive.choose(
-                query_fingerprint(query), self._resolve_backend(backend)
+                fingerprint, self._resolve_backend(backend)
             )
-        compiled, was_hit, resolved, chosen, key = self._compile_cached(
-            query, strategy, backend, shards=n_shards
+        compiled, was_hit, resolved, chosen = self._compile_cached(
+            plan, fingerprint, strategy, backend, shards=n_shards
         )
         n_workers = workers if workers is not None else self.workers
         if session is None:
             session = self.session(workers=n_workers)
         result = None
-        if n_shards >= 1 and spec is not None:
+        if n_shards >= 1:
             from .shard import ShardExecutor
 
             group = self._ensure_shard_group(n_shards)
@@ -573,7 +483,7 @@ class Engine:
             ).execute(
                 compiled,
                 session,
-                spec=spec,
+                logical=plan,
                 strategy=resolved,
                 backend=chosen,
                 encoding=self.encoding,
@@ -593,7 +503,7 @@ class Engine:
         # Label telemetry by the backend the program actually runs on
         # (a vectorized request can fall back to instrumented).
         effective = compiled.notes.get("backend", "instrumented")
-        self._record_run(key[0], resolved, effective, metrics)
+        self._record_run(fingerprint, resolved, effective, metrics)
         if self.adaptive is not None:
             tallies = getattr(result.report, "shard_tallies", None)
             if tallies is not None:
@@ -610,7 +520,7 @@ class Engine:
                     result.report, metrics
                 )
             self.adaptive.observe(
-                key[0],
+                fingerprint,
                 resolved,
                 effective,
                 observation,

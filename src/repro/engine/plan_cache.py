@@ -3,9 +3,9 @@
 Serving the same analytical queries repeatedly should not re-run
 planning and code generation per request (compare Wehrstein et al.,
 "Bespoke OLAP": cache workload-specialised compiled artifacts). The
-cache key captures everything compilation depends on: the query
-fingerprint, the strategy, the machine model (the SWOLE planner reasons
-about cache ratios), and the tile size.
+cache key captures everything compilation depends on: the operator
+tree's fingerprint, the strategy, the machine model (the SWOLE planner
+reasons about cache ratios), and the tile size.
 
 Compiled programs close over the database's column arrays, so a cache
 is only valid for one :class:`~repro.storage.database.Database`; the
@@ -23,70 +23,68 @@ from functools import lru_cache
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from ..errors import ReproError
+from ..plan.logical import Query
+from ..plan.ops import LogicalPlan, from_query, plan_fingerprint
 from .machine import MachineModel
 from .program import CompiledQuery
 
 
-#: ``id(query) -> (query, fingerprint)`` memo. The strong reference to
-#: the query pins its id so a recycled address can never alias a dead
-#: object; the identity check on lookup makes staleness impossible even
-#: if one does. Bounded: a serving workload cycles a small set of
-#: long-lived query objects, so the occasional full reset is free.
-_FINGERPRINT_MEMO: Dict[int, Tuple[object, str]] = {}
-_FINGERPRINT_MEMO_CAP = 1024
+#: ``id(query) -> (query, plan, fingerprint)`` memo. The strong
+#: reference to the query pins its id so a recycled address can never
+#: alias a dead object; the identity check on lookup makes staleness
+#: impossible even if one does. Bounded: a serving workload cycles a
+#: small set of long-lived query objects, so the occasional full reset
+#: is free.
+_NORMALIZED_MEMO: Dict[int, Tuple[object, LogicalPlan, str]] = {}
+_NORMALIZED_MEMO_CAP = 1024
+
+
+def normalize_query(query) -> Tuple[LogicalPlan, str]:
+    """The engine's front door: ``(operator tree, "ir:" fingerprint)``.
+
+    A :class:`~repro.plan.ops.LogicalPlan` passes through; a legacy
+    microbench :class:`~repro.plan.logical.Query` is lifted with
+    :func:`~repro.plan.ops.from_query` — here and nowhere else, so the
+    two spellings of one query share a plan-cache entry *and* a
+    compiler. Anything else is rejected with a typed error.
+
+    Memoized per query *object*: the fingerprint is needed on every
+    ``Engine.execute`` for the plan key, and walking the operator tree
+    is a measurable per-request cost for sub-millisecond queries. Query
+    objects are immutable (frozen dataclasses), so identity implies an
+    unchanged plan and fingerprint.
+    """
+    hit = _NORMALIZED_MEMO.get(id(query))
+    if hit is not None and hit[0] is query:
+        return hit[1], hit[2]
+    if isinstance(query, LogicalPlan):
+        plan = query
+    elif isinstance(query, Query):
+        plan = from_query(query)
+    elif isinstance(query, str):
+        raise ReproError(
+            f"query name strings are no longer accepted (got {query!r}); "
+            f'pass the operator tree — repro.tpch.logical_plan("{query}") '
+            "for the TPC-H queries, or build one with repro.PlanBuilder"
+        )
+    else:
+        raise ReproError(
+            f"cannot compile a {type(query).__name__}; pass a "
+            "LogicalPlan operator tree or a microbench Query"
+        )
+    fingerprint = plan_fingerprint(plan)
+    if len(_NORMALIZED_MEMO) >= _NORMALIZED_MEMO_CAP:
+        _NORMALIZED_MEMO.clear()
+    _NORMALIZED_MEMO[id(query)] = (query, plan, fingerprint)
+    if plan is not query:
+        _NORMALIZED_MEMO[id(plan)] = (plan, plan, fingerprint)
+    return plan, fingerprint
 
 
 def query_fingerprint(query) -> str:
-    """Stable fingerprint of whatever the engine can compile.
-
-    Everything that reaches the staged lowering pipeline fingerprints by
-    its operator tree (``ir:`` prefix), so two spellings of the same
-    tree share one cache entry: :class:`~repro.plan.ops.LogicalPlan`
-    objects directly, legacy :class:`~repro.plan.logical.Query` objects
-    via :func:`~repro.plan.ops.from_query`, and migrated TPC-H names via
-    their registered plan. Hand-coded TPC-H programs that have no tree
-    yet stay addressed by name (``tpch:`` prefix).
-
-    Memoized per query *object*: the fingerprint is recomputed on every
-    ``Engine.execute`` for the plan key, and walking the operator tree
-    is a measurable per-request cost for sub-millisecond queries. Query
-    objects are immutable (frozen dataclasses / strings), so identity
-    implies an unchanged fingerprint.
-    """
-    if isinstance(query, str):
-        return _name_fingerprint(query)
-    memo_key = id(query)
-    hit = _FINGERPRINT_MEMO.get(memo_key)
-    if hit is not None and hit[0] is query:
-        return hit[1]
-    fingerprint = _object_fingerprint(query)
-    if len(_FINGERPRINT_MEMO) >= _FINGERPRINT_MEMO_CAP:
-        _FINGERPRINT_MEMO.clear()
-    _FINGERPRINT_MEMO[memo_key] = (query, fingerprint)
-    return fingerprint
-
-
-@lru_cache(maxsize=128)
-def _name_fingerprint(name: str) -> str:
-    from ..tpch.plans import PIPELINE_QUERIES, logical_plan
-
-    if name in PIPELINE_QUERIES:
-        from ..plan.ops import plan_fingerprint
-
-        return plan_fingerprint(logical_plan(name))
-    return f"tpch:{name}"
-
-
-def _object_fingerprint(query) -> str:
-    from ..plan.logical import Query
-    from ..plan.ops import LogicalPlan, from_query, plan_fingerprint
-
-    if isinstance(query, LogicalPlan):
-        return plan_fingerprint(query)
-    if isinstance(query, Query):
-        return plan_fingerprint(from_query(query))
-    digest = hashlib.sha256(repr(query).encode()).hexdigest()[:16]
-    return f"query:{digest}"
+    """Stable ``ir:`` structural fingerprint of whatever the engine can
+    compile (see :func:`normalize_query`)."""
+    return normalize_query(query)[1]
 
 
 @lru_cache(maxsize=64)
@@ -114,16 +112,15 @@ def plan_key(
 
     The backend is part of the key: a kernel generated for the
     vectorized backend must never be served to a request that asked
-    for the instrumented (costed) one, or vice versa. The shard count
-    is too (``0`` = in-process): the shard path canonicalises legacy
-    query objects to their operator tree before compiling — so parent
-    and worker processes compile the *same* program — while the
-    in-process path may compile a hand-coded module whose ctx/partial
-    shapes differ; the two must never share an entry. So is the
+    for the instrumented (costed) one, or vice versa. So is the
     access-encoding decision (the caller resolves ``"auto"`` to
     ``"auto:<database encoding fingerprint>"``): a program compiled
     over code streams closes over different physical arrays than one
-    compiled over decoded values.
+    compiled over decoded values. The shard count (``0`` =
+    in-process) no longer separates different programs — parent,
+    workers and the in-process path all compile the same operator tree
+    through the one compiler — so the component is next to go, with
+    the positional tuple itself, when a ``CompileSpec`` replaces it.
     """
     return (
         query_fingerprint(query),

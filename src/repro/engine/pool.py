@@ -13,7 +13,7 @@ way the plan cache amortizes compilation:
   clone across batches — between morsels only its tracer is *reset in
   place* (fresh report, same tracer/accountant objects) and its knobs
   are re-synced from the submitting session so per-program toggles
-  (e.g. ROF's ``ht_prefetch``) never leak;
+  (e.g. ``ht_prefetch``) never leak;
 * a batch carries a cooperative cancel flag: the first morsel failure
   stops the remaining workers from pulling further morsels instead of
   letting them drain the cursor;
@@ -164,7 +164,7 @@ class MorselBatch:
             lo, hi = self.morsels[index]
             # Re-sync knobs from the template so toggles a program made
             # on this worker's session during the previous morsel (e.g.
-            # ROF's ht_prefetch) never leak into the next one; reset the
+            # ht_prefetch) never leak into the next one; reset the
             # tracer in place rather than reallocating it.
             session.knobs = replace(self.template.knobs)
             session.reset()

@@ -14,8 +14,8 @@ class ExecutionKnobs:
 
     ht_prefetch:
         Hash-table kernels mark their random accesses as
-        software-prefetched (set by the ROF strategy for the duration of
-        its programs).
+        software-prefetched: relaxed operator fusion (ROF) is the
+        hybrid strategy run with this knob on.
     morsel_rows:
         Row-range size of one morsel for the parallel executor. ``None``
         lets the executor pick a size from the scan length and worker
@@ -40,9 +40,8 @@ class ExecutionKnobs:
         execution in-process; ``N >= 1`` scatters morsels over ``N``
         pre-forked workers mapping the same on-disk columns. Requires a
         database loaded through the dataset cache (workers locate the
-        columns by fingerprint). Queries the shard path cannot serve
-        (no wire form, scan below the fan-out floor) fall back to the
-        thread executor transparently.
+        columns by fingerprint). Scans below the fan-out floor fall
+        back to the thread executor transparently.
     """
 
     ht_prefetch: bool = False

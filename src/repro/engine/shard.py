@@ -61,6 +61,8 @@ import numpy as np
 
 from ..errors import ExecutionError, QueryCancelled, QueryTimeout, ReproError
 from ..obs import MetricsRegistry, observe_span, span
+from ..plan.ops import LogicalPlan
+from ..plan.serde import plan_to_wire
 from .cancellation import CancelToken
 from .costing import CostReport, StatsOverride
 from .executor import MIN_MORSEL_ROWS, pick_morsel_rows, split_morsels
@@ -235,24 +237,7 @@ def observation_from_tallies(tallies: Dict[str, Any], metrics):
     )
 
 
-# -- task specs ----------------------------------------------------------
-
-
-def wire_spec_for(query) -> Optional[Dict[str, Any]]:
-    """The compile spec a worker receives: a TPC-H name or a logical
-    plan envelope. Returns ``None`` for queries with no wire form (the
-    shard path then falls back to the thread executor)."""
-    if isinstance(query, str):
-        return {"kind": "name", "name": query}
-    from ..plan.logical import Query
-    from ..plan.ops import LogicalPlan, from_query
-    from ..plan.serde import plan_to_wire
-
-    if isinstance(query, Query):
-        query = from_query(query)
-    if isinstance(query, LogicalPlan):
-        return {"kind": "plan", "plan": plan_to_wire(query)}
-    return None
+# -- stats-override codec ------------------------------------------------
 
 
 def override_to_wire(override) -> Optional[Dict[str, Any]]:
@@ -762,13 +747,16 @@ class ShardExecutor:
         compiled: CompiledQuery,
         session: Session,
         *,
-        spec: Dict[str, Any],
+        logical: LogicalPlan,
         strategy: str,
         backend: str,
         encoding: str = "auto",
         override=None,
         cancel: Optional[CancelToken] = None,
     ) -> Optional[QueryResult]:
+        """``logical`` is the operator tree ``compiled`` was compiled
+        from: the workers receive its wire envelope and compile the
+        same program themselves."""
         plan = compiled.parallel
         if plan is None:
             return None
@@ -804,7 +792,7 @@ class ShardExecutor:
         )
         morsels = split_morsels(plan.n_rows, morsel_rows)
         task_template = {
-            "spec": spec,
+            "spec": plan_to_wire(logical),
             "strategy": strategy,
             "backend": backend,
             # Encoding mode travels on the wire so workers pick the

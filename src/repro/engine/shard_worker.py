@@ -41,6 +41,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from ..codegen.pipeline import compile_pipeline
+from ..plan.serde import plan_from_wire
 from .machine import MachineModel
 from .session import Session
 from .shard import (
@@ -113,30 +115,12 @@ class _Worker:
         if hit is not None:
             self.programs.move_to_end(key)
             return hit
-        spec = msg["spec"]
-        strategy = msg["strategy"]
-        backend = msg["backend"]
-        encoding = msg.get("encoding", "auto")
-        overrides = override_from_wire(msg.get("override"))
-        if spec["kind"] == "name":
-            from ..tpch.base import compile_tpch
-
-            compiled = compile_tpch(
-                spec["name"], strategy, self.db,
-                machine=self.machine, backend=backend,
-                overrides=overrides, encoding=encoding,
-            )
-        elif spec["kind"] == "plan":
-            from ..codegen.pipeline import compile_pipeline
-            from ..plan.serde import plan_from_wire
-
-            compiled = compile_pipeline(
-                plan_from_wire(spec["plan"]), self.db, strategy,
-                machine=self.machine, backend=backend,
-                overrides=overrides, encoding=encoding,
-            )
-        else:
-            raise ValueError(f"unknown spec kind {spec['kind']!r}")
+        compiled = compile_pipeline(
+            plan_from_wire(msg["spec"]), self.db, msg["strategy"],
+            machine=self.machine, backend=msg["backend"],
+            overrides=override_from_wire(msg.get("override")),
+            encoding=msg.get("encoding", "auto"),
+        )
         ctx = None
         if compiled.parallel is not None and compiled.parallel.setup:
             setup_session = self._session(msg)

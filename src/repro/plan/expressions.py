@@ -1,9 +1,8 @@
 """Scalar expression IR for logical plans.
 
-Expressions are built over the columns of a single table (the paper's
-microbenchmark queries and the generic codegen path never need
-cross-table expressions; hand-coded TPC-H programs handle those cases
-directly). Every node can:
+Expressions are built over the columns of a single stream (a join that
+needs build-side columns carries them into the probe stream first).
+Every node can:
 
 * report the columns it touches (``columns()``) — the input to access
   merging, which fires when a column is referenced by both the predicate

@@ -1,15 +1,16 @@
-"""Logical query plans for the generic code-generation path.
+"""The legacy single-join ``Query``: the microbenchmark's vocabulary.
 
-The generic path covers the query shapes of the paper's microbenchmark
-(Fig. 7b) and of typical single-join OLAP aggregations:
+It covers the query shapes of the paper's microbenchmark (Fig. 7b) and
+of typical single-join OLAP aggregations:
 
 * scan -> filter -> aggregate (optionally grouped) over one table;
 * a foreign-key equijoin against a filtered build table, used either as a
   *semijoin* (no build attributes survive the join — µQ4) or a
   *groupjoin* (join key doubles as the group-by key — µQ5).
 
-TPC-H's more intricate plans are hand-coded per strategy under
-:mod:`repro.tpch`, mirroring how the paper hand-coded C for each.
+The engine lifts a ``Query`` to its operator tree at the door
+(:func:`repro.plan.ops.from_query`); TPC-H's more intricate plans are
+operator trees to begin with (:mod:`repro.tpch.plans`).
 """
 
 from __future__ import annotations

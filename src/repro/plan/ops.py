@@ -407,11 +407,10 @@ def plan_fingerprint(plan: Union[LogicalPlan, PlanNode]) -> str:
     """Stable structural fingerprint of an operator tree.
 
     Frozen dataclasses have deterministic ``repr``s, so hashing the repr
-    is a faithful structural digest. This is the plan-cache key for
-    every query that reaches the staged pipeline (hand-coded TPC-H
-    names resolve to their logical plan first, legacy ``Query`` objects
-    convert via :func:`from_query`), so two spellings of the same tree
-    share one cache entry.
+    is a faithful structural digest. This is the plan-cache key of
+    every query (legacy ``Query`` objects convert via
+    :func:`from_query` at the engine's door), so two spellings of the
+    same tree share one cache entry.
     """
     digest = hashlib.sha256(repr(plan).encode()).hexdigest()[:16]
     return f"ir:{digest}"

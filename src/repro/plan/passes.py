@@ -26,11 +26,10 @@ Pass ordering is fixed:
 6. **access-merging** (swole, §III-C) — only meaningful under masked
    aggregation, hence last.
 
-Cost-guided passes call the public ``choose_*`` helpers of
-:mod:`repro.core.planner`, so the pass framework and the legacy
-``plan_query`` planner can never disagree about a decision. A new
-technique registers here by appending a pass function to
-``_SWOLE_PASSES`` (see DESIGN.md).
+Cost-guided passes call the ``choose_*`` helpers of
+:mod:`repro.core.planner`, one §III decision each. A new technique
+registers here by appending a pass function to ``_SWOLE_PASSES`` (see
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -587,8 +586,7 @@ def _root_model_inputs(
     return cm.ModelInputs(
         num_rows=stats.num_rows,
         # Combined selectivity: the masked/conditional aggregation sees
-        # rows surviving both local filters and upstream semijoins
-        # (mirrors planner.semijoin_combined_inputs).
+        # rows surviving both local filters and upstream semijoins.
         selectivity=stats.survival,
         pred_widths=pred_widths,
         agg_widths=agg_widths,
@@ -1198,6 +1196,10 @@ _SWOLE_PASSES = (
 )
 
 
+#: Every strategy :func:`run_passes` has a pass pipeline for.
+STRATEGIES = ("interpreter", "datacentric", "hybrid", "swole")
+
+
 def run_passes(
     plan: LogicalPlan,
     db: Database,
@@ -1284,7 +1286,9 @@ def run_passes(
         for pass_fn in _SWOLE_PASSES:
             pass_fn(root, db, machine, decisions, notes, overrides)
     else:
-        raise PlanError(f"unknown strategy {strategy!r}")
+        raise PlanError(
+            f"unknown strategy {strategy!r}; have {list(STRATEGIES)}"
+        )
 
     # Access-encoding runs last: the operator/mode choices above are
     # priced at stored widths (identical plans whichever way the knob
@@ -1337,6 +1341,7 @@ __all__ = [
     "BITMAP_OFFSETS",
     "Decisions",
     "PassNote",
+    "STRATEGIES",
     "SpineStats",
     "merged_columns",
     "run_passes",

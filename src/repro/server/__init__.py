@@ -5,9 +5,10 @@ engine in a :class:`QueryService`::
 
     from repro import Engine
     from repro.server import QueryService
+    from repro.tpch import logical_plan
 
     with QueryService(Engine(db), concurrency=4, queue_depth=64) as svc:
-        response = svc.execute("Q6")
+        response = svc.execute(logical_plan("Q6"))
         assert response.ok, response.error
 
 See :mod:`repro.server.service` for the serving policies (admission

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import socket
 import time
-import warnings
 from typing import Any, Optional
 
 from ..errors import ReproError
@@ -74,22 +73,12 @@ class ServiceClient:
         """Send one request and block for its response.
 
         ``query`` is a :class:`~repro.plan.ops.LogicalPlan` (sent as
-        structural JSON plus its IR fingerprint), a TPC-H name, or a
-        microbench spec dict. Legacy logical ``Query`` objects are
-        in-process only and cannot cross the wire. Addressing TPC-H
-        queries by bare name is deprecated — send the plan. ``backend``
-        pins the execution backend (``"instrumented"`` /
-        ``"vectorized"``) instead of the server's default.
+        structural JSON plus its IR fingerprint) or a microbench spec
+        dict. Legacy logical ``Query`` objects are in-process only and
+        cannot cross the wire. ``backend`` pins the execution backend
+        (``"instrumented"`` / ``"vectorized"``) instead of the
+        server's default.
         """
-        if isinstance(query, str):
-            warnings.warn(
-                "addressing queries by name string over the wire is "
-                "deprecated; send the operator tree instead — "
-                "repro.tpch.logical_plan(name) or a repro.PlanBuilder "
-                "plan serialises automatically",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         kwargs = {} if id is None else {"id": id}
         req = QueryRequest(
             query=query,

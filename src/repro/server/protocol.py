@@ -7,17 +7,18 @@ the TCP server (:mod:`repro.server.tcp`) carries the same objects as
 newline-delimited JSON (one object per line, one response per request,
 in order).
 
-A request carries its query in one of four spellings:
+On the wire a request carries its query in one of two spellings:
 
 * a logical plan envelope (``{"plan": {...}, "fingerprint": "ir:..."}``
   — the structural JSON of :mod:`repro.plan.serde`, the primary form;
   :class:`QueryRequest` serialises a
   :class:`~repro.plan.ops.LogicalPlan` this way automatically);
-* a TPC-H query name (``"Q1"`` .. ``"Q19"`` — a thin lookup into
-  :mod:`repro.tpch.plans`; deprecated in favour of sending the plan);
 * a microbenchmark spec (``{"micro": "q1", "args": {"sel": 30}}`` —
-  the constructors in :mod:`repro.datagen.microbench`);
-* in-process only: a legacy :class:`~repro.plan.logical.Query` object.
+  the constructors in :mod:`repro.datagen.microbench`).
+
+In-process requests may also hold what ``Engine.execute`` accepts
+directly: a ``LogicalPlan`` or a legacy
+:class:`~repro.plan.logical.Query` object.
 
 Besides queries, the wire carries one control operation: a **stats
 request** (``{"op": "stats"}``), answered with the server's full
@@ -87,13 +88,12 @@ def parse_query_spec(spec: Any) -> Any:
 
     ``{"plan": {...}}`` envelopes decode to a
     :class:`~repro.plan.ops.LogicalPlan` (fingerprint-verified);
-    strings pass through (TPC-H names); ``{"micro": name, "args":
-    {...}}`` dicts call the named microbenchmark constructor;
-    ``LogicalPlan`` / legacy ``Query`` objects (in-process requests)
-    pass through untouched.
+    ``{"micro": name, "args": {...}}`` dicts call the named
+    microbenchmark constructor; ``LogicalPlan`` / legacy ``Query``
+    objects (in-process requests) pass through untouched. Anything
+    else — a bare query-name string included — is a
+    :class:`ProtocolError`.
     """
-    if isinstance(spec, str):
-        return spec
     if isinstance(spec, dict):
         if "plan" in spec:
             from ..errors import PlanError
@@ -132,6 +132,13 @@ def parse_query_spec(spec: Any) -> Any:
 
     if isinstance(spec, (LogicalPlan, Query)):
         return spec
+    if isinstance(spec, str):
+        raise ProtocolError(
+            f"query name strings are no longer accepted (got {spec!r}); "
+            "send the operator tree — "
+            f'repro.tpch.logical_plan("{spec}") serialises as a '
+            "{'plan': ...} envelope automatically"
+        )
     raise ProtocolError(
         f"unsupported query spec of type {type(spec).__name__}"
     )
@@ -180,11 +187,12 @@ class QueryRequest:
             from ..plan.serde import plan_to_wire
 
             query = plan_to_wire(query)
-        elif not isinstance(query, (str, dict)):
+        elif not isinstance(query, dict):
             raise ProtocolError(
-                "only LogicalPlan trees, TPC-H names, and microbench "
-                "spec dicts serialise; legacy Query objects are "
-                "in-process only"
+                "only LogicalPlan trees and microbench spec dicts "
+                f"serialise, not a {type(query).__name__}; legacy "
+                "Query objects are in-process only and TPC-H queries "
+                "travel as repro.tpch.logical_plan(name)"
             )
         wire: dict = {"id": self.id, "query": query}
         if self.strategy != "auto":

@@ -35,8 +35,8 @@ The control loop enforces three serving policies:
   ``cancelled``, one that lapsed while coalesced gets the (computed)
   value with ``deadline_missed`` set, and if the leading execution does
   not produce a value the followers are re-queued rather than failed on
-  its behalf. Only wire-form specs (strings and JSON dicts) coalesce;
-  in-process ``Query`` objects are served individually.
+  its behalf. Only wire-form specs (JSON dicts) coalesce; in-process
+  plan and ``Query`` objects are served individually.
 
 Shutdown is graceful and idempotent: :meth:`drain` stops admission,
 rejects everything still queued with ``shutting_down``, and waits for
@@ -50,7 +50,7 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cancellation import CancelToken
@@ -343,9 +343,9 @@ class QueryService:
     def submit(self, request) -> PendingQuery:
         """Admit (or immediately reject) one request.
 
-        ``request`` is a :class:`QueryRequest`, or anything
-        ``Engine.execute`` accepts (a TPC-H name, a wire spec dict, a
-        logical ``Query``) which is wrapped in a default request.
+        ``request`` is a :class:`QueryRequest`, or a bare query (a
+        ``LogicalPlan``, a wire spec dict, a legacy ``Query``) which is
+        wrapped in a default request.
         Always returns a :class:`PendingQuery`; rejections resolve
         before this method returns.
         """
@@ -424,17 +424,14 @@ class QueryService:
     @staticmethod
     def _coalesce_key(request: QueryRequest) -> Optional[Tuple]:
         """Identity under which requests may share one execution, or
-        ``None`` when the spec is not wire-form (an in-process ``Query``
-        object has no cheap, reliable equality)."""
+        ``None`` when the spec is not wire-form (an in-process plan or
+        ``Query`` object has no cheap, reliable equality)."""
         spec = request.query
-        if isinstance(spec, str):
-            spec_key: Tuple = ("s", spec)
-        elif isinstance(spec, dict):
-            try:
-                spec_key = ("d", json.dumps(spec, sort_keys=True))
-            except (TypeError, ValueError):
-                return None
-        else:
+        if not isinstance(spec, dict):
+            return None
+        try:
+            spec_key = json.dumps(spec, sort_keys=True)
+        except (TypeError, ValueError):
             return None
         return (
             spec_key,

@@ -1,21 +1,17 @@
 """TPC-H query programs (the paper's eight-query subset).
 
-Queries with logical operator trees (:mod:`repro.tpch.plans`) compile
-through the generic staged lowering pipeline; the hand-coded per-query
-strategy modules remain as equivalence oracles
-(:func:`~repro.tpch.base.oracle_tpch`) and as the compilers for the
-not-yet-migrated queries.
+All eight are logical operator trees (:func:`logical_plan`, from
+:mod:`repro.tpch.plans`) compiled through the staged lowering pipeline
+like any other plan. The hand-coded per-query strategy modules
+(``q01.py`` ..) are references only: :func:`oracle_tpch` compiles them
+for the equivalence tests, :func:`reference_result` is the plain-NumPy
+ground truth.
 """
 
+from ..plan.passes import STRATEGIES
 from . import base
 from . import q01, q03, q04, q05, q06, q13, q14, q19
-from .base import (
-    STRATEGIES,
-    compile_tpch,
-    oracle_tpch,
-    query_names,
-    reference_result,
-)
+from .base import oracle_tpch, query_names, reference_result
 from .plans import PIPELINE_QUERIES, logical_plan
 
 for _module in (q01, q03, q04, q05, q06, q13, q14, q19):
@@ -24,7 +20,6 @@ for _module in (q01, q03, q04, q05, q06, q13, q14, q19):
 __all__ = [
     "PIPELINE_QUERIES",
     "STRATEGIES",
-    "compile_tpch",
     "logical_plan",
     "oracle_tpch",
     "query_names",

@@ -1,4 +1,4 @@
-"""Shared scaffolding for the hand-coded TPC-H query programs.
+"""Shared scaffolding for the hand-coded TPC-H reference programs.
 
 The paper hand-coded each strategy in C "to eliminate any overheads from
 tangential implementation differences"; these modules do the same in
@@ -8,9 +8,12 @@ kernel compositions. Every query module exposes:
 * ``datacentric(db)`` / ``hybrid(db)`` / ``swole(db)`` — one
   :class:`~repro.engine.program.CompiledQuery` per strategy.
 
-:func:`compile_tpch` resolves (query, strategy) pairs, adding the
-``interpreter`` sanity baseline (data-centric access patterns plus
-Volcano per-tuple dispatch) for every query.
+The engine never runs them: it compiles the operator trees of
+:mod:`repro.tpch.plans` through the staged pipeline. :func:`oracle_tpch`
+resolves (query, strategy) pairs for the tests and benches that pin the
+pipeline against these curated programs, adding the ``interpreter``
+sanity baseline (data-centric access patterns plus Volcano per-tuple
+dispatch) for every query.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from ..storage.database import Database
 #: Filled by the query modules at import time: name -> module.
 QUERY_MODULES: Dict[str, Any] = {}
 
-STRATEGIES = ("interpreter", "datacentric", "hybrid", "swole")
-
 
 def register_query(name: str, module: Any) -> None:
     QUERY_MODULES[name] = module
@@ -39,62 +40,11 @@ def query_names() -> List[str]:
     return sorted(QUERY_MODULES, key=lambda name: int(name[1:]))
 
 
-def compile_tpch(
-    name: str,
-    strategy: str,
-    db: Database,
-    machine=None,
-    registry=None,
-    backend: str = "instrumented",
-    overrides=None,
-    encoding: str = "auto",
-) -> CompiledQuery:
-    """Compile TPC-H query ``name`` under ``strategy`` against ``db``.
-
-    Queries with a logical operator tree (:data:`~repro.tpch.plans.
-    PIPELINE_QUERIES`) go through the generic staged lowering pipeline;
-    the rest still use their hand-coded strategy modules. ``machine``,
-    ``registry``, ``backend``, ``overrides`` (a measured-statistics
-    :class:`~repro.engine.costing.StatsOverride` from the adaptive
-    re-optimizer), and ``encoding`` (the ``"auto"``/``"off"``
-    access-encoding knob) only affect the pipeline path (cost-model
-    decisions, compile-stage spans, and the execution layer the program
-    runs on); hand-coded programs are always instrumented and always
-    read decoded values.
-    """
-    try:
-        module = QUERY_MODULES[name]
-    except KeyError as exc:
-        raise CodegenError(
-            f"unknown TPC-H query {name!r}; have {query_names()}"
-        ) from exc
-    if strategy not in STRATEGIES:
-        raise CodegenError(
-            f"unknown strategy {strategy!r}; have {list(STRATEGIES)}"
-        )
-    from . import plans
-    if name in plans.PIPELINE_QUERIES:
-        from ..codegen.pipeline import compile_pipeline
-
-        return compile_pipeline(
-            plans.logical_plan(name),
-            db,
-            strategy,
-            machine=machine,
-            registry=registry,
-            backend=backend,
-            overrides=overrides,
-            encoding=encoding,
-        )
-    return oracle_tpch(name, strategy, db)
-
-
 def oracle_tpch(name: str, strategy: str, db: Database) -> CompiledQuery:
     """Compile the hand-coded strategy program for ``name``.
 
-    This is the pre-pipeline compiler, kept as the equivalence oracle:
-    tests compare the staged pipeline's answers and costs against these
-    curated kernel compositions.
+    The equivalence oracle: tests compare the staged pipeline's answers
+    and costs against these curated kernel compositions.
     """
     try:
         module = QUERY_MODULES[name]

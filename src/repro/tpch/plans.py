@@ -47,8 +47,8 @@ from ..plan.ops import (
     Scan,
 )
 
-#: Queries compiled through the generic staged pipeline (the remaining
-#: queries still go through their hand-coded strategy modules).
+#: The queries that have an operator tree here — all eight of the
+#: paper's subset (the Fig. 6 series and the ledger iterate this).
 PIPELINE_QUERIES = ("Q1", "Q3", "Q4", "Q5", "Q6", "Q13", "Q14", "Q19")
 
 Q1_CUTOFF = 10471  # 1998-12-01 minus 90 days, days since 1970-01-01

@@ -7,10 +7,52 @@ import os
 import numpy as np
 import pytest
 
+from repro.codegen.lower import lower_plan
+from repro.codegen.physexec import execute_plan
+from repro.codegen.pipeline import compile_pipeline
 from repro.datagen import microbench as mb
 from repro.datagen import tpch
 from repro.engine.machine import PAPER_MACHINE
+from repro.engine.plan_cache import normalize_query
+from repro.engine.program import CompiledQuery
 from repro.engine.session import Session
+from repro.plan.passes import run_passes
+from repro.tpch import logical_plan
+
+
+def compile_named(name, strategy, db, **kwargs) -> CompiledQuery:
+    """TPC-H query ``name`` through the staged pipeline (instrumented
+    unless ``backend=`` says otherwise)."""
+    return compile_pipeline(logical_plan(name), db, strategy, **kwargs)
+
+
+def staged_program(
+    query, db, strategy="swole", *, machine=PAPER_MACHINE, **forced
+) -> CompiledQuery:
+    """An instrumented program built through the public stages, with
+    ``forced`` fields written over the planner's ``Decisions`` before
+    lowering — the forced-technique ablation path (``agg_mode=``,
+    ``merged_columns=``, ``groupjoin_mode=``; ``join_mode=`` sets one
+    flavour on every spine join). Scans read decoded values so event
+    array names and widths are the stored columns'."""
+    plan, _ = normalize_query(query)
+    bound, decisions, _ = run_passes(
+        plan, db, machine, strategy, None, encoding="off"
+    )
+    for name, value in forced.items():
+        if name == "join_mode":
+            decisions.join_modes = dict.fromkeys(decisions.join_modes, value)
+        else:
+            assert hasattr(decisions, name), name
+            setattr(decisions, name, value)
+    physical = lower_plan(bound, decisions, db, strategy)
+    return CompiledQuery(
+        name=plan.name,
+        strategy=strategy,
+        source=physical.describe(),
+        _fn=lambda session: execute_plan(physical, db, session),
+        notes={"plan": decisions.describe(), "decisions": decisions},
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -26,8 +26,9 @@ from repro.engine.plan_cache import PlanCache, query_fingerprint
 from repro.engine.program import results_equal
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry
-from repro.tpch.base import STRATEGIES, compile_tpch
-from repro.tpch.plans import PIPELINE_QUERIES, logical_plan
+from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
+
+from .conftest import compile_named
 
 
 BENCH_POLICY = AdaptivePolicy(
@@ -607,12 +608,13 @@ class TestTpchEquivalence:
                     )
 
     def test_override_threads_into_compile_tpch(self, tpch_db):
-        plain = compile_tpch("Q6", "swole", tpch_db)
-        overridden = compile_tpch(
-            "Q6", "swole", tpch_db,
-            overrides=StatsOverride(selectivity=0.9),
+        plain = compile_named("Q6", "swole", tpch_db)
+        override = StatsOverride(selectivity=0.9)
+        overridden = compile_named(
+            "Q6", "swole", tpch_db, overrides=override
         )
-        assert "stats_override" in overridden.notes
+        # The object itself: the shard path ships it to the workers.
+        assert overridden.notes["stats_override"] is override
         assert "stats_override" not in plain.notes
         assert "estimated_stats" in plain.notes
 

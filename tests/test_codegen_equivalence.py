@@ -1,9 +1,11 @@
 """Cross-strategy answer equivalence: the repository's spine invariant.
 
-Every code-generation strategy — interpreter, data-centric, hybrid, ROF,
-SWOLE (with whatever techniques its planner picked) — must return exactly
-the reference interpreter's answer on every query shape, across
-selectivities and on adversarial hypothesis-generated data.
+Every code-generation strategy — interpreter, data-centric, hybrid,
+SWOLE (with whatever techniques its planner picked) — on both execution
+backends must return exactly the reference interpreter's answer on every
+query shape, across selectivities and on adversarial
+hypothesis-generated data. The queries are legacy microbench ``Query``
+objects, so every cell also crosses the engine's front-door lift.
 """
 
 import numpy as np
@@ -11,38 +13,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.swole  # noqa: F401 - registers the swole strategy
-from repro.codegen import available_strategies, compile_query
+from repro import Engine, available_strategies
 from repro.datagen import microbench as mb
-from repro.engine import Session, reference
+from repro.engine import reference
+from repro.engine.facade import BACKENDS
 from repro.engine.program import results_equal
-from repro.plan.expressions import And, Col, Const
-from repro.plan.logical import AggSpec, JoinSpec, Query
+from repro.obs import MetricsRegistry
+from repro.plan.expressions import Col, Const
+from repro.plan.logical import AggSpec, Query
 from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table
 
-STRATEGIES = ("interpreter", "datacentric", "hybrid", "rof", "swole")
+STRATEGIES = ("interpreter", "datacentric", "hybrid", "swole")
 
 
 def _assert_matches_reference(query, db):
     expected = reference.evaluate(query, db)
-    session = Session()
-    for strategy in STRATEGIES:
-        compiled = compile_query(query, db, strategy)
-        result = compiled.run(session)
-        assert set(result.value) == set(expected), strategy
-        for key in expected:
-            lhs, rhs = expected[key], result.value[key]
-            if isinstance(lhs, np.ndarray):
-                assert np.array_equal(lhs, np.asarray(rhs)), (strategy, key)
-            else:
-                assert lhs == rhs, (strategy, key)
+    for backend in BACKENDS:
+        engine = Engine(db, backend=backend, registry=MetricsRegistry())
+        for strategy in STRATEGIES:
+            cell = (backend, strategy)
+            value = engine.execute(query, strategy).value
+            assert set(value) == set(expected), cell
+            for key in expected:
+                lhs, rhs = expected[key], value[key]
+                if isinstance(lhs, np.ndarray):
+                    assert np.array_equal(lhs, np.asarray(rhs)), (cell, key)
+                else:
+                    assert lhs == rhs, (cell, key)
 
 
 class TestRegistry:
     def test_all_strategies_registered(self):
-        assert set(STRATEGIES) <= set(available_strategies())
+        assert sorted(STRATEGIES) == available_strategies()
 
 
 @pytest.mark.parametrize("sel", [0, 5, 50, 95, 100])
@@ -97,9 +101,9 @@ def test_grouped_count(micro_db):
 
 def test_results_equal_helper(micro_db):
     query = mb.q1(30)
-    session = Session()
-    a = compile_query(query, micro_db, "hybrid").run(session)
-    b = compile_query(query, micro_db, "swole").run(session)
+    engine = Engine(micro_db, backend="instrumented")
+    a = engine.execute(query, "hybrid")
+    b = engine.execute(query, "swole")
     assert results_equal(a, b)
 
 
@@ -161,3 +165,24 @@ def test_semijoin_equivalence_property(db, sel1, sel2):
 @settings(max_examples=20, deadline=None)
 def test_groupjoin_equivalence_property(db, sel):
     _assert_matches_reference(mb.q5(sel), db)
+
+
+micro_queries = st.one_of(
+    st.builds(
+        mb.q1, st.integers(0, 100), st.sampled_from(("mul", "div"))
+    ),
+    st.builds(mb.q2, st.integers(0, 100)),
+    st.builds(
+        mb.q3, st.integers(0, 100), st.sampled_from(("r_b", "r_x"))
+    ),
+    st.builds(mb.q4, st.integers(0, 100), st.integers(0, 100)),
+    st.builds(mb.q5, st.integers(0, 100)),
+)
+
+
+@given(query=micro_queries)
+@settings(max_examples=30, deadline=None)
+def test_any_micro_query_arguments_match_reference(micro_db, query):
+    """Random µQ1-µQ5 constructor arguments: 4 strategies x 2 backends
+    all equal ``reference.evaluate``."""
+    _assert_matches_reference(query, micro_db)

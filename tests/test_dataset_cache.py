@@ -14,6 +14,7 @@ from repro.engine import Engine
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
 from repro.errors import DataGenError
+from repro.tpch import logical_plan
 
 SMALL = mb.MicrobenchConfig(num_rows=4_000, s_rows=64, c_cardinality=8)
 
@@ -99,10 +100,10 @@ class TestDiskLayer:
         databases_equal(db, fresh)
         machine = PAPER_MACHINE.scaled(config.machine_scale)
         from_disk = Engine(db, machine=machine, use_pool=False).execute(
-            "Q6", "swole", workers=2
+            logical_plan("Q6"), "swole", workers=2
         )
         from_gen = Engine(fresh, machine=machine, use_pool=False).execute(
-            "Q6", "swole", workers=2
+            logical_plan("Q6"), "swole", workers=2
         )
         assert results_equal(from_disk, from_gen)
 

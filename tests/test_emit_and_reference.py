@@ -1,68 +1,137 @@
-"""Tests for the C emitters, the reference engine, and the ROF strategy."""
+"""Tests for the emitted code (the physical-plan rendering and the
+generated kernel source every compiled program carries), the reference
+engine, and ROF-style hash-table prefetching (the ``ht_prefetch``
+knob)."""
 
 import numpy as np
 import pytest
 
-from repro.codegen import compile_query
-from repro.codegen import emit
+from repro import Engine, ExecutionKnobs
+from repro.core import planner as P
 from repro.datagen import microbench as mb
 from repro.engine import Session, reference
 from repro.engine.events import RandomAccess
+from repro.engine.hashtable import NULL_KEY
+from repro.engine.program import results_equal
+from repro.plan import passes as PS
 from repro.plan.expressions import Col, Const
 from repro.plan.logical import AggSpec, Query
 
+from .conftest import staged_program
+
+
+def _prefetching(**kwargs):
+    """A session that runs ROF-style: hybrid's hash-table accesses are
+    software-prefetched (``ExecutionKnobs.ht_prefetch``)."""
+    return Session(knobs=ExecutionKnobs(ht_prefetch=True), **kwargs)
+
 
 class TestEmitters:
-    def test_datacentric_shape(self):
-        source = emit.emit_datacentric(mb.q1(13))
-        assert "if (r_x[i] < 13 && r_y[i] == 1)" in source
-        assert "sum += (r_a[i] * r_b[i]);" in source
+    """What each strategy emits for the µQ shapes: the physical plan
+    (``staged_program(...).source`` renders it) and, on the vectorized
+    backend, the kernel source that actually ran."""
 
-    def test_hybrid_has_three_inner_loops(self):
-        source = emit.emit_hybrid(mb.q1(13))
-        assert source.count("for (j = 0;") == 3  # prepass, selvec, agg
-        assert "cmp[j]" in source and "idx[k]" in source
+    @pytest.fixture(scope="class")
+    def engine(self, micro_db):
+        return Engine(micro_db)
 
-    def test_rof_has_prefetch_for_hash_queries(self):
-        source = emit.emit_rof(mb.q2(13))
-        assert "prefetch(" in source
+    def test_datacentric_shape(self, micro_db):
+        source = staged_program(mb.q1(13), micro_db, "datacentric").source
+        assert "Filter[branch] r_x[i] < 13 AND r_y[i] == 1" in source
+        assert "ScalarAgg[conditional] [sum=sum((r_a[i] * r_b[i]))]" in source
 
-    def test_rof_no_prefetch_without_hash_table(self):
-        source = emit.emit_rof(mb.q1(13))
-        assert "prefetch(" not in source
+    def test_hybrid_has_three_inner_loops(self, micro_db, engine):
+        # prepass -> selection -> aggregate over the survivors
+        source = staged_program(mb.q1(13), micro_db, "hybrid").source
+        assert "Filter[prepass]" in source and "ScalarAgg[gathered]" in source
+        kernel = engine.compile(mb.q1(13), "hybrid").source
+        assert "mask = mask & " in kernel
+        assert "v['r_a'][mask]" in kernel and "np.sum(" in kernel
 
-    def test_value_masking_multiplies_by_cmp(self):
-        source = emit.emit_value_masking(mb.q1(13))
-        assert "* cmp[j];" in source
+    def test_rof_has_prefetch_for_hash_queries(self, micro_db):
+        # every hash-table operator honours the knob: semijoin build +
+        # probe (µQ4) and groupjoin build + aggregate (µQ5)
+        for query in (mb.q4(40, 60), mb.q5(40)):
+            compiled = staged_program(query, micro_db, "hybrid")
+            kinds = {
+                e.kind
+                for _, e, _ in compiled.run(_prefetching()).report.events
+                if isinstance(e, RandomAccess) and e.prefetched
+            }
+            assert len(kinds) >= 2 and all(
+                kind.startswith("ht_") for kind in kinds
+            ), query.name
 
-    def test_access_merging_uses_tmp(self):
-        source = emit.emit_value_masking(mb.q3(13, "r_x"), merged=["r_x"])
-        assert "tmp[j]" in source and "merged access" in source
+    def test_rof_no_prefetch_without_hash_table(self, micro_db):
+        compiled = staged_program(mb.q1(40), micro_db, "hybrid")
+        plain = compiled.run(Session())
+        rof = compiled.run(_prefetching())
+        assert not any(
+            isinstance(e, RandomAccess) and e.prefetched
+            for _, e, _ in rof.report.events
+        )
+        assert rof.cycles == plain.cycles
 
-    def test_key_masking_masks_key_and_drops_throwaway(self):
-        source = emit.emit_key_masking(mb.q2(13))
-        assert "NULL_KEY" in source
-        assert "ht_drop(ht, NULL_KEY)" in source
+    def test_value_masking_multiplies_by_cmp(self, micro_db, engine):
+        # every row is evaluated; the 0/1 predicate result masks it
+        source = staged_program(
+            mb.q1(13), micro_db, agg_mode=PS.VALUE_MASK
+        ).source
+        assert "ScalarAgg[value_mask]" in source
+        kernel = engine.compile(mb.q1(13), "swole").source
+        assert "where=mask" in kernel and "[mask]" not in kernel
 
-    def test_bitmap_semijoin_modes(self):
+    def test_access_merging_uses_tmp(self, micro_db):
+        source = staged_program(mb.q3(13, "r_x"), micro_db).source
+        assert "merged reads: ['r_x']" in source
+
+    def test_key_masking_masks_key_and_drops_throwaway(self, micro_db):
+        compiled = staged_program(
+            mb.q2(13), micro_db, agg_mode=PS.KEY_MASK
+        )
+        assert "GroupAgg[key_mask] key[r_c]" in compiled.source
+        result = compiled.run(Session())
+        assert any(
+            isinstance(e, RandomAccess) and e.hot_fraction > 0.5
+            for _, e, _ in result.report.events
+        )
+        assert NULL_KEY not in result.value["keys"]
+
+    def test_bitmap_semijoin_modes(self, micro_db):
         query = mb.q4(10, 20)
-        unconditional = emit.emit_bitmap_semijoin(query, True)
-        selective = emit.emit_bitmap_semijoin(query, False)
-        assert "unconditional write" in unconditional
-        assert "if (" in selective
+        unconditional = staged_program(
+            query, micro_db, join_mode=PS.BITMAP_MASK
+        ).source
+        selective = staged_program(
+            query, micro_db, join_mode=PS.BITMAP_OFFSETS
+        ).source
+        assert "BitmapBuild[mask] -> bitmap[S]" in unconditional
+        assert "BitmapBuild[offsets] -> bitmap[S]" in selective
 
-    def test_eager_aggregation_inverts_predicate(self):
-        source = emit.emit_eager_aggregation(mb.q5(13))
-        assert "!(" in source  # the inverted deletion predicate
-        assert "ht_delete" in source
+    def test_eager_aggregation_inverts_predicate(self, micro_db):
+        compiled = staged_program(
+            mb.q5(13), micro_db, groupjoin_mode=P.EAGER
+        )
+        assert "EagerAggregate key=r_fk (cleanup scan over S)" in (
+            compiled.source
+        )
+        kinds = {
+            e.kind
+            for _, e, _ in compiled.run(Session()).report.events
+            if isinstance(e, RandomAccess)
+        }
+        assert "ht_delete" in kinds  # the inverted deletion predicate
 
-    def test_build_prefix_covers_join(self):
-        source = emit.emit_datacentric(mb.q4(10, 20))
-        assert "ht_insert(ht, s_pk[i]);" in source
+    def test_build_prefix_covers_join(self, micro_db):
+        source = staged_program(mb.q4(10, 20), micro_db, "datacentric").source
+        build, probe = source.index("SemiHashBuild"), source.index("HashSemi")
+        assert "SemiHashBuild[branch] keys=s_pk -> ht[S]" in source
+        assert build < probe
 
-    def test_interpreter_mentions_iterators(self):
-        source = emit.emit_interpreter(mb.q5(13))
-        assert "plan->next()" in source and "HashJoin" in source
+    def test_interpreter_mentions_iterators(self, engine):
+        explain = engine.explain(mb.q5(13), "interpreter")
+        assert "Volcano per-tuple dispatch on every scan" in explain
+        assert "GroupJoinAgg[branch]" in explain
 
 
 class TestReferenceEngine:
@@ -98,20 +167,18 @@ class TestReferenceEngine:
 
 
 class TestRofStrategy:
+    """ROF is hybrid plus software prefetching of hash-table accesses;
+    the prefetching is the ``ExecutionKnobs.ht_prefetch`` knob."""
+
     def test_prefetch_marked_on_hash_accesses(self, micro_db):
-        compiled = compile_query(mb.q2(50), micro_db, "rof")
-        result = compiled.run(Session())
+        compiled = staged_program(mb.q2(50), micro_db, "hybrid")
+        result = compiled.run(_prefetching())
         ht_events = [
             e
             for _, e, _ in result.report.events
             if isinstance(e, RandomAccess) and e.kind.startswith("ht_")
         ]
         assert ht_events and all(e.prefetched for e in ht_events)
-
-    def test_prefetch_flag_restored_after_run(self, micro_db):
-        session = Session()
-        compile_query(mb.q2(50), micro_db, "rof").run(session)
-        assert session.ht_prefetch is False
 
     def test_rof_cheaper_than_hybrid_on_hash_heavy_query(self):
         config = mb.MicrobenchConfig(
@@ -120,18 +187,17 @@ class TestRofStrategy:
         db = mb.generate(config)
         from repro.bench.microbench import scaled_machine
 
-        session = Session(machine=scaled_machine(config))
-        hybrid = compile_query(mb.q2(80), db, "hybrid").run(session)
-        rof = compile_query(mb.q2(80), db, "rof").run(session)
+        machine = scaled_machine(config)
+        compiled = staged_program(mb.q2(80), db, "hybrid", machine=machine)
+        hybrid = compiled.run(Session(machine=machine))
+        rof = compiled.run(_prefetching(machine=machine))
         assert rof.cycles < hybrid.cycles  # prefetching hides ht latency
 
     def test_rof_same_answers(self, micro_db):
-        session = Session()
         for query in (mb.q1(40), mb.q4(40, 60), mb.q5(40)):
-            a = compile_query(query, micro_db, "hybrid").run(session)
-            b = compile_query(query, micro_db, "rof").run(session)
-            from repro.engine.program import results_equal
-
+            compiled = staged_program(query, micro_db, "hybrid")
+            a = compiled.run(Session())
+            b = compiled.run(_prefetching())
             assert results_equal(a, b)
 
 

@@ -9,7 +9,9 @@ from repro.datagen import microbench as mb
 from repro.engine import Engine, ExecutionKnobs, Session
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
-from repro.errors import ReproError
+from repro.errors import PlanError, ReproError
+from repro.plan.ops import from_query
+from repro.tpch import logical_plan
 
 
 @pytest.fixture()
@@ -35,9 +37,27 @@ class TestEngineCompile:
         assert again is engine.compile(mb.q1(30))
 
     def test_tpch_by_name(self, tpch_db):
+        # The name addresses the operator tree, not the engine: a bare
+        # string is a typed error that spells out the replacement.
         engine = Engine(db=tpch_db)
-        result = engine.execute("Q6", "hybrid")
+        result = engine.execute(logical_plan("Q6"), "hybrid")
         assert result.value
+        for call in (engine.execute, engine.compile, engine.explain):
+            with pytest.raises(ReproError) as excinfo:
+                call("Q6")
+            assert 'repro.tpch.logical_plan("Q6")' in str(excinfo.value)
+
+    def test_unsupported_query_type_is_a_typed_error(self, engine):
+        with pytest.raises(ReproError, match="LogicalPlan"):
+            engine.execute({"micro": "q1"})
+
+    @pytest.mark.parametrize("backend", ("instrumented", "vectorized"))
+    def test_unknown_strategy_is_one_error_type(self, engine, backend):
+        # Whichever spelling the query used, the one compiler rejects it.
+        query = mb.q1(30)
+        for spelling in (query, from_query(query)):
+            with pytest.raises(PlanError, match="unknown strategy 'rof'"):
+                engine.compile(spelling, "rof", backend=backend)
 
     def test_invalidate_forces_recompile(self, engine):
         first = engine.compile(mb.q2(30))
@@ -45,6 +65,47 @@ class TestEngineCompile:
         second = engine.compile(mb.q2(30))
         assert first is not second
         assert engine.cache_stats.invalidations == 1
+
+
+class TestOneCompiler:
+    """A legacy ``Query`` and its ``from_query`` tree are one query past
+    the door: one plan-cache entry, one compiler, one cycle count —
+    whichever spelling arrives first."""
+
+    @pytest.mark.parametrize("legacy_first", (True, False))
+    def test_both_spellings_share_entry_and_cycles(
+        self, micro_db, legacy_first
+    ):
+        engine = Engine(micro_db, backend="instrumented")
+        legacy = mb.q5(50)
+        spellings = [legacy, from_query(legacy)]
+        if not legacy_first:
+            spellings.reverse()
+        first = engine.execute(spellings[0], "hybrid")
+        second = engine.execute(spellings[1], "hybrid")
+        assert first.metrics.plan_cache == "miss"
+        assert second.metrics.plan_cache == "hit"
+        assert len(engine.plan_cache) == 1
+        assert first.metrics.total_cycles == second.metrics.total_cycles
+        assert results_equal(first, second)
+
+    def test_cycles_do_not_depend_on_arrival_order(self, micro_db):
+        def cycles(spelling):
+            engine = Engine(micro_db, backend="instrumented")
+            return engine.execute(spelling, "hybrid").metrics.total_cycles
+
+        assert cycles(mb.q5(50)) == cycles(from_query(mb.q5(50)))
+
+    def test_legacy_spelling_explains_through_the_stages(self, micro_db):
+        engine = Engine(micro_db, backend="instrumented")
+        text = engine.explain(mb.q1(30))
+        assert text.startswith("== Logical plan ==")
+        assert "== Passes ==" in text and "== Physical plan ==" in text
+        assert text.endswith("== Backend ==\ninstrumented")
+        notes = engine.compile(mb.q1(30)).notes
+        assert set(notes["estimated_stats"]) >= {
+            "local_selectivity", "survival", "group_cardinality",
+        }
 
 
 class TestEngineExecute:
@@ -73,8 +134,9 @@ class TestEngineExecute:
     def test_strategies_agree_through_engine(self, engine):
         results = [
             engine.execute(mb.q1(30), strategy)
-            for strategy in ("datacentric", "hybrid", "rof", "swole")
+            for strategy in repro.available_strategies()
         ]
+        assert len(results) == 4
         for other in results[1:]:
             assert results_equal(results[0], other)
 
@@ -110,9 +172,17 @@ class TestSessionApi:
         assert session.knobs.ht_prefetch is False
 
     def test_rof_prefetch_does_not_leak(self, engine):
-        # ROF partials toggle ht_prefetch inside worker clones; the
-        # engine-level default knobs must come out untouched.
-        engine.execute(mb.q4(50, 50), "rof", workers=4)
+        # ROF-style prefetching is a per-session knob: worker clones of
+        # a prefetching session inherit it, the engine-level default
+        # knobs must come out untouched.
+        session = engine.session(workers=4)
+        session.knobs.ht_prefetch = True
+        session.knobs.morsel_rows = 4096
+        result = engine.execute(
+            mb.q4(50, 50), "hybrid", workers=4, session=session,
+            backend="instrumented",
+        )
+        assert result.metrics.morsels > 1
         assert engine.knobs.ht_prefetch is False
 
 

@@ -14,8 +14,11 @@ from repro.datagen import microbench as mb
 from repro.engine import Engine, ExecutionKnobs, MorselExecutor
 from repro.engine.executor import MIN_MORSEL_ROWS
 from repro.engine.program import results_equal
-from repro.tpch import query_names
+from repro.tpch import logical_plan, query_names
 
+#: ``rof`` is relaxed operator fusion as the paper describes it: hybrid
+#: plus software-prefetched hash-table accesses (the ``ht_prefetch``
+#: knob), on the instrumented backend — the one that prices a prefetch.
 STRATEGIES = ("datacentric", "hybrid", "rof", "swole")
 
 MICRO_QUERIES = {
@@ -57,9 +60,20 @@ class TestMicrobenchEquivalence:
         self, micro_engine, strategy, query_name
     ):
         query = MICRO_QUERIES[query_name]()
-        serial = micro_engine.execute(query, strategy, workers=1)
-        parallel = micro_engine.execute(query, strategy, workers=4)
-        assert results_equal(serial, parallel)
+        rof = strategy == "rof"
+
+        def run(workers):
+            session = micro_engine.session(workers=workers)
+            session.knobs.ht_prefetch = rof
+            return micro_engine.execute(
+                query,
+                "hybrid" if rof else strategy,
+                workers=workers,
+                session=session,
+                backend="instrumented" if rof else None,
+            )
+
+        assert results_equal(run(1), run(4))
 
     @pytest.mark.parametrize("workers", (2, 3, 7))
     def test_any_worker_count(self, micro_engine, workers):
@@ -75,14 +89,14 @@ class TestMicrobenchEquivalence:
 
 
 class TestTpchEquivalence:
-    # hand-coded TPC-H programs register the Figure 6 series (no rof)
     @pytest.mark.parametrize(
         "strategy", ("interpreter", "datacentric", "hybrid", "swole")
     )
     @pytest.mark.parametrize("name", query_names())
     def test_parallel_matches_serial(self, tpch_engine, strategy, name):
-        serial = tpch_engine.execute(name, strategy, workers=1)
-        parallel = tpch_engine.execute(name, strategy, workers=4)
+        plan = logical_plan(name)
+        serial = tpch_engine.execute(plan, strategy, workers=1)
+        parallel = tpch_engine.execute(plan, strategy, workers=4)
         assert results_equal(serial, parallel)
 
 

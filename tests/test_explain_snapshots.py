@@ -20,7 +20,9 @@ import pathlib
 
 import pytest
 
-from repro.tpch import PIPELINE_QUERIES, STRATEGIES, compile_tpch
+from repro.tpch import PIPELINE_QUERIES, STRATEGIES
+
+from .conftest import compile_named
 
 SNAPSHOT_DIR = pathlib.Path(__file__).parent / "snapshots" / "explain"
 
@@ -30,7 +32,7 @@ _UPDATE = bool(os.environ.get("REPRO_UPDATE_SNAPSHOTS"))
 @pytest.mark.parametrize("name", PIPELINE_QUERIES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_explain_matches_snapshot(tpch_db, name, strategy):
-    rendered = compile_tpch(name, strategy, tpch_db).notes["explain"]
+    rendered = compile_named(name, strategy, tpch_db).notes["explain"]
     assert rendered.endswith("\n") or "\n" in rendered
     path = SNAPSHOT_DIR / f"{name}_{strategy}.txt"
     if _UPDATE:

@@ -13,7 +13,6 @@ from repro.engine.events import (
     SeqWrite,
 )
 from repro.engine.hashtable import NULL_KEY, HashTable
-from repro.engine.session import Session
 from repro.errors import ExecutionError
 from repro.storage.bitmap import BlockCompressedBitmap, PositionalBitmap
 

@@ -1,12 +1,11 @@
 """Tests for logical plans and statistics sampling (repro.plan.logical)."""
 
-import numpy as np
 import pytest
 
 from repro.datagen import microbench as mb
 from repro.errors import PlanError
-from repro.plan.expressions import Col, Const
-from repro.plan.logical import AggSpec, JoinSpec, Query, sample_stats
+from repro.plan.expressions import Col
+from repro.plan.logical import AggSpec, Query, sample_stats
 
 
 class TestAggSpec:

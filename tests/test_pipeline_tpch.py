@@ -19,11 +19,12 @@ from repro.plan.ops import from_query, plan_fingerprint
 from repro.tpch import (
     PIPELINE_QUERIES,
     STRATEGIES,
-    compile_tpch,
     logical_plan,
     oracle_tpch,
     reference_result,
 )
+
+from .conftest import compile_named
 
 #: The generic compiler must land within this cost band of the oracle —
 #: wide enough for bookkeeping differences (selection-vector charging,
@@ -35,13 +36,13 @@ COST_BAND = (0.70, 1.30)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 class TestPipelineVsOracle:
     def test_results_byte_identical(self, tpch_db, name, strategy):
-        pipe = compile_tpch(name, strategy, tpch_db).run(Session())
+        pipe = compile_named(name, strategy, tpch_db).run(Session())
         oracle = oracle_tpch(name, strategy, tpch_db).run(Session())
         assert results_equal(pipe, oracle), (name, strategy)
 
     def test_results_match_reference(self, tpch_db, name, strategy):
         expected = reference_result(name, tpch_db)
-        result = compile_tpch(name, strategy, tpch_db).run(Session())
+        result = compile_named(name, strategy, tpch_db).run(Session())
         assert set(result.value) == set(expected)
         for key in expected:
             lhs, rhs = expected[key], result.value[key]
@@ -58,8 +59,7 @@ class TestPipelineVsOracle:
         # The oracles always read decoded values, so the band compares
         # like with like: encoding off. The compressed access path's
         # cycle advantage is pinned separately below.
-        pipe = compile_tpch(
-            name, strategy, tpch_db, encoding="off"
+        pipe = compile_named(name, strategy, tpch_db, encoding="off"
         ).run(Session())
         oracle = oracle_tpch(name, strategy, tpch_db).run(Session())
         ratio = pipe.cycles / oracle.cycles
@@ -77,9 +77,8 @@ class TestPipelineVsOracle:
         # the late-materialization decode is the only marginal term.
         # Access-bound kernels (Q6 swole) win outright — pinned by the
         # compression bench.
-        encoded = compile_tpch(name, strategy, tpch_db).run(Session())
-        decoded = compile_tpch(
-            name, strategy, tpch_db, encoding="off"
+        encoded = compile_named(name, strategy, tpch_db).run(Session())
+        decoded = compile_named(name, strategy, tpch_db, encoding="off"
         ).run(Session())
         assert results_equal(encoded, decoded), (name, strategy)
         assert encoded.cycles <= decoded.cycles * 1.01, (
@@ -93,9 +92,8 @@ class TestPipelineVsOracle:
         # compressed access path must beat the decoded one outright.
         if name != "Q6" or strategy != "swole":
             pytest.skip("access-bound headline cell only")
-        encoded = compile_tpch(name, strategy, tpch_db).run(Session())
-        decoded = compile_tpch(
-            name, strategy, tpch_db, encoding="off"
+        encoded = compile_named(name, strategy, tpch_db).run(Session())
+        decoded = compile_named(name, strategy, tpch_db, encoding="off"
         ).run(Session())
         assert encoded.cycles < decoded.cycles * 0.85, (
             encoded.cycles / decoded.cycles
@@ -106,12 +104,12 @@ class TestGroupedOrdering:
     @pytest.mark.parametrize("name", ("Q1", "Q3"))
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_grouped_keys_ascending(self, tpch_db, name, strategy):
-        result = compile_tpch(name, strategy, tpch_db).run(Session())
+        result = compile_named(name, strategy, tpch_db).run(Session())
         keys = np.asarray(result.value["keys"])
         assert np.all(keys[:-1] < keys[1:]), (name, strategy)
 
     def test_q1_count_column_last(self, tpch_db):
-        result = compile_tpch("Q1", "swole", tpch_db).run(Session())
+        result = compile_named("Q1", "swole", tpch_db).run(Session())
         counts = result.value["aggs"][:, 5]
         shipdate = tpch_db.table("lineitem")["l_shipdate"]
         assert int(counts.sum()) == int((shipdate <= 10471).sum())
@@ -120,7 +118,7 @@ class TestGroupedOrdering:
 class TestCompileRouting:
     def test_pipeline_queries_carry_ir_notes(self, tpch_db):
         for name in PIPELINE_QUERIES:
-            compiled = compile_tpch(name, "swole", tpch_db)
+            compiled = compile_named(name, "swole", tpch_db)
             assert compiled.notes["fingerprint"].startswith("ir:")
             assert "explain" in compiled.notes
 
@@ -128,7 +126,7 @@ class TestCompileRouting:
         # Every TPC-H name compiles through the staged pipeline; the
         # hand-coded modules are reachable only via oracle_tpch.
         for name in ("Q4", "Q5", "Q13", "Q19"):
-            compiled = compile_tpch(name, "swole", tpch_db)
+            compiled = compile_named(name, "swole", tpch_db)
             assert compiled.notes["fingerprint"].startswith("ir:")
 
     def test_oracle_stays_hand_coded(self, tpch_db):
@@ -137,7 +135,7 @@ class TestCompileRouting:
             assert "fingerprint" not in oracle.notes
 
     def test_fingerprint_matches_plan(self, tpch_db):
-        compiled = compile_tpch("Q6", "hybrid", tpch_db)
+        compiled = compile_named("Q6", "hybrid", tpch_db)
         assert compiled.notes["fingerprint"] == plan_fingerprint(
             logical_plan("Q6")
         )
@@ -146,7 +144,7 @@ class TestCompileRouting:
 class TestExplain:
     def test_explain_shows_all_three_stages(self, tpch_db):
         engine = Engine(db=tpch_db)
-        text = engine.explain("Q3", "swole")
+        text = engine.explain(logical_plan("Q3"), "swole")
         assert "== Logical plan ==" in text
         assert "== Passes ==" in text
         assert "== Physical plan ==" in text
@@ -154,14 +152,14 @@ class TestExplain:
 
     def test_explain_shows_cost_estimates(self, tpch_db):
         engine = Engine(db=tpch_db)
-        text = engine.explain("Q3", "swole")
+        text = engine.explain(logical_plan("Q3"), "swole")
         assert "est cycles" in text
         assert "bitmap" in text
         engine.shutdown()
 
     def test_explain_decisions_line(self, tpch_db):
         engine = Engine(db=tpch_db)
-        text = engine.explain("Q1", "swole")
+        text = engine.explain(logical_plan("Q1"), "swole")
         assert "decisions:" in text
         # The §III-B pass weighs hybrid vs key masking vs value masking
         # and prints all three estimates before its pick.
@@ -175,11 +173,10 @@ class TestExplain:
         self, tpch_db, name
     ):
         engine = Engine(db=tpch_db)
-        text = engine.explain(name, "swole")
-        assert "== Logical plan ==" in text
+        text = engine.explain(logical_plan(name), "swole")
+        assert text.startswith("== Logical plan ==")
         assert "== Passes ==" in text
         assert "== Physical plan ==" in text
-        assert not text.startswith("// hand-coded")
         engine.shutdown()
 
     def test_explain_accepts_logical_plans(self, tpch_db):
@@ -192,10 +189,12 @@ class TestExplain:
 
 class TestEngineIntegration:
     def test_pipeline_queries_cache_by_ir(self, tpch_db):
+        from repro.tpch.plans import q6_plan
+
         engine = Engine(db=tpch_db)
-        by_name = engine.compile("Q6", "swole")
-        by_plan = engine.compile(logical_plan("Q6"), "swole")
-        assert by_name is by_plan  # same fingerprint -> same cache slot
+        cached = engine.compile(logical_plan("Q6"), "swole")
+        rebuilt = engine.compile(q6_plan(), "swole")  # a distinct object
+        assert cached is rebuilt  # same fingerprint -> same cache slot
         engine.shutdown()
 
     def test_parallel_run_matches_serial(self, tpch_db):
@@ -207,8 +206,9 @@ class TestEngineIntegration:
             knobs=ExecutionKnobs(morsel_rows=2048),
         )
         for name in ("Q1", "Q6"):
-            serial = engine.execute(name, "swole", workers=1)
-            parallel = engine.execute(name, "swole", workers=4)
+            plan = logical_plan(name)
+            serial = engine.execute(plan, "swole", workers=1)
+            parallel = engine.execute(plan, "swole", workers=4)
             assert parallel.metrics.workers == 4
             assert results_equal(serial, parallel), name
         engine.shutdown()
@@ -216,30 +216,38 @@ class TestEngineIntegration:
 
 class TestMicroQueriesThroughPipeline:
     """from_query lifts legacy microbench queries onto the operator
-    tree; the pipeline must agree with the strategy codegen there too."""
+    tree; the pipeline must give the reference engine's answer there
+    too, on both backends."""
+
+    @staticmethod
+    def _assert_matches_reference(query, db, strategy):
+        from repro.codegen.pipeline import compile_pipeline
+        from repro.engine import reference
+
+        expected = reference.evaluate(query, db)
+        for backend in ("instrumented", "vectorized"):
+            pipe = compile_pipeline(
+                from_query(query), db, strategy, backend=backend
+            )
+            value = pipe.run(Session()).value
+            assert set(value) == set(expected), backend
+            for key in expected:
+                assert np.array_equal(
+                    np.asarray(value[key]), np.asarray(expected[key])
+                ), (backend, key)
 
     @pytest.mark.parametrize(
         "query", [mb.q1(30), mb.q2(30), mb.q4(50, 50)], ids=["q1", "q2", "q4"]
     )
     @pytest.mark.parametrize("strategy", ("datacentric", "hybrid"))
     def test_matches_codegen(self, micro_db, query, strategy):
-        from repro.codegen import compile_query
-        from repro.codegen.pipeline import compile_pipeline
-
-        pipe = compile_pipeline(from_query(query), micro_db, strategy)
-        oracle = compile_query(query, micro_db, strategy)
-        assert results_equal(pipe.run(Session()), oracle.run(Session()))
+        self._assert_matches_reference(query, micro_db, strategy)
 
     @pytest.mark.parametrize(
         "query", [mb.q1(30), mb.q2(30), mb.q4(50, 50)], ids=["q1", "q2", "q4"]
     )
     def test_matches_swole_planner(self, micro_db, query):
-        from repro.codegen.pipeline import compile_pipeline
-        from repro.core.swole import compile_swole
-
-        pipe = compile_pipeline(from_query(query), micro_db, "swole")
-        oracle = compile_swole(query, micro_db)
-        assert results_equal(pipe.run(Session()), oracle.run(Session()))
+        self._assert_matches_reference(query, micro_db, "swole")
 
 
 class TestStrategyRegistry:
@@ -247,33 +255,4 @@ class TestStrategyRegistry:
         names = repro.available_strategies()
         assert isinstance(names, list)
         assert all(isinstance(n, str) for n in names)
-        assert "swole" in names
-
-    def test_register_strategy_rejects_silent_overwrite(self):
-        from repro.codegen.base import register_strategy
-        from repro.errors import CodegenError
-
-        with pytest.raises(CodegenError, match="already registered"):
-
-            @register_strategy("hybrid")
-            def shadow(query, db):  # pragma: no cover - never called
-                raise AssertionError
-
-    def test_register_strategy_replace_warns(self):
-        from repro.codegen.base import (
-            _REGISTRY,
-            get_strategy,
-            register_strategy,
-        )
-
-        original = get_strategy("hybrid")
-        try:
-            with pytest.warns(RuntimeWarning, match="overwriting"):
-
-                @register_strategy("hybrid", replace=True)
-                def shadow(query, db):  # pragma: no cover - never called
-                    raise AssertionError
-
-            assert get_strategy("hybrid") is shadow
-        finally:
-            _REGISTRY["hybrid"] = original
+        assert names == sorted(STRATEGIES)

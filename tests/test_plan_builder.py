@@ -8,7 +8,7 @@ from repro import Engine, PlanBuilder
 from repro.datagen import microbench as mb
 from repro.engine.plan_cache import query_fingerprint
 from repro.engine.program import results_equal
-from repro.errors import PlanError
+from repro.errors import PlanError, ReproError
 from repro.plan.builder import scan
 from repro.plan.expressions import And, Col
 from repro.plan.logical import AggSpec
@@ -181,9 +181,10 @@ class TestEngineIntegration:
 
 
 class TestNameDeprecation:
-    def test_name_string_path_warns_with_replacement(self, tpch_db):
+    def test_name_string_path_raises_with_replacement(self, tpch_db):
+        # Deprecated since v1.3.0, removed in v2.0.0.
         with Engine(db=tpch_db) as engine:
-            with pytest.warns(DeprecationWarning, match="PlanBuilder"):
+            with pytest.raises(ReproError, match="PlanBuilder"):
                 engine.compile("Q6", "hybrid")
 
     def test_plan_path_stays_silent(self, tpch_db):

@@ -29,18 +29,18 @@ class TestKeys:
         assert query_fingerprint(mb.q1(30)) != query_fingerprint(mb.q1(31))
 
     def test_tpch_names_addressed_directly(self):
-        # Every TPC-H name now resolves to an operator tree and keys on
-        # the IR fingerprint (same as an equivalent LogicalPlan passed
-        # directly); only unregistered names fall back to name keying.
+        # A TPC-H name addresses an operator tree, which keys on its
+        # IR fingerprint like any other plan; there is no name keying —
+        # the string itself is rejected at the door.
         from repro.plan.ops import plan_fingerprint
         from repro.tpch import logical_plan
 
         for name in ("Q1", "Q4", "Q13"):
-            assert query_fingerprint(name) == plan_fingerprint(
-                logical_plan(name)
-            )
-            assert query_fingerprint(name).startswith("ir:")
-        assert query_fingerprint("Q99") == "tpch:Q99"
+            plan = logical_plan(name)
+            assert query_fingerprint(plan) == plan_fingerprint(plan)
+            assert query_fingerprint(plan).startswith("ir:")
+            with pytest.raises(ReproError, match="logical_plan"):
+                query_fingerprint(name)
 
     def test_legacy_query_shares_ir_fingerprint(self):
         from repro.plan.ops import from_query, plan_fingerprint

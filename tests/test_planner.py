@@ -1,11 +1,14 @@
-"""Tests for the SWOLE planner's technique decisions."""
+"""Tests for the SWOLE planner's technique decisions, as the strategy
+passes record them (``run_passes`` decisions + pass-note estimates)."""
 
 import pytest
 
 from repro.core import planner as P
-from repro.core.planner import plan_query, technique_matrix
+from repro.core.planner import technique_matrix
 from repro.datagen import microbench as mb
 from repro.engine.machine import PAPER_MACHINE
+from repro.plan import passes as PS
+from repro.plan.ops import from_query
 
 
 @pytest.fixture(scope="module")
@@ -19,65 +22,78 @@ def db():
 MACHINE = PAPER_MACHINE.scaled(mb.PAPER_R_ROWS / 50_000)
 
 
+def plan_query(query, db):
+    """(decisions, {pass name: {candidate: estimated cycles}})."""
+    _, decisions, notes = PS.run_passes(
+        from_query(query), db, MACHINE, "swole", None, encoding="auto"
+    )
+    estimates = {
+        note.pass_name: dict(note.estimates)
+        for note in notes
+        if note.estimates and note.pass_name != "access-encoding"
+    }
+    return decisions, estimates
+
+
 class TestScalarDecisions:
     def test_memory_bound_mul_picks_value_masking(self, db):
-        plan = plan_query(mb.q1(50, "mul"), db, MACHINE)
-        assert plan.aggregation == P.VALUE_MASKING
-        assert plan.uses_pullup
+        decisions, _ = plan_query(mb.q1(50, "mul"), db)
+        assert decisions.agg_mode == PS.VALUE_MASK
 
     def test_compute_bound_div_falls_back_to_hybrid(self, db):
-        plan = plan_query(mb.q1(30, "div"), db, MACHINE)
-        assert plan.aggregation == P.HYBRID
+        decisions, _ = plan_query(mb.q1(30, "div"), db)
+        assert decisions.agg_mode == PS.GATHERED
 
     def test_estimates_recorded_for_all_candidates(self, db):
-        plan = plan_query(mb.q1(50), db, MACHINE)
-        assert set(plan.estimates) == {P.HYBRID, P.VALUE_MASKING}
-        assert all(v > 0 for v in plan.estimates.values())
+        _, estimates = plan_query(mb.q1(50), db)
+        assert set(estimates["aggregation"]) == {P.HYBRID, P.VALUE_MASKING}
+        assert all(v > 0 for v in estimates["aggregation"].values())
 
 
 class TestAccessMerging:
     def test_detected_when_column_reused(self, db):
-        plan = plan_query(mb.q3(50, "r_x"), db, MACHINE)
-        assert plan.merged_columns == ("r_x",)
+        decisions, _ = plan_query(mb.q3(50, "r_x"), db)
+        assert decisions.merged_columns == ("r_x",)
 
     def test_not_applied_without_reuse(self, db):
-        plan = plan_query(mb.q1(50), db, MACHINE)
-        assert plan.merged_columns == ()
+        decisions, _ = plan_query(mb.q1(50), db)
+        assert decisions.merged_columns == ()
 
 
 class TestGroupedDecisions:
     def test_three_candidates_considered(self, db):
-        plan = plan_query(mb.q2(50), db, MACHINE)
-        assert set(plan.estimates) == {
+        _, estimates = plan_query(mb.q2(50), db)
+        assert set(estimates["aggregation"]) == {
             P.HYBRID,
             P.VALUE_MASKING,
             P.KEY_MASKING,
         }
 
     def test_low_selectivity_prefers_hybrid(self, db):
-        plan = plan_query(mb.q2(2), db, MACHINE)
-        assert plan.aggregation == P.HYBRID
+        decisions, _ = plan_query(mb.q2(2), db)
+        assert decisions.agg_mode == PS.GATHERED
 
 
 class TestSemijoinDecisions:
     def test_bitmap_always_chosen(self, db):
-        plan = plan_query(mb.q4(50, 50), db, MACHINE)
-        assert plan.semijoin_build in (P.BITMAP_MASK, P.BITMAP_OFFSETS)
+        decisions, _ = plan_query(mb.q4(50, 50), db)
+        (mode,) = decisions.join_modes.values()
+        assert mode in (PS.BITMAP_MASK, PS.BITMAP_OFFSETS)
 
     def test_high_build_selectivity_prefers_mask_write(self, db):
-        plan = plan_query(mb.q4(50, 95), db, MACHINE)
-        assert plan.semijoin_build == P.BITMAP_MASK
+        decisions, _ = plan_query(mb.q4(50, 95), db)
+        assert list(decisions.join_modes.values()) == [PS.BITMAP_MASK]
 
 
 class TestGroupjoinDecisions:
     def test_mode_is_decided(self, db):
-        plan = plan_query(mb.q5(50), db, MACHINE)
-        assert plan.groupjoin_mode in (P.EAGER, P.GROUPJOIN)
-        assert set(plan.estimates) == {P.EAGER, P.GROUPJOIN}
+        decisions, estimates = plan_query(mb.q5(50), db)
+        assert decisions.groupjoin_mode in (P.EAGER, P.GROUPJOIN)
+        assert set(estimates["eager-aggregation"]) == {P.EAGER, P.GROUPJOIN}
 
     def test_describe_mentions_choices(self, db):
-        plan = plan_query(mb.q5(50), db, MACHINE)
-        assert "groupjoin=" in plan.describe()
+        decisions, _ = plan_query(mb.q5(50), db)
+        assert "groupjoin=" in decisions.describe()
 
 
 class TestTechniqueMatrix:

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.codegen import compile_query
+from repro import Engine
 from repro.datagen import microbench as mb
 from repro.engine import Session
-from repro.engine.program import CompiledQuery, QueryResult, results_equal
+from repro.engine.program import QueryResult, results_equal
 from repro.engine.costing import CostReport
 from repro.engine.machine import PAPER_MACHINE
+
+
+def compile_query(query, db, strategy, backend="instrumented"):
+    return Engine(db, backend=backend).compile(query, strategy)
 
 
 class TestCompiledQuery:
@@ -25,8 +29,14 @@ class TestCompiledQuery:
         assert result.cycles > 0
 
     def test_source_attached(self, micro_db):
+        # Instrumented programs interpret the physical plan and carry
+        # its rendering; vectorized ones carry the kernel they exec'd.
         compiled = compile_query(mb.q1(50), micro_db, "datacentric")
-        assert "for (i = 0" in compiled.source
+        assert "Filter[branch] r_x[i] < 50" in compiled.source
+        generated = compile_query(
+            mb.q1(50), micro_db, "datacentric", backend="vectorized"
+        )
+        assert "def _kernel_0(v, state, lo):" in generated.source
 
     def test_seconds_consistent_with_cycles(self, micro_db):
         compiled = compile_query(mb.q1(50), micro_db, "hybrid")

@@ -25,9 +25,13 @@ from repro.server.protocol import (
 
 
 class TestQuerySpec:
-    def test_tpch_names_pass_through(self):
-        assert parse_query_spec("Q1") == "Q1"
-        assert parse_query_spec("Q6") == "Q6"
+    def test_tpch_names_are_rejected_with_replacement(self):
+        for name in ("Q1", "Q6"):
+            with pytest.raises(ProtocolError) as excinfo:
+                parse_query_spec(name)
+            assert f'repro.tpch.logical_plan("{name}")' in str(
+                excinfo.value
+            )
 
     def test_micro_spec_builds_the_query(self):
         spec = {"micro": "q1", "args": {"sel": 30, "op": "mul"}}
@@ -107,9 +111,10 @@ class TestPlanSpecs:
 
 class TestRequestWire:
     def test_round_trip_defaults(self):
-        request = QueryRequest(query="Q1")
+        spec = {"micro": "q1", "args": {"sel": 30}}
+        request = QueryRequest(query=spec)
         wire = request.to_wire()
-        assert wire == {"id": request.id, "query": "Q1"}
+        assert wire == {"id": request.id, "query": spec}
         back = QueryRequest.from_wire(wire)
         assert back == request
 
@@ -125,11 +130,16 @@ class TestRequestWire:
         assert back == request
 
     def test_auto_generated_ids_are_unique(self):
-        assert QueryRequest(query="Q1").id != QueryRequest(query="Q1").id
+        spec = {"micro": "q2", "args": {"sel": 30}}
+        assert QueryRequest(query=spec).id != QueryRequest(query=spec).id
 
     def test_logical_query_does_not_serialise(self):
         with pytest.raises(ProtocolError, match=r"in-process only"):
             QueryRequest(query=mb.q1(30)).to_wire()
+
+    def test_name_string_does_not_serialise(self):
+        with pytest.raises(ProtocolError, match=r"logical_plan\(name\)"):
+            QueryRequest(query="Q1").to_wire()
 
     @pytest.mark.parametrize(
         "wire",

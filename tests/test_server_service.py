@@ -25,6 +25,26 @@ from repro.server import (
 )
 
 
+#: label -> the µQ1 selectivity standing in for it on the wire.
+_SELS = {}
+
+
+def spec(label):
+    """An opaque wire-form query per ``label`` for the policy tests: a
+    µQ1 spec dict (so it parses and coalesces like any wire query)
+    whose selectivity encodes the label; the stub engine never runs it
+    and reports the label back in ``calls``."""
+    sel = _SELS.setdefault(label, len(_SELS))
+    return {"micro": "q1", "args": {"sel": sel}}
+
+
+def label_of(query):
+    for label, sel in _SELS.items():
+        if query == mb.q1(sel):
+            return label
+    return query  # an in-process query object: recorded as is
+
+
 class StubEngine:
     """Duck-typed engine: optionally blocks until released, counts
     calls, honours the cancel token like the real executor does."""
@@ -45,6 +65,7 @@ class StubEngine:
         shards=None,
         cancel=None,
     ):
+        query = label_of(query)
         self.calls.append(query)
         if self.gate is not None:
             assert self.gate.wait(timeout=30.0), "stub gate never opened"
@@ -63,7 +84,7 @@ class StubEngine:
 
 def fill_one_worker(service, gate):
     """Occupy the single service thread and wait until it is in flight."""
-    blocker = service.submit(QueryRequest(query="blocker"))
+    blocker = service.submit(QueryRequest(query=spec("blocker")))
     deadline = time.monotonic() + 5.0
     while service.in_flight == 0:
         assert time.monotonic() < deadline, "worker never picked up"
@@ -126,8 +147,8 @@ class TestHappyPath:
 
     def test_stats_count_outcomes(self):
         service = QueryService(StubEngine(), concurrency=1)
-        service.execute("a")
-        service.execute("b")
+        service.execute(spec("a"))
+        service.execute(spec("b"))
         service.shutdown()
         snap = service.stats.snapshot()
         assert snap["submitted"] == snap["completed"] == 2
@@ -136,7 +157,7 @@ class TestHappyPath:
 
     def test_execution_error_is_structured(self):
         with QueryService(StubEngine(fail=True), concurrency=1) as service:
-            response = service.execute("boom")
+            response = service.execute(spec("boom"))
         assert response.error_code == ERR_EXECUTION
         assert "injected" in response.error.message
         assert service.stats.failed == 1
@@ -148,6 +169,14 @@ class TestHappyPath:
             )
         assert response.error_code == "bad_request"
 
+    def test_name_string_is_a_bad_request_with_the_replacement(self):
+        stub = StubEngine()
+        with QueryService(stub, concurrency=1) as service:
+            response = service.execute(QueryRequest(query="Q6"))
+        assert response.error_code == "bad_request"
+        assert 'repro.tpch.logical_plan("Q6")' in response.error.message
+        assert stub.calls == []
+
 
 class TestShedding:
     def test_full_queue_sheds_with_retry_after(self):
@@ -156,8 +185,8 @@ class TestShedding:
         service = QueryService(stub, concurrency=1, queue_depth=1)
         try:
             blocker = fill_one_worker(service, gate)
-            queued = service.submit(QueryRequest(query="queued"))
-            shed = service.submit(QueryRequest(query="shed me"))
+            queued = service.submit(QueryRequest(query=spec("queued")))
+            shed = service.submit(QueryRequest(query=spec("shed me")))
             assert shed.done()  # rejected synchronously
             response = shed.response()
             assert response.error_code == ERR_QUEUE_FULL
@@ -185,7 +214,7 @@ class TestShedding:
             fill_one_worker(service, gate)
             small = service.retry_after_hint()
             for i in range(8):
-                service.submit(QueryRequest(query=f"q{i}"))
+                service.submit(QueryRequest(query=spec(f"q{i}")))
             assert service.retry_after_hint() > small
         finally:
             gate.set()
@@ -200,7 +229,7 @@ class TestDeadlines:
         try:
             blocker = fill_one_worker(service, gate)
             doomed = service.submit(
-                QueryRequest(query="doomed", deadline=0.05)
+                QueryRequest(query=spec("doomed"), deadline=0.05)
             )
             time.sleep(0.1)  # let the budget lapse while queued
             gate.set()
@@ -217,7 +246,7 @@ class TestDeadlines:
     def test_default_deadline_applies_to_bare_requests(self):
         service = QueryService(StubEngine(), concurrency=1, default_deadline=5.0)
         try:
-            pending = service.submit(QueryRequest(query="q"))
+            pending = service.submit(QueryRequest(query=spec("q")))
             assert pending.token.deadline is not None
             assert pending.response(timeout=10.0).ok
         finally:
@@ -229,7 +258,7 @@ class TestDeadlines:
         service = QueryService(stub, concurrency=1, queue_depth=4)
         try:
             blocker = fill_one_worker(service, gate)
-            queued = service.submit(QueryRequest(query="withdrawn"))
+            queued = service.submit(QueryRequest(query=spec("withdrawn")))
             queued.cancel()
             gate.set()
             assert queued.response(timeout=10.0).error_code == ERR_CANCELLED
@@ -244,7 +273,12 @@ class TestCoalescing:
     def queue_behind_blocker(self, stub, service, gate, specs):
         """Occupy the worker, queue ``specs``, then open the gate."""
         blocker = fill_one_worker(service, gate)
-        pendings = [service.submit(QueryRequest(query=s)) for s in specs]
+        pendings = [
+            service.submit(
+                QueryRequest(query=spec(s) if isinstance(s, str) else s)
+            )
+            for s in specs
+        ]
         gate.set()
         return blocker, pendings
 
@@ -297,8 +331,8 @@ class TestCoalescing:
         service = QueryService(stub, concurrency=1, queue_depth=8)
         try:
             blocker = fill_one_worker(service, gate)
-            leader = service.submit(QueryRequest(query="same"))
-            follower = service.submit(QueryRequest(query="same"))
+            leader = service.submit(QueryRequest(query=spec("same")))
+            follower = service.submit(QueryRequest(query=spec("same")))
             follower.cancel()
             gate.set()
             assert leader.response(timeout=10.0).ok
@@ -317,9 +351,9 @@ class TestCoalescing:
         service = QueryService(stub, concurrency=1, queue_depth=8)
         try:
             fill_one_worker(service, gate)
-            leader = service.submit(QueryRequest(query="same"))
+            leader = service.submit(QueryRequest(query=spec("same")))
             follower = service.submit(
-                QueryRequest(query="same", deadline=0.01)
+                QueryRequest(query=spec("same"), deadline=0.01)
             )
             time.sleep(0.05)
             gate.set()
@@ -381,7 +415,7 @@ class TestDrain:
         )
         in_flight = fill_one_worker(service, gate)
         queued = [
-            service.submit(QueryRequest(query=f"q{i}")) for i in range(3)
+            service.submit(QueryRequest(query=spec(f"q{i}"))) for i in range(3)
         ]
 
         drained = threading.Event()
@@ -408,7 +442,7 @@ class TestDrain:
         assert in_flight.response().ok
 
         # New submissions are rejected while draining.
-        late = service.submit(QueryRequest(query="late"))
+        late = service.submit(QueryRequest(query=spec("late")))
         assert late.response().error_code == ERR_SHUTTING_DOWN
 
         # Shutdown is graceful and idempotent, including the engine's.

@@ -224,6 +224,35 @@ class TestBadInput:
             )
             assert b'"status":"ok"' in reader.readline()
 
+    def test_name_string_spec_is_an_error_with_the_replacement(
+        self, served_engine
+    ):
+        # The pre-2.0 ``"Q6"`` spelling: a structured error carrying
+        # the replacement, and the connection stays usable.
+        _, server = served_engine
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(b'{"id": "old", "query": "Q6"}\n')
+            reply = json.loads(reader.readline())
+            assert reply["id"] == "old" and reply["status"] == "error"
+            assert reply["error"]["code"] == "bad_request"
+            hint = 'repro.tpch.logical_plan("Q6")'
+            assert hint in reply["error"]["message"]
+            conn.sendall(
+                b'{"id": "new", "query": '
+                b'{"micro": "q1", "args": {"sel": 30}}}\n'
+            )
+            assert json.loads(reader.readline())["status"] == "ok"
+
+    def test_client_rejects_a_name_string_before_sending(
+        self, served_engine
+    ):
+        _, server = served_engine
+        with ServiceClient(*server.address) as client:
+            with pytest.raises(ReproError, match="logical_plan"):
+                client.request("Q6")
+            assert client.request({"micro": "q1", "args": {"sel": 30}}).ok
+
 
 class TestLifecycle:
     def test_stop_is_graceful_and_idempotent(self, micro_db):

@@ -315,9 +315,10 @@ class TestService:
         assert response.value == encode_value(expected)
 
     def test_request_wire_roundtrip_and_validation(self):
-        request = QueryRequest(query="Q6", shards=4)
+        plan = logical_plan("Q6")
+        request = QueryRequest(query=plan, shards=4)
         assert QueryRequest.from_wire(request.to_wire()).shards == 4
-        bad = QueryRequest(query="Q6").to_wire()
+        bad = QueryRequest(query=plan).to_wire()
         bad["shards"] = -1
         with pytest.raises(ProtocolError, match="shards"):
             QueryRequest.from_wire(bad)

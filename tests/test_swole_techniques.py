@@ -1,19 +1,21 @@
 """Tests for the SWOLE technique pipelines: correctness plus the
 access-pattern contracts that make them "access-aware".
+
+Forced techniques go through the public stages (``run_passes`` -> edit
+the ``Decisions`` -> ``lower_plan`` -> ``physexec.execute_plan``; see
+``conftest.staged_program``); planner-chosen ones through the engine.
 """
 
 import numpy as np
-import pytest
 
-from repro.codegen import compile_query
-from repro.core import planner as P
-from repro.core.swole import compile_swole
+from repro import Engine
 from repro.datagen import microbench as mb
 from repro.engine import Session, reference
 from repro.engine.events import CondRead, RandomAccess, SeqRead
 from repro.engine.hashtable import NULL_KEY
-from repro.engine.machine import PAPER_MACHINE
-from repro.plan.logical import QueryStats
+from repro.plan import passes as PS
+
+from .conftest import staged_program
 
 
 def run_events(compiled, kind):
@@ -23,20 +25,17 @@ def run_events(compiled, kind):
     ]
 
 
-def force_stats(query, db, **overrides):
-    """Stats that force a particular planner decision for testing."""
-    from repro.plan.logical import sample_stats
-
-    stats = sample_stats(query, db.all_data())
-    for key, value in overrides.items():
-        setattr(stats, key, value)
-    return stats
+def compile_swole(query, db, **forced):
+    """The planner's SWOLE program (instrumented), or a forced one."""
+    if forced:
+        return staged_program(query, db, "swole", **forced)
+    return Engine(db, backend="instrumented").compile(query, "swole")
 
 
 class TestValueMasking:
     def test_no_conditional_reads_on_aggregate_columns(self, micro_db):
         compiled = compile_swole(
-            mb.q1(50), micro_db, force=P.VALUE_MASKING
+            mb.q1(50), micro_db, agg_mode=PS.VALUE_MASK
         )
         result, cond_reads = run_events(compiled, CondRead)
         agg_arrays = {e.array for e in cond_reads}
@@ -45,7 +44,7 @@ class TestValueMasking:
     def test_flat_cost_across_selectivity(self, micro_db):
         session = Session()
         costs = [
-            compile_swole(mb.q1(sel), micro_db, force=P.VALUE_MASKING)
+            compile_swole(mb.q1(sel), micro_db, agg_mode=PS.VALUE_MASK)
             .run(session)
             .cycles
             for sel in (5, 50, 95)
@@ -55,13 +54,13 @@ class TestValueMasking:
     def test_answers_match_reference(self, micro_db):
         for sel in (0, 33, 100):
             query = mb.q1(sel)
-            compiled = compile_swole(query, micro_db, force=P.VALUE_MASKING)
+            compiled = compile_swole(query, micro_db, agg_mode=PS.VALUE_MASK)
             expected = reference.evaluate(query, micro_db)
             assert compiled.run(Session()).value == expected
 
     def test_grouped_variant_drops_masked_only_groups(self, micro_db):
         query = mb.q2(10)
-        compiled = compile_swole(query, micro_db, force=P.VALUE_MASKING)
+        compiled = compile_swole(query, micro_db, agg_mode=PS.VALUE_MASK)
         result = compiled.run(Session())
         expected = reference.evaluate(query, micro_db)
         assert np.array_equal(result.value["keys"], expected["keys"])
@@ -71,25 +70,25 @@ class TestValueMasking:
 class TestKeyMasking:
     def test_answers_match_reference(self, micro_db):
         query = mb.q2(40)
-        compiled = compile_swole(query, micro_db, force=P.KEY_MASKING)
+        compiled = compile_swole(query, micro_db, agg_mode=PS.KEY_MASK)
         expected = reference.evaluate(query, micro_db)
         result = compiled.run(Session())
         assert np.array_equal(result.value["keys"], expected["keys"])
         assert np.array_equal(result.value["aggs"], expected["aggs"])
 
     def test_null_key_never_in_output(self, micro_db):
-        compiled = compile_swole(mb.q2(1), micro_db, force=P.KEY_MASKING)
+        compiled = compile_swole(mb.q2(1), micro_db, agg_mode=PS.KEY_MASK)
         result = compiled.run(Session())
         assert NULL_KEY not in result.value["keys"]
 
     def test_hash_accesses_marked_hot_at_low_selectivity(self, micro_db):
-        compiled = compile_swole(mb.q2(10), micro_db, force=P.KEY_MASKING)
+        compiled = compile_swole(mb.q2(10), micro_db, agg_mode=PS.KEY_MASK)
         _, randoms = run_events(compiled, RandomAccess)
         hot = [e for e in randoms if e.hot_fraction > 0.5]
         assert hot, "masked keys should hit the throwaway entry"
 
     def test_aggregate_columns_read_sequentially(self, micro_db):
-        compiled = compile_swole(mb.q2(30), micro_db, force=P.KEY_MASKING)
+        compiled = compile_swole(mb.q2(30), micro_db, agg_mode=PS.KEY_MASK)
         result, seq_reads = run_events(compiled, SeqRead)
         arrays = {e.array for e in seq_reads}
         assert {"r_a", "r_b", "r_c"} <= arrays
@@ -98,10 +97,10 @@ class TestKeyMasking:
 class TestPositionalBitmapSemijoin:
     def test_matches_hash_semijoin(self, micro_db):
         query = mb.q4(30, 60)
-        swole = compile_swole(query, micro_db)
-        hybrid = compile_query(query, micro_db, "hybrid")
-        session = Session()
-        assert swole.run(session).value == hybrid.run(session).value
+        engine = Engine(micro_db, backend="instrumented")
+        swole = engine.execute(query, "swole")
+        hybrid = engine.execute(query, "hybrid")
+        assert swole.value == hybrid.value
 
     def test_no_hash_table_events(self, micro_db):
         compiled = compile_swole(mb.q4(30, 60), micro_db)
@@ -113,25 +112,20 @@ class TestPositionalBitmapSemijoin:
     def test_both_build_modes_correct(self, micro_db):
         query = mb.q4(50, 50)
         expected = reference.evaluate(query, micro_db)
-        from repro.core.positional_bitmap import semijoin_pipeline
-
-        for mode in (P.BITMAP_MASK, P.BITMAP_OFFSETS):
-            session = Session()
-            value = semijoin_pipeline(
-                session, micro_db, query, mode, P.VALUE_MASKING
+        for mode in (PS.BITMAP_MASK, PS.BITMAP_OFFSETS):
+            compiled = compile_swole(
+                query, micro_db, join_mode=mode, agg_mode=PS.VALUE_MASK
             )
-            assert value == expected
+            assert f"BitmapBuild[{mode.split('_')[1]}]" in compiled.source
+            assert compiled.run(Session()).value == expected
 
     def test_hybrid_aggregation_fallback_correct(self, micro_db):
         query = mb.q4(50, 50)
         expected = reference.evaluate(query, micro_db)
-        from repro.core.positional_bitmap import semijoin_pipeline
-
-        session = Session()
-        value = semijoin_pipeline(
-            session, micro_db, query, P.BITMAP_MASK, P.HYBRID
+        compiled = compile_swole(
+            query, micro_db, join_mode=PS.BITMAP_MASK, agg_mode=PS.GATHERED
         )
-        assert value == expected
+        assert compiled.run(Session()).value == expected
 
 
 class TestEagerAggregation:
@@ -186,29 +180,40 @@ class TestEagerAggregation:
 class TestAccessMerging:
     def test_merged_column_read_once(self, micro_db):
         query = mb.q3(50, "r_x")
-        compiled = compile_swole(query, micro_db, force=P.VALUE_MASKING)
+        compiled = compile_swole(query, micro_db, agg_mode=PS.VALUE_MASK)
         _, seq_reads = run_events(compiled, SeqRead)
         reads_of_x = [e for e in seq_reads if e.array == "r_x"]
         assert len(reads_of_x) == 1
 
     def test_merging_reduces_cost(self, micro_db):
-        from repro.core import access_merging
-
         query = mb.q3(50, "r_x")
-        assert access_merging.merging_opportunity(query) == ("r_x",)
-        assert access_merging.merged_read_set(query) == set()
-        assert access_merging.merged_read_set(query, enabled=False) is None
-        no_reuse = mb.q1(50)
-        assert access_merging.merged_read_set(no_reuse) is None
-        assert access_merging.saved_reads(query, 100) == 100
+        merged = compile_swole(query, micro_db, agg_mode=PS.VALUE_MASK)
+        assert merged.notes["decisions"].merged_columns == ("r_x",)
+        unmerged = compile_swole(
+            query, micro_db, agg_mode=PS.VALUE_MASK, merged_columns=()
+        )
+        merged_run, merged_reads = run_events(merged, SeqRead)
+        unmerged_run, unmerged_reads = run_events(unmerged, SeqRead)
+        assert merged_run.value == unmerged_run.value
+        # One sequential pass over the shared column is saved (the
+        # total is compute-bound here, so it can only tie or improve).
+        saved = [e.array for e in unmerged_reads]
+        for event in merged_reads:
+            saved.remove(event.array)
+        assert saved == ["r_x"]
+        assert merged_run.cycles <= unmerged_run.cycles
+        no_reuse = compile_swole(mb.q1(50), micro_db)
+        assert "access_merging" not in no_reuse.notes["plan"]
 
 
 class TestPlanNotes:
     def test_compiled_query_carries_plan(self, micro_db):
         compiled = compile_swole(mb.q1(50), micro_db)
         assert "aggregation=" in compiled.notes["plan"]
-        assert compiled.notes["estimates"]
+        assert compiled.notes["pass_estimates"]
 
     def test_force_overrides_planner(self, micro_db):
-        compiled = compile_swole(mb.q1(50, "div"), micro_db, force=P.VALUE_MASKING)
-        assert "value_masking" in compiled.notes["plan"]
+        query = mb.q1(50, "div")
+        assert "gathered" in compile_swole(query, micro_db).notes["plan"]
+        forced = compile_swole(query, micro_db, agg_mode=PS.VALUE_MASK)
+        assert "value_mask" in forced.notes["plan"]

@@ -13,15 +13,17 @@ import pytest
 from repro.engine import Session
 from repro.engine.events import CondRead, RandomAccess
 from repro.engine.machine import PAPER_MACHINE
-from repro.errors import CodegenError
-from repro.tpch import STRATEGIES, compile_tpch, query_names, reference_result
+from repro.errors import CodegenError, PlanError
+from repro.tpch import STRATEGIES, query_names, reference_result
+
+from .conftest import compile_named
 
 ALL_QUERIES = ("Q1", "Q3", "Q4", "Q5", "Q6", "Q13", "Q14", "Q19")
 
 
 def _check(name, strategy, db):
     expected = reference_result(name, db)
-    result = compile_tpch(name, strategy, db).run(Session())
+    result = compile_named(name, strategy, db).run(Session())
     assert set(result.value) == set(expected)
     for key in expected:
         lhs, rhs = expected[key], result.value[key]
@@ -38,11 +40,11 @@ class TestRegistry:
 
     def test_unknown_query_rejected(self, tpch_db):
         with pytest.raises(CodegenError):
-            compile_tpch("Q99", "hybrid", tpch_db)
+            compile_named("Q99", "hybrid", tpch_db)
 
     def test_unknown_strategy_rejected(self, tpch_db):
-        with pytest.raises(CodegenError):
-            compile_tpch("Q1", "volcano2000", tpch_db)
+        with pytest.raises(PlanError):
+            compile_named("Q1", "volcano2000", tpch_db)
 
 
 @pytest.mark.parametrize("name", ALL_QUERIES)
@@ -54,7 +56,7 @@ def test_answer_matches_reference(tpch_db, name, strategy):
 @pytest.mark.parametrize("name", ALL_QUERIES)
 def test_source_emitted(tpch_db, name):
     for strategy in STRATEGIES:
-        compiled = compile_tpch(name, strategy, tpch_db)
+        compiled = compile_named(name, strategy, tpch_db)
         assert name in compiled.source or "Q" in compiled.source
         assert len(compiled.source) > 40
 
@@ -64,7 +66,7 @@ def test_interpreter_is_slowest(tpch_db, name):
     """The sanity baseline must never beat compiled strategies."""
     session = Session(machine=PAPER_MACHINE.scaled(1000))
     costs = {
-        s: compile_tpch(name, s, tpch_db).run(session).cycles
+        s: compile_named(name, s, tpch_db).run(session).cycles
         for s in STRATEGIES
     }
     assert costs["interpreter"] == max(costs.values())
@@ -76,7 +78,7 @@ class TestQ1:
         assert result.value["keys"].shape[0] == 6
 
     def test_swole_never_gathers(self, tpch_db):
-        result = compile_tpch("Q1", "swole", tpch_db).run(Session())
+        result = compile_named("Q1", "swole", tpch_db).run(Session())
         conds = [
             e for _, e, _ in result.report.events if isinstance(e, CondRead)
         ]
@@ -93,14 +95,14 @@ class TestQ4:
     def test_swole_semijoin_has_no_big_hash_table(self, tpch_db):
         """The semijoin structure is a bitmap; the only hash accesses
         left belong to the five-entry priority count table."""
-        result = compile_tpch("Q4", "swole", tpch_db).run(Session())
+        result = compile_named("Q4", "swole", tpch_db).run(Session())
         ht_events = [
             e
             for _, e, _ in result.report.events
             if isinstance(e, RandomAccess) and e.kind.startswith("ht_")
         ]
         assert all(e.struct_bytes < 10_000 for e in ht_events)
-        hybrid = compile_tpch("Q4", "hybrid", tpch_db).run(Session())
+        hybrid = compile_named("Q4", "hybrid", tpch_db).run(Session())
         big = [
             e
             for _, e, _ in hybrid.report.events
@@ -110,8 +112,8 @@ class TestQ4:
 
     def test_hash_and_bitmap_agree(self, tpch_db):
         session = Session()
-        a = compile_tpch("Q4", "hybrid", tpch_db).run(session)
-        b = compile_tpch("Q4", "swole", tpch_db).run(session)
+        a = compile_named("Q4", "hybrid", tpch_db).run(session)
+        b = compile_named("Q4", "swole", tpch_db).run(session)
         assert np.array_equal(a.value["keys"], b.value["keys"])
         assert np.array_equal(a.value["aggs"], b.value["aggs"])
 
@@ -124,7 +126,7 @@ class TestQ6:
     def test_swole_reads_discount_once(self, tpch_db):
         from repro.engine.events import SeqRead
 
-        result = compile_tpch("Q6", "swole", tpch_db).run(Session())
+        result = compile_named("Q6", "swole", tpch_db).run(Session())
         reads = [
             e
             for _, e, _ in result.report.events
@@ -143,7 +145,7 @@ class TestQ13:
         """Paper: Q13's LIKE wall limits every strategy equally."""
         session = Session(machine=PAPER_MACHINE.scaled(1000))
         costs = [
-            compile_tpch("Q13", s, tpch_db).run(session).cycles
+            compile_named("Q13", s, tpch_db).run(session).cycles
             for s in ("datacentric", "hybrid", "swole")
         ]
         assert max(costs) / min(costs) < 1.3
@@ -157,8 +159,8 @@ class TestQ14:
     def test_swole_equals_hybrid(self, tpch_db):
         """Paper: SWOLE cannot improve Q14 and falls back to hybrid."""
         session = Session()
-        hybrid = compile_tpch("Q14", "hybrid", tpch_db).run(session)
-        swole = compile_tpch("Q14", "swole", tpch_db).run(session)
+        hybrid = compile_named("Q14", "hybrid", tpch_db).run(session)
+        swole = compile_named("Q14", "swole", tpch_db).run(session)
         assert swole.value == hybrid.value
         assert swole.cycles == pytest.approx(hybrid.cycles, rel=0.01)
 
@@ -191,7 +193,7 @@ class TestPaperOrdering:
         out = {}
         for name in ALL_QUERIES:
             out[name] = {
-                s: compile_tpch(name, s, tpch_db).run(session).cycles
+                s: compile_named(name, s, tpch_db).run(session).cycles
                 for s in ("datacentric", "hybrid", "swole")
             }
         return out
