@@ -13,7 +13,6 @@ from .microbench import (
 )
 from .throughput import (
     WorkloadResult,
-    pool_vs_spawn,
     run_throughput,
     run_workload,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "fig10",
     "fig11",
     "fig12",
-    "pool_vs_spawn",
     "run_fig6",
     "run_strategies",
     "run_throughput",

@@ -8,9 +8,9 @@ sweep points. ``--quick`` runs a small smoke suite: one fig8 panel plus
 a parallel-scan and plan-cache demonstration.
 
 ``--throughput`` runs the closed-loop wall-clock throughput suite
-instead (warm Engine, mixed Q1/Q6/microbench workloads, persistent
-worker pool vs per-query thread spawning) and writes the
-machine-readable report to ``BENCH_throughput.json`` (``--out``).
+instead (warm Engine, mixed Q1/Q6/microbench workloads, both
+backends) and writes the machine-readable report to
+``BENCH_throughput.json`` (``--out``).
 ``--serve-bench`` runs the query-service load generator instead
 (closed-loop client fleet against an admission-controlled
 :class:`~repro.server.service.QueryService`; pass ``--connect
@@ -420,7 +420,6 @@ def main() -> None:
                 sf=0.002,
                 workers=max(args.workers, 4),
                 iterations=min(args.iters, 10),
-                baseline_iterations=40,
                 seed=args.seed,
                 backend=args.backend,
                 out_path=out,

@@ -34,9 +34,8 @@ Two methodology details keep that comparison fair rather than flattering:
   values land in the report.
 * Serial and served runs alternate for ``rounds`` interleaved rounds
   and the headline compares the **best round of each** (per-round qps
-  is recorded alongside), the same discipline the throughput bench uses
-  for its pool-vs-spawn isolation — a noise spike then has to be
-  systematic to move the verdict.
+  is recorded alongside) — a noise spike then has to be systematic to
+  move the verdict.
 
 A separate **shedding scenario** runs a deliberately undersized service
 (``concurrency=1``, ``queue_depth=2``) under the same client fleet to

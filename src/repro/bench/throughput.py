@@ -7,15 +7,6 @@ real queries/sec and wall-latency percentiles of a warm
 repeated mixed workloads (TPC-H Q1/Q6 plus the Fig. 7 microbenchmark
 queries), per strategy.
 
-It also isolates the tentpole claim — that a persistent worker pool
-amortizes per-query thread-spawn cost — by running the identical
-repeated-Q6 workload through two engines that differ *only* in thread
-lifecycle (``use_pool=True`` vs ``False``), in interleaved rounds so OS
-drift hits both sides equally. The comparison uses a deliberately short
-query (small scale factor): per-query setup cost is precisely what
-dominates short OLAP queries (Sirin & Ailamaki), so that regime is
-where pooling must prove itself.
-
 Datasets load through :mod:`repro.datagen.cache`, so only the first
 invocation on a machine pays generation; reruns report disk/memory
 hits. Results are written machine-readable to ``BENCH_throughput.json``
@@ -34,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..datagen import microbench as mb
 from ..datagen import tpch as tpchgen
 from ..datagen.cache import DatasetCache, dataset_cache
-from ..engine import Engine, ExecutionKnobs
+from ..engine import Engine
 from ..engine.machine import PAPER_MACHINE
 from ..engine.program import results_equal
 from ..errors import ReproError
@@ -42,11 +33,6 @@ from ..tpch import logical_plan
 
 #: Strategies measured by default (the paper's main series).
 DEFAULT_STRATEGIES = ("datacentric", "hybrid", "swole")
-
-#: Scale factor of the short-query dataset used for the pool-vs-spawn
-#: comparison (~12K lineitem rows: a few morsels per query, so thread
-#: lifecycle is a visible fraction of each query's wall time).
-SHORT_QUERY_SF = 0.002
 
 #: Default output artifact.
 DEFAULT_OUT = "BENCH_throughput.json"
@@ -72,7 +58,6 @@ class WorkloadResult:
     total_seconds: float
     latencies: List[float] = field(default_factory=list, repr=False)
     plan_cache: Dict[str, float] = field(default_factory=dict)
-    pooled: bool = True
     backend: str = "vectorized"
 
     @property
@@ -100,7 +85,6 @@ class WorkloadResult:
             "p50_ms": self.p50_ms,
             "p95_ms": self.p95_ms,
             "plan_cache": self.plan_cache,
-            "pooled": self.pooled,
         }
 
     def format_row(self) -> str:
@@ -160,78 +144,8 @@ def run_workload(
             "misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         },
-        pooled=engine.pool is not None,
         backend=backend if backend is not None else engine.knobs.backend,
     )
-
-
-def pool_vs_spawn(
-    db,
-    machine,
-    *,
-    workers: int,
-    iterations: int,
-    rounds: int = 4,
-    query: str = "Q6",
-    strategy: str = "swole",
-    backend: str = "vectorized",
-) -> dict:
-    """Repeated-``query`` throughput: persistent pool vs spawn-per-query.
-
-    Both engines share the database and machine model and execute the
-    identical query stream; they differ only in ``use_pool``.
-    Measurement alternates between the two in ``rounds`` rounds so host
-    noise and frequency drift hit both sides; the headline ``speedup``
-    compares the *best* round per mode (standard microbenchmark
-    practice — the best round is the least noise-contaminated sample of
-    each mode's true cost), with the totals-based ratio reported
-    alongside as ``speedup_total``.
-    """
-    per_round = max(iterations // rounds, 1)
-    plan = logical_plan(query) if isinstance(query, str) else query
-    round_seconds: Dict[str, List[float]] = {"pool": [], "spawn": []}
-    # Pin the morsel size: the vectorized backend's fan-out floor would
-    # otherwise run this deliberately short query serially on both
-    # engines, and a comparison of thread lifecycles needs threads.
-    knobs = ExecutionKnobs(morsel_rows=4096)
-    with Engine(
-        db, machine=machine, workers=workers, backend=backend, knobs=knobs
-    ) as pooled:
-        spawn = Engine(
-            db,
-            machine=machine,
-            workers=workers,
-            use_pool=False,
-            backend=backend,
-            knobs=knobs,
-        )
-        for engine in (pooled, spawn):  # warm plans + pool threads
-            for _ in range(3):
-                engine.execute(plan, strategy, workers=workers)
-        for _ in range(rounds):
-            for mode, engine in (("pool", pooled), ("spawn", spawn)):
-                begin = time.perf_counter()
-                for _ in range(per_round):
-                    engine.execute(plan, strategy, workers=workers)
-                round_seconds[mode].append(time.perf_counter() - begin)
-    pool_qps = per_round / min(round_seconds["pool"])
-    spawn_qps = per_round / min(round_seconds["spawn"])
-    total_pool = sum(round_seconds["pool"])
-    total_spawn = sum(round_seconds["spawn"])
-    return {
-        "workload": f"repeated-{query}",
-        "strategy": strategy,
-        "backend": backend,
-        "workers": workers,
-        "rounds": rounds,
-        "queries_per_mode": per_round * rounds,
-        "pool_qps": pool_qps,
-        "spawn_qps": spawn_qps,
-        "pool_qps_total": per_round * rounds / total_pool,
-        "spawn_qps_total": per_round * rounds / total_spawn,
-        "speedup": pool_qps / spawn_qps if spawn_qps else 0.0,
-        "speedup_total": total_spawn / total_pool if total_pool else 0.0,
-    }
 
 
 def run_throughput(
@@ -244,8 +158,6 @@ def run_throughput(
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     out_path: Optional[str] = DEFAULT_OUT,
     cache: Optional[DatasetCache] = None,
-    baseline_sf: float = SHORT_QUERY_SF,
-    baseline_iterations: Optional[int] = None,
     seed: Optional[int] = None,
     backend: str = "vectorized",
     compare_backends: bool = True,
@@ -259,8 +171,8 @@ def run_throughput(
     reproducible: the same seed yields the same fingerprints, datasets,
     and query answers.
 
-    ``backend`` is the headline backend (the ``workloads`` section and
-    the pool-vs-spawn isolation run on it). With ``compare_backends``
+    ``backend`` is the headline backend (the ``workloads`` section
+    runs on it). With ``compare_backends``
     (the default) every (workload, strategy) cell additionally runs on
     the *other* backend, and the report carries a ``backend_speedup``
     section: vectorized over instrumented qps per cell, with a
@@ -272,21 +184,15 @@ def run_throughput(
     if seed is None:
         micro_config = mb.MicrobenchConfig(num_rows=rows)
         tpch_config = tpchgen.TpchConfig(scale_factor=sf)
-        short_config = tpchgen.TpchConfig(scale_factor=baseline_sf)
     else:
         micro_config = mb.MicrobenchConfig(num_rows=rows, seed=seed)
         tpch_config = tpchgen.TpchConfig(scale_factor=sf, seed=seed)
-        short_config = tpchgen.TpchConfig(
-            scale_factor=baseline_sf, seed=seed
-        )
 
     sources: Dict[str, str] = {}
     micro_db = cache.load("microbench", micro_config)
     sources["microbench"] = cache.last_source
     tpch_db = cache.load("tpch", tpch_config)
     sources["tpch"] = cache.last_source
-    short_db = cache.load("tpch", short_config)
-    sources["tpch-short"] = cache.last_source
     say(
         "datasets: "
         + ", ".join(f"{name}={src}" for name, src in sources.items())
@@ -361,24 +267,6 @@ def run_throughput(
     with Engine(micro_db, machine=micro_machine, workers=workers) as engine:
         measure(engine, micro_mix, "micro-q1q2")
 
-    baseline = pool_vs_spawn(
-        short_db,
-        PAPER_MACHINE.scaled(short_config.machine_scale),
-        workers=workers,
-        iterations=(
-            baseline_iterations
-            if baseline_iterations is not None
-            else max(iterations * 4, 40)
-        ),
-        backend=backend,
-    )
-    say(
-        f"pool vs spawn ({baseline['workload']}, "
-        f"{baseline['workers']} workers): "
-        f"{baseline['pool_qps']:.1f} vs {baseline['spawn_qps']:.1f} q/s "
-        f"-> {baseline['speedup']:.2f}x"
-    )
-
     report = {
         "bench": "throughput",
         "unix_time": time.time(),
@@ -389,7 +277,6 @@ def run_throughput(
         "config": {
             "rows": rows,
             "sf": sf,
-            "baseline_sf": baseline_sf,
             "workers": workers,
             "iterations": iterations,
             "warmup": warmup,
@@ -406,7 +293,6 @@ def run_throughput(
         "workloads": [w.to_dict() for w in workloads],
         "backend_comparison": [w.to_dict() for w in comparison],
         "backend_speedup": backend_speedup,
-        "pool_vs_spawn": baseline,
     }
     if out_path:
         Path(out_path).write_text(json.dumps(report, indent=1))

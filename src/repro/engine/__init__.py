@@ -36,7 +36,7 @@ from .program import (
     results_equal,
 )
 from .session import ExecutionKnobs, Session
-from .shard import ShardExecutor, ShardGroup, ShardWorkerDied
+from .shard import ShardGroup, ShardRunner, ShardWorkerDied
 
 __all__ = [
     "Branch",
@@ -67,8 +67,8 @@ __all__ = [
     "SeqRead",
     "SeqWrite",
     "Session",
-    "ShardExecutor",
     "ShardGroup",
+    "ShardRunner",
     "ShardWorkerDied",
     "WorkerPool",
     "WorkerStats",

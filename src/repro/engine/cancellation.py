@@ -101,6 +101,25 @@ class CancelToken:
 
     # -- raising ---------------------------------------------------------
 
+    def stop_error(self, label: str, slots: list):
+        """The error a morsel cursor records when this token stopped it
+        (call once :meth:`stop_requested` is true). ``slots`` are the
+        cursor's per-morsel results, ``None`` where unfinished — one
+        wording for the thread and the shard runner."""
+        done = sum(1 for slot in slots if slot is not None)
+        progress = f"after {done}/{len(slots)} morsels"
+        if self._cancelled:
+            return QueryCancelled(
+                f"{label} cancelled {progress} "
+                f"({self.elapsed():.3f}s elapsed)"
+            )
+        return QueryTimeout(
+            f"{label} exceeded its {self.budget():.3f}s deadline "
+            f"{progress} ({self.elapsed():.3f}s elapsed)",
+            elapsed=self.elapsed(),
+            deadline=self.budget(),
+        )
+
     def check(self, label: str = "query") -> None:
         """Raise :class:`QueryTimeout` / :class:`QueryCancelled` if the
         token asks for a stop; no-op otherwise."""

@@ -1,12 +1,14 @@
 """Morsel-driven parallel execution of compiled query programs.
 
 The executor partitions a program's base-table scan into row-range
-*morsels* (Leis et al., "Morsel-Driven Parallelism") and runs the
-strategy's declared partial pipeline across worker threads — the NumPy
-kernels release the GIL in the hot loops, so scan morsels genuinely
-overlap on multicore hosts. Partial aggregate / hash-table states merge
-deterministically (:func:`repro.engine.program.merge_partials`), so a
-4-worker run is bit-identical to a serial run.
+*morsels* (Leis et al., "Morsel-Driven Parallelism") and hands them to
+a *morsel runner* — the thread pool (the NumPy kernels release the GIL
+in the hot loops, so scan morsels genuinely overlap on multicore hosts)
+or the shard worker processes. Everything around the runner — fan-out
+floor, setup/finalize costing, the deterministic merge
+(:func:`repro.engine.program.merge_partials`), the simulated schedule
+and the run metrics — happens here, once, so a 4-worker or 4-shard run
+is bit-identical to a serial run and measured the same way.
 
 Costing extends to parallel time: each morsel's simulated cycles are
 measured on its own tracer, then scheduled greedily onto the simulated
@@ -20,14 +22,14 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ExecutionError
 from ..obs import MetricsRegistry, span
 from .cancellation import CancelToken
 from .costing import CostReport
 from .metrics import RunMetrics, event_counts, greedy_schedule, merge_reports
-from .pool import MorselBatch, WorkerPool, drain_with_ephemeral_threads
+from .pool import WorkerPool
 from .program import CompiledQuery, QueryResult, merge_partials
 from .session import Session
 
@@ -59,30 +61,34 @@ def split_morsels(n_rows: int, morsel_rows: int) -> List[Tuple[int, int]]:
 
 
 class MorselExecutor:
-    """Runs compiled programs, fanning partitionable scans across threads.
+    """Runs compiled programs, fanning partitionable scans across the
+    lanes of a morsel runner.
 
     Programs without a :class:`~repro.engine.program.ParallelPlan` (or
-    runs with ``workers=1``) execute serially through the program's own
-    ``run``; either way the result carries :class:`RunMetrics`.
+    runs on one in-process worker) execute serially through the
+    program's own ``run``; either way the result carries
+    :class:`RunMetrics`.
 
-    Pass a :class:`~repro.engine.pool.WorkerPool` to run morsels on
-    persistent workers (the :class:`repro.Engine` facade does); without
-    one, fresh threads are spawned per query — the legacy baseline the
-    throughput benchmark measures pooling against. Results and
-    simulated cycles are bit-identical in both modes.
+    ``runner`` is anything with ``run(session, plan, ctx, morsels,
+    label, lanes, cancel) -> (values, cost reports, busy seconds per
+    lane)`` in morsel-index order and a ``sharded`` flag: a
+    :class:`~repro.engine.pool.WorkerPool` (the default — the
+    :class:`repro.Engine` facade passes its persistent one) or a
+    :class:`~repro.engine.shard.ShardRunner`. ``workers`` is the lane
+    count: threads, or shard processes.
     """
 
     def __init__(
         self,
         *,
         workers: int = 1,
-        pool: Optional[WorkerPool] = None,
+        runner=None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ExecutionError("executor needs at least one worker")
         self.workers = workers
-        self.pool = pool
+        self.runner = runner if runner is not None else WorkerPool(workers)
         #: Where the morsel-execute / merge spans land; ``None`` keeps
         #: the executor span-free (direct library use stays untouched —
         #: the :class:`repro.Engine` facade always passes its registry).
@@ -119,7 +125,7 @@ class MorselExecutor:
                 floor = plan.min_parallel_rows
             serial_limit = max(serial_limit, floor)
         if (
-            self.workers <= 1
+            (self.workers <= 1 and not self.runner.sharded)
             or plan is None
             or plan.n_rows <= serial_limit
         ):
@@ -176,8 +182,8 @@ class MorselExecutor:
         )
         morsels = split_morsels(plan.n_rows, morsel_rows)
         with self._span("morsel_execute"):
-            values, morsel_reports, wall_by_worker = self._run_morsels(
-                session, plan, ctx, morsels, label, cancel
+            values, morsel_reports, wall_by_worker = self.runner.run(
+                session, plan, ctx, morsels, label, self.workers, cancel
             )
 
         with self._span("merge"):
@@ -211,7 +217,7 @@ class MorselExecutor:
             morsel_rows=morsel_rows,
             scan_rows=plan.n_rows,
             parallel=True,
-            pooled=self.pool is not None,
+            sharded=self.runner.sharded,
             machine=session.machine,
             total_cycles=report.total_cycles,
             critical_path_cycles=critical,
@@ -220,26 +226,3 @@ class MorselExecutor:
             worker_stats=worker_stats,
         )
         return QueryResult(value=merged, report=report)
-
-    def _run_morsels(
-        self,
-        session: Session,
-        plan,
-        ctx: Any,
-        morsels: List[Tuple[int, int]],
-        label: str,
-        cancel: Optional[CancelToken] = None,
-    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
-        """Run the morsels on the persistent pool, or — without one —
-        on freshly spawned threads. Either way the shared
-        :class:`MorselBatch` provides the cursor, cooperative
-        cancellation on first failure or deadline expiry, and
-        index-ordered results."""
-        if self.pool is not None:
-            return self.pool.run(
-                session, plan, ctx, morsels, label, self.workers, cancel
-            )
-        batch = MorselBatch(
-            session, plan, ctx, morsels, label, self.workers, cancel=cancel
-        )
-        return drain_with_ephemeral_threads(batch)

@@ -60,20 +60,16 @@ class Engine:
         Simulated machine for planning *and* costing (pass the scaled
         model when the data was shrunk relative to the paper).
     workers:
-        Default worker-thread count for partitionable programs.
+        Default worker-thread count for partitionable programs. Morsels
+        run on a persistent :class:`~repro.engine.pool.WorkerPool` the
+        engine owns: threads start lazily on the first parallel query
+        and are reused across queries.
     tile:
         Vector/tile size threaded into sessions (part of the plan key).
     plan_cache_size:
         LRU capacity of the compiled-program cache.
     knobs:
         Default :class:`ExecutionKnobs` for sessions this engine spawns.
-    use_pool:
-        When True (default), parallel morsels run on a persistent
-        :class:`~repro.engine.pool.WorkerPool` owned by the engine —
-        threads start lazily on the first parallel query and are reused
-        across queries. When False, every query spawns fresh threads
-        (the pre-pool baseline; kept for the throughput benchmark).
-        Results and simulated cycles are identical either way.
     backend:
         Default execution backend for this engine's compilations:
         ``"vectorized"`` (default — generated whole-column NumPy
@@ -120,17 +116,17 @@ class Engine:
         seeds new sessions automatically.
     shards:
         Default worker-*process* count for the multi-process shard
-        executor (:mod:`repro.engine.shard`): morsels scatter over
-        ``shards`` pre-forked workers mapping the same on-disk columns
-        by dataset fingerprint, and partials gather through the same
-        deterministic merge the thread path uses, so sharded results
-        stay byte-identical to serial. Requires a database loaded
+        runner (:mod:`repro.engine.shard`): the morsel executor
+        scatters over ``shards`` pre-forked workers mapping the same
+        on-disk columns by dataset fingerprint instead of over the
+        thread pool — same merge, schedule and metrics — so sharded
+        results stay byte-identical to serial. Requires a database loaded
         through the dataset cache (it carries the fingerprint workers
         map by); raises :class:`~repro.errors.ReproError` otherwise.
         Workers fork lazily on the first sharded query — call
         :meth:`start_shards` to pre-fork (the server does). Scans
-        below the fan-out floor fall back to the thread executor
-        transparently.
+        below the fan-out floor run serial in-process, as they do on
+        the thread tier.
 
     The engine is a context manager; ``with Engine(db) as engine:``
     shuts the pool down on exit, and an ``atexit`` hook covers engines
@@ -146,7 +142,6 @@ class Engine:
         tile: int = 1024,
         plan_cache_size: int = 64,
         knobs: Optional[ExecutionKnobs] = None,
-        use_pool: bool = True,
         registry: Optional[MetricsRegistry] = None,
         backend: Optional[str] = None,
         encoding: str = "auto",
@@ -200,9 +195,7 @@ class Engine:
                 f"have {list(BACKENDS)}"
             )
         self.plan_cache = PlanCache(capacity=plan_cache_size)
-        self.pool: Optional[WorkerPool] = (
-            WorkerPool(workers) if use_pool else None
-        )
+        self.pool = WorkerPool(workers)
         self.registry = (
             registry if registry is not None else metrics_registry()
         )
@@ -211,8 +204,7 @@ class Engine:
         self.registry.register_source(
             "plan_cache", self.plan_cache.stats.snapshot
         )
-        if self.pool is not None:
-            self.registry.register_source("pool", self.pool.snapshot)
+        self.registry.register_source("pool", self.pool.snapshot)
         # Lazy import: repro.adaptive imports engine modules, and
         # ``repro.engine.__init__`` imports this facade.
         from ..adaptive import resolve_adaptive
@@ -237,8 +229,7 @@ class Engine:
         processes (idempotent). The engine remains usable — the pool
         restarts lazily on the next parallel query, and the shard
         group re-forks on the next sharded one."""
-        if self.pool is not None:
-            self.pool.shutdown()
+        self.pool.shutdown()
         with self._shard_lock:
             group, self._shard_group = self._shard_group, None
         if group is not None:
@@ -325,7 +316,7 @@ class Engine:
 
     def _compile_cached(
         self, plan, fingerprint: str, strategy: str,
-        backend: Optional[str] = None, shards: int = 0,
+        backend: Optional[str] = None,
     ):
         resolved = AUTO_STRATEGY if strategy == "auto" else strategy
         chosen = self._resolve_backend(backend)
@@ -335,8 +326,7 @@ class Engine:
             self.machine,
             self.tile,
             chosen,
-            shards,
-            self._encoding_key,
+            encoding=self._encoding_key,
         )
 
         def timed_compile() -> CompiledQuery:
@@ -347,7 +337,7 @@ class Engine:
                 # An adaptive engine recompiles a drifted plan with its
                 # measured statistics; the override a program was
                 # compiled with rides in ``notes["stats_override"]`` so
-                # the shard path ships the *same* one to its workers.
+                # the shard runner ships the *same* one to its workers.
                 overrides = (
                     self.adaptive.override_for(fingerprint)
                     if self.adaptive is not None
@@ -360,7 +350,7 @@ class Engine:
         compiled, was_hit = self.plan_cache.get_or_compile(
             key, timed_compile
         )
-        return compiled, was_hit, resolved, chosen
+        return compiled, was_hit, resolved
 
     def _compile_with(
         self, plan, strategy: str, backend: str, overrides
@@ -433,9 +423,9 @@ class Engine:
 
         ``shards`` overrides the engine's default shard-process count
         for this call (``0`` forces in-process execution). When the
-        effective count is ``>= 1``, the morsels scatter over the shard
-        worker processes instead of the thread pool; results remain
-        byte-identical either way.
+        effective count is ``>= 1``, the executor's morsel runner is
+        the shard worker processes instead of the thread pool; results
+        and measurements are identical either way.
 
         ``deadline`` gives the run a relative budget in seconds;
         ``cancel`` threads an existing
@@ -467,37 +457,23 @@ class Engine:
             strategy, backend = self.adaptive.choose(
                 fingerprint, self._resolve_backend(backend)
             )
-        compiled, was_hit, resolved, chosen = self._compile_cached(
-            plan, fingerprint, strategy, backend, shards=n_shards
+        compiled, was_hit, resolved = self._compile_cached(
+            plan, fingerprint, strategy, backend
         )
         n_workers = workers if workers is not None else self.workers
         if session is None:
             session = self.session(workers=n_workers)
-        result = None
+        # Threads or processes is only a choice of morsel runner; the
+        # executor scatters, merges, schedules and measures either way.
+        runner, lanes = self.pool, n_workers
         if n_shards >= 1:
-            from .shard import ShardExecutor
+            from .shard import ShardRunner
 
             group = self._ensure_shard_group(n_shards)
-            result = ShardExecutor(
-                group, registry=self.registry
-            ).execute(
-                compiled,
-                session,
-                logical=plan,
-                strategy=resolved,
-                backend=chosen,
-                encoding=self.encoding,
-                override=compiled.notes.get("stats_override"),
-                cancel=cancel,
-            )
-            # ``None`` = the program should not shard (no parallel
-            # plan, or the scan is under the fan-out floor): run the
-            # very same compiled program in-process instead.
-        if result is None:
-            executor = MorselExecutor(
-                workers=n_workers, pool=self.pool, registry=self.registry
-            )
-            result = executor.execute(compiled, session, cancel=cancel)
+            runner, lanes = ShardRunner(group, compiled), group.shards
+        result = MorselExecutor(
+            workers=lanes, runner=runner, registry=self.registry
+        ).execute(compiled, session, cancel=cancel)
         metrics = result.report.metrics
         metrics.plan_cache = "hit" if was_hit else "miss"
         # Label telemetry by the backend the program actually runs on
@@ -505,25 +481,13 @@ class Engine:
         effective = compiled.notes.get("backend", "instrumented")
         self._record_run(fingerprint, resolved, effective, metrics)
         if self.adaptive is not None:
-            tallies = getattr(result.report, "shard_tallies", None)
-            if tallies is not None:
-                # Sharded runs: the workers' event streams stay in the
-                # worker processes; their merged tallies carry the
-                # measured statistics home instead.
-                from .shard import observation_from_tallies
+            from ..adaptive import observation_from_run
 
-                observation = observation_from_tallies(tallies, metrics)
-            else:
-                from ..adaptive import observation_from_run
-
-                observation = observation_from_run(
-                    result.report, metrics
-                )
             self.adaptive.observe(
                 fingerprint,
                 resolved,
                 effective,
-                observation,
+                observation_from_run(result.report, metrics),
                 estimated_stats=compiled.notes.get("estimated_stats"),
             )
         return result

@@ -53,9 +53,6 @@ class RunMetrics:
     #: Total rows of the partitioned base-table scan (0 when unknown —
     #: i.e. the program declared no parallel plan).
     scan_rows: int = 0
-    #: True when the morsels ran on a persistent worker pool rather
-    #: than per-query spawned threads.
-    pooled: bool = False
     #: True when the morsels ran on shard worker *processes*
     #: (:mod:`repro.engine.shard`); ``workers`` then counts shards.
     sharded: bool = False
@@ -103,7 +100,6 @@ class RunMetrics:
             f"{self.workers} workers x {self.morsels} morsels "
             f"({self.morsel_rows} rows each"
             + (f", {self.scan_rows} scanned" if self.scan_rows else "")
-            + (", pooled" if self.pooled else "")
             + (", sharded" if self.sharded else "")
             + ")"
             if self.parallel

@@ -24,12 +24,12 @@ way the plan cache amortizes compilation:
 Determinism is unaffected by pooling: partial values and per-morsel
 cost reports are stored by morsel *index*, and the simulated schedule
 is computed from those reports — never from real thread timing — so a
-pooled run is bit-identical to a spawn-per-query or serial run.
+pooled run is bit-identical to a serial run.
 
-The module also exposes :class:`MorselBatch` itself: the executor's
-legacy spawn path drains the very same batch object with ephemeral
-threads, so cancellation and error semantics are identical in both
-modes and benchmarks comparing them measure *only* thread lifecycle.
+The pool is one of the executor's two *morsel runners* (the other is
+:class:`repro.engine.shard.ShardRunner`): ``run(session, plan, ctx,
+morsels, label, lanes, cancel)`` returns values, cost reports and busy
+seconds per lane, in morsel-index order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ExecutionError, QueryCancelled, QueryTimeout
+from ..errors import ExecutionError
 from .cancellation import CancelToken
 from .costing import CostReport
 from .session import Session
@@ -104,34 +104,15 @@ class MorselBatch:
         """Whether a worker could still pull a morsel (racy, advisory)."""
         return not self.cancelled and self._next < len(self.morsels)
 
-    def _token_stop(self) -> Optional[ExecutionError]:
-        """The error to record when the cancel token asks for a stop at
-        this cursor position; ``None`` to keep going."""
-        token = self.cancel
-        if token is None or not token.stop_requested():
-            return None
-        done = sum(1 for v in self.values if v is not None)
-        progress = f"after {done}/{len(self.morsels)} morsels"
-        if token.cancelled:
-            return QueryCancelled(
-                f"{self.label} cancelled {progress} "
-                f"({token.elapsed():.3f}s elapsed)"
-            )
-        return QueryTimeout(
-            f"{self.label} exceeded its {token.budget():.3f}s deadline "
-            f"{progress} ({token.elapsed():.3f}s elapsed)",
-            elapsed=token.elapsed(),
-            deadline=token.budget(),
-        )
-
     def _claim(self) -> Optional[int]:
         with self._lock:
             if self.cancelled or self._next >= len(self.morsels):
                 return None
-            stop = self._token_stop()
-            if stop is not None:
+            if self.cancel is not None and self.cancel.stop_requested():
                 self.cancelled = True
-                self.stop_error = stop
+                self.stop_error = self.cancel.stop_error(
+                    self.label, self.values
+                )
                 if self._in_flight == 0:
                     self._done.set()
                 return None
@@ -224,6 +205,9 @@ class WorkerPool:
     pool grows on demand when a batch requests more workers than it has
     threads, so one engine-owned pool serves any ``workers=`` override.
     """
+
+    #: Morsels run in this process (``RunMetrics.sharded``).
+    sharded = False
 
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
@@ -321,10 +305,18 @@ class WorkerPool:
         cancel: Optional[CancelToken] = None,
     ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
         """Run one batch on the pool and return morsel-ordered results."""
-        self.ensure_started(workers)
-        batch = MorselBatch(
-            template, plan, ctx, morsels, label, workers, cancel=cancel
+        return self.run_batch(
+            MorselBatch(
+                template, plan, ctx, morsels, label, workers, cancel=cancel
+            )
         )
+
+    def run_batch(
+        self, batch: MorselBatch
+    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
+        """Drain ``batch`` on the pool's threads (callers that want to
+        inspect the batch afterwards build it themselves)."""
+        self.ensure_started(batch.workers)
         with self._submit_lock:
             begin = time.perf_counter()
             with self._cond:
@@ -399,27 +391,3 @@ class WorkerPool:
             return cached
         return template.clone()
 
-
-def drain_with_ephemeral_threads(
-    batch: MorselBatch,
-) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
-    """The legacy spawn-per-query path: fresh threads drain ``batch``.
-
-    Kept as the baseline the throughput benchmark compares the pool
-    against, and as the fallback for executors constructed without a
-    pool. Semantics (cancellation, errors, determinism) are identical
-    by construction — both modes drain the same batch object.
-    """
-    threads = [
-        threading.Thread(
-            target=batch.drain,
-            args=(batch.template.clone(), worker_id),
-            name=f"morsel-{worker_id}",
-        )
-        for worker_id in range(batch.workers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return batch.result()

@@ -1,6 +1,6 @@
-"""Multi-process shard executor over shared memory-mapped columns.
+"""Multi-process shard runner over shared memory-mapped columns.
 
-The thread-pool executor tops out where the GIL does: NumPy kernels
+The thread-pool runner tops out where the GIL does: NumPy kernels
 release it in their hot loops, but short OLAP queries spend enough time
 in interpreter glue that served throughput stalls at a few x over
 serial. This module scales past that by running one **worker process
@@ -9,11 +9,12 @@ fingerprinted dataset cache already maintains (``np.load(...,
 mmap_mode="r")``): the OS page cache backs every worker with one
 physical copy of the data, and no column bytes ever cross a pipe.
 
-The scatter/gather design follows the morsel-driven model (Leis et
-al.) exactly as the thread executor does:
+There is one scatter/merge path —
+:class:`~repro.engine.executor.MorselExecutor` splits the scan, costs
+setup/finalize, merges, schedules and measures — and this module is the
+second of its two *morsel runners* (:class:`ShardRunner`; the first is
+:class:`~repro.engine.pool.WorkerPool`):
 
-* the parent splits the scan into morsels with the *same* splitter the
-  thread path uses;
 * each morsel becomes one **task** on the pickle-free line-JSON
   protocol — dataset fingerprint + compiled-spec wire form + row range
   + knobs + measured-stats override, never data, never pickled code;
@@ -21,13 +22,13 @@ al.) exactly as the thread executor does:
   CI matrix pins golden sources across processes), run the program's
   ``partial`` over their row range, and ship the raw partial state
   back (arrays as dtype-tagged base64 of their exact bytes);
-* the parent decodes the per-morsel partials **in morsel-index order**
-  and pushes them through the existing
-  :func:`~repro.engine.program.merge_partials` / ``finalize`` path —
-  one merge, in the same order as a serial or thread run, so sharded
-  answers are *byte-identical* to serial ones (float aggregation is
-  not associative across regroupings; per-worker pre-merging would
-  break that guarantee, so workers never merge).
+* the runner hands the decoded partials back **in morsel-index order**
+  and the executor pushes them through the one
+  :func:`~repro.engine.program.merge_partials` / ``finalize`` path, in
+  the same order as a serial or thread run, so sharded answers are
+  *byte-identical* to serial ones (float aggregation is not associative
+  across regroupings; per-worker pre-merging would break that
+  guarantee, so workers never merge).
 
 Lifecycle: workers are pre-forked and handshaked before the first
 query (``init`` loads the mmap'd dataset by fingerprint), crashed
@@ -36,10 +37,10 @@ on a fresh worker (bounded retries; a *deterministic* task error is
 never retried), and ``stop()`` drains gracefully — ``shutdown`` op,
 stdin close, then SIGTERM, then SIGKILL.
 
-Feedback still flows: workers tally the selectivity/branch/random
-access statistics the adaptive loop feeds on (the event objects stay
-in the worker; only the tallies travel) and the parent folds them into
-one :class:`~repro.adaptive.feedback.Observation` per run.
+Measurement is not forked either: a reply carries the morsel's
+:class:`~repro.engine.costing.CostReport` — its priced event stream —
+so a sharded run's report is the same object a thread run builds, and
+:func:`repro.adaptive.feedback.observation_from_run` reads both.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from collections import deque
 from dataclasses import asdict
 from pathlib import Path
@@ -59,17 +59,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ExecutionError, QueryCancelled, QueryTimeout, ReproError
-from ..obs import MetricsRegistry, observe_span, span
-from ..plan.ops import LogicalPlan
+from ..errors import ExecutionError, ReproError
+from ..obs import MetricsRegistry, observe_span
 from ..plan.serde import plan_to_wire
+from . import events as event_types
 from .cancellation import CancelToken
 from .costing import CostReport, StatsOverride
-from .executor import MIN_MORSEL_ROWS, pick_morsel_rows, split_morsels
 from .machine import MachineModel
-from .metrics import RunMetrics, greedy_schedule, merge_reports
-from .program import CompiledQuery, QueryResult, merge_partials
-from .session import Session
+from .program import CompiledQuery
 
 #: A morsel whose worker died mid-flight is retried on a fresh worker
 #: at most this many times before the query fails.
@@ -142,99 +139,31 @@ def decode_partial(wire: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-# -- feedback tallies ----------------------------------------------------
+# -- cost-report codec ---------------------------------------------------
+#
+# A report accumulates only through ``CostReport.add``, so its priced
+# event stream *is* the report: events are flat frozen dataclasses of
+# ints/floats/strs/bools and JSON floats round-trip exactly, so
+# replaying the stream through ``add`` on the parent rebuilds
+# ``total_cycles`` / ``by_kernel`` / ``by_kind`` bit for bit.
 
 
-def event_tallies(report: CostReport) -> Dict[str, Any]:
-    """Fold a report's event stream into the compact statistics the
-    adaptive loop feeds on (mirrors
-    :func:`repro.adaptive.feedback.observation_from_run`'s extraction,
-    but produces a JSON tally instead of an Observation so it can cross
-    the worker pipe)."""
-    from .events import Branch, CondRead, RandomAccess
-
-    cond_range = 0
-    cond_selected = 0
-    branch_sites: Dict[str, List[float]] = {}
-    random_n = 0
-    ht_bytes = 0
-    n_events = 0
-    for _, event, _ in report.events:
-        n_events += 1
-        if isinstance(event, CondRead):
-            if not event.array_bytes:
-                cond_range += event.n_range
-                cond_selected += event.n_selected
-        elif isinstance(event, Branch):
-            site = branch_sites.setdefault(event.site, [0.0, 0.0])
-            site[0] += event.n
-            site[1] += event.n * event.taken_fraction
-        elif isinstance(event, RandomAccess):
-            random_n += event.n
-            ht_bytes = max(ht_bytes, event.struct_bytes)
-    return {
-        "cond_range": cond_range,
-        "cond_selected": cond_selected,
-        "branch_sites": branch_sites,
-        "random_accesses": random_n,
-        "ht_bytes": ht_bytes,
-        "events": n_events,
-    }
+def report_to_wire(report: CostReport) -> List[list]:
+    """A morsel's cost report as ``[kernel, kind, *field values,
+    cycles]`` rows in dataclass field order (empty on the vectorized
+    backend, which emits no events)."""
+    return [
+        [kernel, type(event).__name__, *event.__dict__.values(), cycles]
+        for kernel, event, cycles in report.events
+    ]
 
 
-def merge_tallies(tallies: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Sum per-morsel tallies into one run-level tally."""
-    merged: Dict[str, Any] = {
-        "cond_range": 0,
-        "cond_selected": 0,
-        "branch_sites": {},
-        "random_accesses": 0,
-        "ht_bytes": 0,
-        "events": 0,
-    }
-    sites: Dict[str, List[float]] = merged["branch_sites"]
-    for tally in tallies:
-        merged["cond_range"] += tally.get("cond_range", 0)
-        merged["cond_selected"] += tally.get("cond_selected", 0)
-        merged["random_accesses"] += tally.get("random_accesses", 0)
-        merged["ht_bytes"] = max(
-            merged["ht_bytes"], tally.get("ht_bytes", 0)
-        )
-        merged["events"] += tally.get("events", 0)
-        for name, (n, taken) in tally.get("branch_sites", {}).items():
-            site = sites.setdefault(name, [0.0, 0.0])
-            site[0] += n
-            site[1] += taken
-    return merged
-
-
-def observation_from_tallies(tallies: Dict[str, Any], metrics):
-    """An adaptive-loop Observation from merged shard tallies (the
-    cross-process replacement for ``observation_from_run``, whose event
-    stream stays in the workers)."""
-    from ..adaptive.feedback import Observation
-
-    selectivity: Optional[float] = None
-    if tallies["cond_range"] > 0:
-        selectivity = tallies["cond_selected"] / tallies["cond_range"]
-    elif tallies["branch_sites"]:
-        survival = 1.0
-        for n, taken in tallies["branch_sites"].values():
-            if n > 0:
-                survival *= taken / n
-        selectivity = survival
-    return Observation(
-        wall_seconds=metrics.wall_seconds if metrics is not None else 0.0,
-        total_cycles=(
-            metrics.total_cycles if metrics is not None else 0.0
-        ),
-        scan_rows=metrics.scan_rows if metrics is not None else 0,
-        parallel=bool(metrics.parallel) if metrics is not None else False,
-        selectivity=selectivity,
-        random_accesses=tallies["random_accesses"],
-        ht_bytes=tallies["ht_bytes"],
-        events=tallies["events"],
-    )
+def report_from_wire(machine: MachineModel, wire: List[list]) -> CostReport:
+    """Inverse of :func:`report_to_wire`."""
+    report = CostReport(machine=machine)
+    for kernel, kind, *fields, cycles in wire:
+        report.add(kernel, getattr(event_types, kind)(*fields), cycles)
+    return report
 
 
 # -- stats-override codec ------------------------------------------------
@@ -380,8 +309,8 @@ class ShardGroup:
     """A fixed set of pre-forked workers mapping one dataset.
 
     Every worker is addressed by its shard id; dead workers are
-    respawned on demand (and re-warmed with the specs the group has
-    seen), so a crash costs one morsel retry, never the group.
+    respawned on demand, so a crash costs one morsel retry, never the
+    group.
     """
 
     def __init__(
@@ -404,7 +333,6 @@ class ShardGroup:
         self.registry = registry
         self._handles: Dict[int, ShardWorkerHandle] = {}
         self._lock = threading.Lock()
-        self._warm_specs: List[Dict[str, Any]] = []
         self._stopped = False
         # Lifetime counters (mirrored into the registry when present).
         self.tasks = 0
@@ -470,13 +398,7 @@ class ShardGroup:
                 self._count("shard_worker_crashes_total")
                 self.restarts += 1
                 self._count("shard_worker_restarts_total")
-            warm = list(self._warm_specs)
         fresh = ShardWorkerHandle.spawn(shard_id, self._config())
-        for spec in warm:
-            try:
-                fresh.request({"op": "warm", **spec})
-            except ShardWorkerDied:
-                break  # the task path will respawn and report properly
         with self._lock:
             if self._stopped:
                 fresh.stop()
@@ -506,20 +428,6 @@ class ShardGroup:
         handle.proc.kill()
         handle.proc.wait()
         return True
-
-    def warmup(self, specs: List[Dict[str, Any]]) -> None:
-        """Pre-compile specs on every worker (each item:
-        ``{"spec": ..., "strategy": ..., "backend": ...}``)."""
-        with self._lock:
-            self._warm_specs.extend(specs)
-        for shard_id in range(self.shards):
-            handle = self.worker(shard_id)
-            for spec in specs:
-                try:
-                    handle.request({"op": "warm", **spec})
-                except ShardWorkerDied:
-                    self.note_crash(shard_id)
-                    break
 
     def _count(self, name: str, **labels) -> None:
         # Caller holds self._lock or does not need to.
@@ -557,13 +465,13 @@ class ShardGroup:
             pass
 
 
-# -- the executor --------------------------------------------------------
+# -- the runner ----------------------------------------------------------
 
 
 class _ShardRun:
     """One sharded query: a morsel cursor scattered over the group.
 
-    One channel thread per shard claims morsel indices, round-trips
+    One channel thread per lane claims morsel indices, round-trips
     tasks to its worker, and records results by index (order never
     depends on timing — the same determinism contract as
     :class:`~repro.engine.pool.MorselBatch`). A worker death re-enqueues
@@ -577,14 +485,12 @@ class _ShardRun:
         task_template: Dict[str, Any],
         morsels: List[Tuple[int, int]],
         label: str,
-        registry: Optional[MetricsRegistry],
         cancel: Optional[CancelToken],
     ) -> None:
         self.group = group
         self.template = task_template
         self.morsels = morsels
         self.label = label
-        self.registry = registry
         self.cancel = cancel
         self.replies: List[Optional[Dict[str, Any]]] = [None] * len(morsels)
         self.wall_by_shard: Dict[int, float] = {}
@@ -597,52 +503,30 @@ class _ShardRun:
 
     # -- cursor ----------------------------------------------------------
 
-    def _token_stop(self) -> Optional[ExecutionError]:
-        token = self.cancel
-        if token is None or not token.stop_requested():
-            return None
-        done = sum(1 for r in self.replies if r is not None)
-        progress = f"after {done}/{len(self.morsels)} morsels"
-        if token.cancelled:
-            return QueryCancelled(
-                f"{self.label} cancelled {progress} "
-                f"({token.elapsed():.3f}s elapsed)"
-            )
-        return QueryTimeout(
-            f"{self.label} exceeded its {token.budget():.3f}s deadline "
-            f"{progress} ({token.elapsed():.3f}s elapsed)",
-            elapsed=token.elapsed(),
-            deadline=token.budget(),
-        )
-
     def _claim(self) -> Optional[int]:
         with self._lock:
             if self.cancelled or not self._pending:
                 return None
-            stop = self._token_stop()
-            if stop is not None:
+            if self.cancel is not None and self.cancel.stop_requested():
                 self.cancelled = True
-                self.stop_error = stop
+                self.stop_error = self.cancel.stop_error(
+                    self.label, self.replies
+                )
                 return None
             return self._pending.popleft()
 
     def _record(self, index: int, shard_id: int, reply: Dict[str, Any]):
+        wall = float(reply.get("wall", 0.0))
         with self._lock:
             self.replies[index] = reply
-            wall = float(reply.get("wall", 0.0))
             self.wall_by_shard[shard_id] = (
                 self.wall_by_shard.get(shard_id, 0.0) + wall
             )
             self.group.tasks += 1
-        self.group._count(
-            "shard_tasks_total", shard=str(shard_id)
-        )
-        if self.registry is not None:
+        self.group._count("shard_tasks_total", shard=str(shard_id))
+        if self.group.registry is not None:
             observe_span(
-                "shard_task",
-                float(reply.get("wall", 0.0)),
-                self.registry,
-                shard=str(shard_id),
+                "shard_task", wall, self.group.registry, shard=str(shard_id)
             )
 
     def _fail(self, index: int, message: str) -> None:
@@ -694,7 +578,7 @@ class _ShardRun:
                 return
             self._record(index, shard_id, reply)
 
-    def execute(self) -> None:
+    def execute(self, lanes: int) -> None:
         threads = [
             threading.Thread(
                 target=self._channel,
@@ -702,7 +586,7 @@ class _ShardRun:
                 name=f"repro-shard-{shard_id}",
                 daemon=True,
             )
-            for shard_id in range(self.group.shards)
+            for shard_id in range(lanes)
         ]
         for thread in threads:
             thread.start()
@@ -722,176 +606,60 @@ class _ShardRun:
         )
 
 
-class ShardExecutor:
-    """Runs compiled programs across a :class:`ShardGroup`.
+class ShardRunner:
+    """The shard tier as a morsel runner: one compiled program's
+    morsels, scattered over a :class:`ShardGroup`.
 
-    Mirrors :class:`~repro.engine.executor.MorselExecutor`'s parallel
-    path — same morsel splitter, same serial-phase accounting, same
-    deterministic merge and greedy schedule — with worker *processes*
-    in place of threads. :meth:`execute` returns ``None`` when the
-    program should not shard (no parallel plan, or the scan is below
-    the fan-out floor); the caller then falls back to the thread path.
+    What the workers need to compile the same program — the operator
+    tree, strategy, requested backend, encoding mode and the measured
+    statistics it was priced with — is read off the compiled program
+    (``compile_pipeline`` records all of it in ``notes``).
     """
 
-    def __init__(
-        self,
-        group: ShardGroup,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    #: Morsels run in worker processes (``RunMetrics.sharded``); a
+    #: single lane still crosses the pipe rather than running serial.
+    sharded = True
+
+    def __init__(self, group: ShardGroup, compiled: CompiledQuery) -> None:
         self.group = group
-        self.registry = registry
+        self.compiled = compiled
 
-    def execute(
+    def run(
         self,
-        compiled: CompiledQuery,
-        session: Session,
-        *,
-        logical: LogicalPlan,
-        strategy: str,
-        backend: str,
-        encoding: str = "auto",
-        override=None,
+        session,
+        plan,
+        ctx: Any,
+        morsels: List[Tuple[int, int]],
+        label: str,
+        lanes: int,
         cancel: Optional[CancelToken] = None,
-    ) -> Optional[QueryResult]:
-        """``logical`` is the operator tree ``compiled`` was compiled
-        from: the workers receive its wire envelope and compile the
-        same program themselves."""
-        plan = compiled.parallel
-        if plan is None:
-            return None
-        serial_limit = MIN_MORSEL_ROWS
-        if session.knobs.morsel_rows is None:
-            floor = session.knobs.min_parallel_rows
-            if floor is None:
-                floor = plan.min_parallel_rows
-            serial_limit = max(serial_limit, floor)
-        if plan.n_rows <= serial_limit:
-            return None
-
-        started = time.perf_counter()
-        label = f"{compiled.strategy}:{compiled.name}"
-        if cancel is not None:
-            cancel.check(label)
-        session.reset()
-
-        # Serial phases run (and are costed) in the parent, exactly as
-        # the thread path does: finalize needs the parent-side ctx, and
-        # the workers' own setup runs are deliberately *not* reported —
-        # they are redundant real work, not extra simulated work.
-        serial_reports: List[CostReport] = []
-        ctx = None
-        if plan.setup is not None:
-            setup_session = session.clone()
-            with setup_session.tracer.kernel(f"{label}:setup"):
-                ctx = plan.setup(setup_session)
-            serial_reports.append(setup_session.tracer.report)
-
-        morsel_rows = pick_morsel_rows(
-            plan.n_rows, self.group.shards, session.knobs.morsel_rows
-        )
-        morsels = split_morsels(plan.n_rows, morsel_rows)
-        task_template = {
-            "spec": plan_to_wire(logical),
-            "strategy": strategy,
-            "backend": backend,
+    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
+        """Setup state (``ctx``) is not shipped: each worker builds
+        its own once per program, uncosted — the executor accounts the
+        serial phases itself."""
+        notes = self.compiled.notes
+        task = {
+            "spec": plan_to_wire(notes["logical"]),
+            # The parent already fingerprinted the plan; the workers
+            # key their program cache on it.
+            "fingerprint": notes["fingerprint"],
+            "strategy": self.compiled.strategy,
+            "backend": notes["requested_backend"],
             # Encoding mode travels on the wire so workers pick the
             # same per-column code/value streams the parent priced;
             # workers mmap the cached code arrays, never decoded copies.
-            "encoding": encoding,
-            "override": override_to_wire(override),
+            "encoding": notes["encoding"],
+            "override": override_to_wire(notes.get("stats_override")),
             "ht_prefetch": bool(session.knobs.ht_prefetch),
         }
-        run = _ShardRun(
-            self.group, task_template, morsels, label,
-            self.registry, cancel,
-        )
-        with self._span("shard_execute"):
-            run.execute()
+        run = _ShardRun(self.group, task, morsels, label, cancel)
+        run.execute(lanes)
         run.raise_failure()
-
-        replies = [r for r in run.replies if r is not None]
-        values = [decode_partial(r["value"]) for r in replies]
-        morsel_reports = [
-            self._morsel_report(session, r) for r in replies
-        ]
-
-        with self._span("merge"):
-            merged = merge_partials(values)
-            if plan.finalize is not None:
-                final_session = session.clone()
-                with final_session.tracer.kernel(f"{label}:finalize"):
-                    merged = plan.finalize(final_session, merged, ctx)
-                serial_reports.append(final_session.tracer.report)
-
-        report = merge_reports(
-            session.machine, serial_reports + morsel_reports
+        return (
+            [decode_partial(r["value"]) for r in run.replies],
+            [
+                report_from_wire(session.machine, r["report"])
+                for r in run.replies
+            ],
+            run.wall_by_shard,
         )
-        serial_cycles = sum(r.total_cycles for r in serial_reports)
-        worker_stats, assignment = greedy_schedule(
-            [r.total_cycles for r in morsel_reports], self.group.shards
-        )
-        for morsel_report, worker_id in zip(morsel_reports, assignment):
-            kernels = worker_stats[worker_id].by_kernel
-            for kernel, cycles in morsel_report.by_kernel.items():
-                kernels[kernel] = kernels.get(kernel, 0.0) + cycles
-        for stats in worker_stats:
-            stats.wall_seconds = run.wall_by_shard.get(
-                stats.worker_id, 0.0
-            )
-        critical = serial_cycles + max(
-            (s.sim_cycles for s in worker_stats), default=0.0
-        )
-        counts: Dict[str, int] = {}
-        from .metrics import event_counts as count_events
-
-        for serial_report in serial_reports:
-            for kind, count in count_events(serial_report).items():
-                counts[kind] = counts.get(kind, 0) + count
-        for reply in replies:
-            for kind, count in reply.get("event_counts", {}).items():
-                counts[kind] = counts.get(kind, 0) + int(count)
-        report.metrics = RunMetrics(
-            wall_seconds=time.perf_counter() - started,
-            workers=self.group.shards,
-            morsels=len(morsels),
-            morsel_rows=morsel_rows,
-            scan_rows=plan.n_rows,
-            parallel=True,
-            pooled=False,
-            sharded=True,
-            machine=session.machine,
-            total_cycles=report.total_cycles,
-            critical_path_cycles=critical,
-            serial_cycles=serial_cycles,
-            event_counts=counts,
-            worker_stats=worker_stats,
-        )
-        # The adaptive loop's cross-process feedback: the workers'
-        # event tallies, merged, attached for the facade to fold.
-        report.shard_tallies = merge_tallies(
-            [r.get("tallies", {}) for r in replies]
-        )
-        return QueryResult(value=merged, report=report)
-
-    def _morsel_report(self, session: Session, reply) -> CostReport:
-        report = CostReport(
-            machine=session.machine,
-            total_cycles=float(reply.get("cycles", 0.0)),
-            by_kernel={
-                k: float(v)
-                for k, v in reply.get("by_kernel", {}).items()
-            },
-            by_kind={
-                k: float(v)
-                for k, v in reply.get("by_kind", {}).items()
-            },
-        )
-        return report
-
-    def _span(self, stage: str):
-        from contextlib import nullcontext
-
-        if self.registry is None:
-            return nullcontext()
-        return span(stage, self.registry)

@@ -10,15 +10,11 @@ parent for crash forensics):
     shares the physical column pages with every sibling worker and the
     parent) and builds the machine model. Replies ``ready`` or
     ``fatal``.
-``warm``
-    Pre-compiles a (spec, strategy, backend, encoding, override)
-    program so the
-    first real morsel does not pay compile latency. Replies ``warmed``.
 ``task``
     Runs one morsel ``[lo, hi)`` of a compiled program's ``partial``
-    and replies with the bit-exact encoded partial state, its simulated
-    cost breakdown, and the event tallies the adaptive loop feeds on.
-    The raw event objects never cross the pipe.
+    and replies with the bit-exact encoded partial state and the
+    morsel's cost report (its priced event stream — empty on the
+    vectorized backend).
 ``shutdown``
     Exit 0. SIGTERM does the same, but drains a task already in flight
     first (graceful drain); a second SIGTERM exits immediately.
@@ -45,11 +41,7 @@ from ..codegen.pipeline import compile_pipeline
 from ..plan.serde import plan_from_wire
 from .machine import MachineModel
 from .session import Session
-from .shard import (
-    encode_partial,
-    event_tallies,
-    override_from_wire,
-)
+from .shard import encode_partial, override_from_wire, report_to_wire
 
 #: Compiled programs kept per worker (LRU); a serving worker sees a
 #: small working set of (query, strategy, backend) triples.
@@ -93,7 +85,7 @@ class _Worker:
     def _program_key(self, msg: Dict[str, Any]) -> Tuple:
         override = msg.get("override") or {}
         return (
-            json.dumps(msg["spec"], sort_keys=True),
+            msg["fingerprint"],  # the parent's ``ir:`` plan fingerprint
             msg["strategy"],
             msg["backend"],
             msg.get("encoding", "auto"),
@@ -101,7 +93,7 @@ class _Worker:
         )
 
     def _compile(self, msg: Dict[str, Any]) -> Tuple:
-        """The (compiled, ctx) pair for a task/warm message, cached.
+        """The (compiled, ctx) pair for a task message, cached.
 
         ``ctx`` is the program's setup state (hash tables and the
         like), built once per program on a throwaway session — every
@@ -140,10 +132,6 @@ class _Worker:
 
     # -- ops -------------------------------------------------------------
 
-    def warm(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        self._compile(msg)
-        return {"op": "warmed", "id": msg.get("id")}
-
     def task(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         compiled, ctx = self._compile(msg)
         plan = compiled.parallel
@@ -161,18 +149,11 @@ class _Worker:
         with session.tracer.kernel(f"{label}:morsel"):
             value = plan.partial(session, ctx, lo, hi)
         wall = time.perf_counter() - started
-        report = session.tracer.report
-        from .metrics import event_counts
-
         return {
             "op": "result",
             "id": msg.get("id"),
             "value": encode_partial(value),
-            "cycles": report.total_cycles,
-            "by_kernel": report.by_kernel,
-            "by_kind": report.by_kind,
-            "event_counts": event_counts(report),
-            "tallies": event_tallies(report),
+            "report": report_to_wire(session.tracer.report),
             "wall": wall,
         }
 
@@ -216,8 +197,6 @@ def main() -> int:
         try:
             if op == "init":
                 reply = worker.init(msg)
-            elif op == "warm":
-                reply = worker.warm(msg)
             elif op == "task":
                 reply = worker.task(msg)
             else:

@@ -14,6 +14,7 @@ from repro.datagen import microbench as mb
 from repro.datagen import tpch
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.plan_cache import normalize_query
+from repro.engine.pool import WorkerPool
 from repro.engine.program import CompiledQuery
 from repro.engine.session import Session
 from repro.plan.passes import run_passes
@@ -24,6 +25,13 @@ def compile_named(name, strategy, db, **kwargs) -> CompiledQuery:
     """TPC-H query ``name`` through the staged pipeline (instrumented
     unless ``backend=`` says otherwise)."""
     return compile_pipeline(logical_plan(name), db, strategy, **kwargs)
+
+
+def drain(batch):
+    """Run a :class:`MorselBatch` on a throwaway pool; the batch stays
+    inspectable (``cancelled`` / ``values``) afterwards."""
+    with WorkerPool(workers=batch.workers) as pool:
+        return pool.run_batch(batch)
 
 
 def staged_program(

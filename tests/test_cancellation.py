@@ -13,10 +13,11 @@ import pytest
 
 from repro.datagen import microbench as mb
 from repro.engine import CancelToken, Engine, MorselBatch
-from repro.engine.pool import drain_with_ephemeral_threads
 from repro.engine.program import results_equal
 from repro.engine.session import Session
 from repro.errors import QueryCancelled, QueryTimeout, ReproError
+
+from .conftest import drain
 
 
 class SlowPlan:
@@ -98,7 +99,7 @@ class TestMorselCursorStops:
         token = CancelToken(deadline=time.monotonic() - 1.0)
         batch, plan = slow_batch(token)
         with pytest.raises(QueryTimeout, match=r"0/50 morsels"):
-            drain_with_ephemeral_threads(batch)
+            drain(batch)
         assert plan.ran == 0
         assert batch.cancelled
 
@@ -110,7 +111,7 @@ class TestMorselCursorStops:
         with pytest.raises(
             QueryTimeout, match=r"deadline .* morsels .*s elapsed"
         ) as info:
-            drain_with_ephemeral_threads(batch)
+            drain(batch)
         assert 0 < plan.ran < 50
         assert info.value.elapsed >= 0.08
         assert info.value.deadline == pytest.approx(0.08, abs=0.01)
@@ -129,14 +130,14 @@ class TestMorselCursorStops:
 
         plan.partial = cancelling
         with pytest.raises(QueryCancelled, match=r"cancelled after"):
-            drain_with_ephemeral_threads(batch)
+            drain(batch)
         assert plan.ran < 50
 
     def test_completed_morsels_keep_their_values(self):
         token = CancelToken.after(0.08)
         batch, _ = slow_batch(token)
         with pytest.raises(QueryTimeout):
-            drain_with_ephemeral_threads(batch)
+            drain(batch)
         done = [v for v in batch.values if v is not None]
         assert done  # the work before the deadline is recorded
         assert all(v == {"rows": 10} for v in done)

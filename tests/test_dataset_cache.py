@@ -99,10 +99,10 @@ class TestDiskLayer:
         fresh = tpch.generate(config)
         databases_equal(db, fresh)
         machine = PAPER_MACHINE.scaled(config.machine_scale)
-        from_disk = Engine(db, machine=machine, use_pool=False).execute(
+        from_disk = Engine(db, machine=machine).execute(
             logical_plan("Q6"), "swole", workers=2
         )
-        from_gen = Engine(fresh, machine=machine, use_pool=False).execute(
+        from_gen = Engine(fresh, machine=machine).execute(
             logical_plan("Q6"), "swole", workers=2
         )
         assert results_equal(from_disk, from_gen)

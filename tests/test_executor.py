@@ -161,7 +161,7 @@ class TestRunMetrics:
         assert s.morsel_rows == s.scan_rows
         assert p.morsel_rows * (p.morsels - 1) < p.scan_rows
         assert p.morsel_rows * p.morsels >= p.scan_rows
-        assert p.pooled and not s.pooled
+        assert p.parallel and not s.parallel
 
     def test_scan_rows_zero_without_parallel_plan(self, micro_engine):
         result = micro_engine.execute(mb.q1(30), "interpreter", workers=4)

@@ -18,13 +18,16 @@ from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.datagen.cache import load_dataset
 from repro.engine import Engine
-from repro.engine.costing import StatsOverride
+from repro.engine.costing import CostReport, StatsOverride
+from repro.engine.events import Branch, CondRead, RandomAccess, StatSample
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.shard import (
     decode_partial,
     encode_partial,
     override_from_wire,
     override_to_wire,
+    report_from_wire,
+    report_to_wire,
 )
 from repro.errors import ReproError
 from repro.server import QueryRequest, QueryService
@@ -115,6 +118,34 @@ class TestWireCodec:
         value = {"x": np.array([np.nan, 1.0])}
         back = self.roundtrip(value)
         assert back["x"].tobytes() == value["x"].tobytes()
+
+    def test_cost_report_roundtrip_rebuilds_totals(self):
+        # The reply ships the morsel's priced event stream; replaying
+        # it through CostReport.add must rebuild every aggregate.
+        report = CostReport(machine=PAPER_MACHINE)
+        report.add(
+            "swole:Q:morsel",
+            CondRead(n_range=10, n_selected=3, width=4, array="a"),
+            0.1 + 0.2,
+        )
+        report.add(
+            "swole:Q:morsel",
+            RandomAccess(n=7, struct_bytes=4096, op_cycles=2.75, prefetched=True),
+            1e-300,
+        )
+        report.add("swole:Q:probe", Branch(n=5, taken_fraction=0.1, site="s"), 3.0)
+        report.add(
+            "swole:Q:probe",
+            StatSample(kind="join_match", n=5, value=2.0, site="j"),
+            0.0,
+        )
+        back = report_from_wire(
+            PAPER_MACHINE, json.loads(json.dumps(report_to_wire(report)))
+        )
+        assert back.events == report.events
+        assert back.total_cycles.hex() == report.total_cycles.hex()
+        assert back.by_kernel == report.by_kernel
+        assert back.by_kind == report.by_kind
 
     def test_override_wire_roundtrip(self):
         override = StatsOverride(selectivity=0.25, group_cardinality=7)
@@ -223,6 +254,82 @@ class TestByteIdentity:
             result = sharded.execute(mb.q1(30), "swole")
             assert result.report.metrics.sharded
             assert repr(result.value) == repr(expected)
+
+
+class TestThreadShardParity:
+    """Threads and shard processes are two runners under one executor:
+    a sharded run must be *measured* exactly as a thread run is — same
+    event stream, so the same Observation reaches the adaptive loop."""
+
+    @pytest.fixture(scope="class")
+    def observed(self, cached_tpch_db):
+        """An instrumented, adaptive engine whose ``observe`` only
+        records, so the loop never recompiles between the two runs."""
+        engine = Engine(
+            cached_tpch_db,
+            machine=PAPER_MACHINE,
+            workers=SHARDS,
+            shards=SHARDS,
+            backend="instrumented",
+            adaptive=True,
+            min_parallel_rows=1,
+        )
+        seen = []
+        engine.adaptive.observe = (
+            lambda fp, strategy, backend, observation, **_: seen.append(
+                observation
+            )
+        )
+        yield engine, seen
+        engine.shutdown()
+
+    @pytest.mark.parametrize("name", ["Q1", "Q5", "Q19"])
+    @pytest.mark.parametrize("strategy", ["hybrid", "swole"])
+    def test_sharded_run_is_measured_like_a_thread_run(
+        self, observed, name, strategy
+    ):
+        engine, seen = observed
+        plan = logical_plan(name)
+        del seen[:]
+        threads = engine.execute(plan, strategy, workers=SHARDS, shards=0)
+        shards = engine.execute(plan, strategy, shards=SHARDS)
+        t, s = threads.report.metrics, shards.report.metrics
+        assert t.parallel and not t.sharded
+        assert s.parallel and s.sharded
+        on_threads, on_shards = seen
+        for stat in (
+            "selectivity", "match_fraction", "group_cardinality",
+            "random_accesses", "ht_bytes", "events",
+        ):
+            assert getattr(on_shards, stat) == getattr(on_threads, stat), stat
+        assert on_shards.events > 0
+        assert s.event_counts == t.event_counts
+        assert repr(shards.value) == repr(threads.value)
+        if (name, strategy) == ("Q5", "hybrid"):
+            # Its morsels probe one shared hash table, and a lookup is
+            # priced by that table's *lifetime* mean probe length
+            # (kernels._ht_op_cycles): cycles depend on which probes
+            # came first, between two thread runs as much as between
+            # tiers, so only the event stream is comparable here.
+            return
+        assert s.total_cycles == t.total_cycles
+        assert s.critical_path_cycles == t.critical_path_cycles
+        assert shards.report.by_kernel == threads.report.by_kernel
+
+    def test_shard_count_does_not_split_the_plan_cache(self, cached_tpch_db):
+        # One program whatever runs its morsels: in-process then
+        # sharded is one miss, one hit, one cache entry.
+        with Engine(cached_tpch_db, min_parallel_rows=1) as engine:
+            plan = logical_plan("Q6")
+            first = engine.execute(plan, "swole", shards=0)
+            second = engine.execute(plan, "swole", shards=SHARDS)
+            assert first.report.metrics.plan_cache == "miss"
+            assert second.report.metrics.plan_cache == "hit"
+            assert second.report.metrics.sharded
+            assert (engine.cache_stats.misses, engine.cache_stats.hits) == (
+                1, 1,
+            )
+            assert len(engine.plan_cache) == 1
 
 
 class TestFallback:

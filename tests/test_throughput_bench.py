@@ -1,17 +1,15 @@
-"""Throughput bench: report shape, cache integration, pool-vs-spawn."""
+"""Throughput bench: report shape and cache integration."""
 
 import json
 
 from repro.bench.throughput import (
     percentile,
-    pool_vs_spawn,
     run_throughput,
     run_workload,
 )
 from repro.datagen import microbench as mb
 from repro.datagen.cache import DatasetCache
 from repro.engine import Engine
-from repro.engine.machine import PAPER_MACHINE
 
 TINY = dict(
     rows=4_000,
@@ -20,8 +18,6 @@ TINY = dict(
     iterations=2,
     warmup=1,
     strategies=("swole",),
-    baseline_sf=0.0015,  # distinct from sf: three distinct datasets
-    baseline_iterations=4,
     verbose=False,
 )
 
@@ -54,20 +50,8 @@ class TestRunWorkload:
         assert result.p50_ms <= result.p95_ms
         # warmup filled the plan cache: the measured loop only hits
         assert result.plan_cache["hit_rate"] == 1.0
-        assert result.pooled
         row = result.format_row()
         assert "smoke" in row and "q/s" in row
-
-
-class TestPoolVsSpawn:
-    def test_reports_both_modes(self, tpch_db, tpch_config):
-        machine = PAPER_MACHINE.scaled(tpch_config.machine_scale)
-        result = pool_vs_spawn(
-            tpch_db, machine, workers=2, iterations=4, rounds=2
-        )
-        assert result["pool_qps"] > 0 and result["spawn_qps"] > 0
-        assert result["speedup"] > 0
-        assert result["queries_per_mode"] == 4
 
 
 class TestRunThroughput:
@@ -87,7 +71,10 @@ class TestRunThroughput:
         for workload in on_disk["workloads"]:
             assert workload["qps"] > 0
             assert workload["p50_ms"] <= workload["p95_ms"]
-        assert on_disk["pool_vs_spawn"]["pool_qps"] > 0
+        assert "pool_vs_spawn" not in on_disk
+        assert set(on_disk["dataset_cache"]["sources"]) == {
+            "microbench", "tpch",
+        }
         # first run on an empty cache dir generates everything
         assert set(report["dataset_cache"]["sources"].values()) == {
             "generated"

@@ -4,7 +4,7 @@ The pool's contract: threads start lazily and are reused across
 queries (no per-query spawn), ``shutdown()`` is idempotent and the
 context manager tears threads down, a batch's first morsel failure
 cancels the remaining morsels and re-raises naming the morsel, and
-pooled results/simulated cycles are bit-identical to the spawn path.
+pooled results are bit-identical to a serial run.
 """
 
 import threading
@@ -13,10 +13,11 @@ import pytest
 
 from repro.datagen import microbench as mb
 from repro.engine import Engine, MorselBatch, WorkerPool
-from repro.engine.pool import drain_with_ephemeral_threads
 from repro.engine.program import results_equal
 from repro.engine.session import ExecutionKnobs, Session
 from repro.errors import ExecutionError
+
+from .conftest import drain
 
 
 def pool_thread_ids():
@@ -90,7 +91,7 @@ class TestPoolLifecycle:
         engine.shutdown()  # second call is a no-op
         # the pool restarts lazily if the engine is used again
         result = engine.execute(mb.q1(30), "swole", workers=2)
-        assert result.metrics.pooled
+        assert result.metrics.parallel
         engine.shutdown()
         assert pool_thread_ids() == before
 
@@ -181,7 +182,7 @@ class TestCancellation:
     def test_failure_cancels_and_names_morsel(self):
         batch, _ = make_batch(n_morsels=16, workers=1, fail_at={300})
         with pytest.raises(ExecutionError, match=r"morsel 3 .*test"):
-            drain_with_ephemeral_threads(batch)
+            drain(batch)
         assert batch.cancelled
         # cancelled before draining the cursor: later morsels never ran
         assert batch.values[-1] is None
@@ -189,7 +190,7 @@ class TestCancellation:
     def test_failure_preserves_cause(self):
         batch, _ = make_batch(n_morsels=4, workers=2, fail_at={0})
         with pytest.raises(ExecutionError) as info:
-            drain_with_ephemeral_threads(batch)
+            drain(batch)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_pool_survives_a_failed_batch(self):
@@ -222,34 +223,20 @@ class TestKnobIsolation:
     def test_template_knobs_propagate(self):
         knobs = ExecutionKnobs(ht_prefetch=True)
         batch, plan = make_batch(n_morsels=4, workers=2, knobs=knobs)
-        drain_with_ephemeral_threads(batch)
+        drain(batch)
         assert all(plan.seen_prefetch.values())
 
 
 class TestDeterminism:
-    def test_pooled_matches_spawned_bit_for_bit(self, micro_db):
+    def test_pooled_matches_serial_bit_for_bit(self, micro_db):
         knobs = ExecutionKnobs(morsel_rows=4096)
-        pooled_engine = Engine(db=micro_db, workers=4, knobs=knobs)
-        spawn_engine = Engine(
-            db=micro_db, workers=4, use_pool=False, knobs=knobs
-        )
-        try:
+        with Engine(db=micro_db, workers=4, knobs=knobs) as engine:
             for query in (mb.q1(30, "div"), mb.q2(40), mb.q4(50, 50)):
-                pooled = pooled_engine.execute(query, "swole", workers=4)
-                spawned = spawn_engine.execute(query, "swole", workers=4)
-                assert results_equal(pooled, spawned)
-                assert pooled.metrics.pooled
-                assert not spawned.metrics.pooled
-                assert (
-                    pooled.metrics.total_cycles
-                    == spawned.metrics.total_cycles
-                )
-                assert (
-                    pooled.metrics.critical_path_cycles
-                    == spawned.metrics.critical_path_cycles
-                )
-        finally:
-            pooled_engine.shutdown()
+                pooled = engine.execute(query, "swole", workers=4)
+                serial = engine.execute(query, "swole", workers=1)
+                assert pooled.metrics.parallel
+                assert not serial.metrics.parallel
+                assert results_equal(pooled, serial)
 
     def test_repeated_pooled_runs_stable(self, micro_db):
         with Engine(db=micro_db, workers=4) as engine:
