@@ -58,8 +58,9 @@ def main() -> None:
         )
 
     print()
-    # Engine defaults: the vectorized backend (generated whole-column
-    # NumPy kernels — same bits, real wall-clock speed), 4 workers.
+    # Engine defaults: the vectorized backend (generated NumPy kernels
+    # a cache-sized row block at a time, C once a program is hot —
+    # same bits, real wall-clock speed), 4 workers.
     parallel = engine.execute(plan)
     assert parallel.scalar("sum") == answer, "parallel run diverged!"
     print("same query on the vectorized serving backend (engine default):")

@@ -36,6 +36,14 @@ def table_rows(data: Dict[str, np.ndarray]) -> int:
     return int(next(iter(data.values())).shape[0])
 
 
+def dense_spread_limit(rows: int) -> int:
+    """Widest key spread (max - min) grouped by counting rather than
+    sorting: keeps the per-group tables O(rows). Dense keys (dictionary
+    codes, group expressions, FK ids) qualify; sparse ones (hashes,
+    wide surrogate keys) do not."""
+    return max(65536, 4 * rows)
+
+
 def emit_seq_reads(
     session: Session,
     data: Dict[str, np.ndarray],

@@ -21,13 +21,16 @@ answers match the instrumented backend bit for bit.
 
 from __future__ import annotations
 
+import threading
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..engine.program import merge_partials
 from ..errors import PlanError
-from .common import slice_columns
+from . import native
+from .common import dense_spread_limit, slice_columns
 
 __all__ = [
     "BLOCK_BYTES",
@@ -97,15 +100,15 @@ def _dense_codes(keys: np.ndarray):
     """``(codes, base_keys)`` when the key range is narrow enough for
     counting-sort grouping, else ``None`` (caller falls back to sort).
 
-    The spread bound keeps the ``np.bincount`` tables O(n): dense keys
-    (dictionary codes, group expressions, FK ids) qualify; sparse ones
-    (hashes, wide surrogate keys) take the argsort path.
+    The spread bound (:func:`~repro.codegen.common.dense_spread_limit`)
+    keeps the ``np.bincount`` tables O(n); sparse keys take the argsort
+    path.
     """
     if keys.size == 0:
         return None
     kmin = int(keys.min())
     spread = int(keys.max()) - kmin
-    if spread > max(65536, 4 * keys.size):
+    if spread > dense_spread_limit(keys.size):
         return None
     codes = (keys - np.int64(kmin)).astype(np.intp, copy=False)
     base = np.arange(spread + 1, dtype=np.int64) + np.int64(kmin)
@@ -275,6 +278,18 @@ class VectorizedProgram:
     that pipeline is splittable into row ranges, ``None`` when it is
     not; it fixes ``block_rows``, the rows the final kernel is called
     with at a time (``None``: the whole view is one block).
+
+    The final pipeline has two tiers (:mod:`repro.codegen.native`).
+    ``tier`` starts at ``"numpy"``; :meth:`run_final` times its NumPy
+    kernel calls, and once they add up to what a build is estimated to
+    cost the program goes to the builder thread (``"building"``), which
+    ends in ``"native"`` with ``native`` set — from then on the final
+    pipeline is one C call over the whole row range — or in
+    ``"declined: <reason>"`` / ``"failed: <reason>"``, which are final:
+    the program stays on NumPy. ``fk_offsets`` (FK column -> the offsets
+    its gathers index through), ``cache_dir``, ``registry``, ``label``
+    and ``notes`` (where the live C text is published as
+    ``notes["native_source"]``) are what a build needs to know.
     """
 
     def __init__(
@@ -284,12 +299,31 @@ class VectorizedProgram:
         source: str,
         finalize: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
         row_bytes: Optional[int] = None,
+        fk_offsets: Optional[Dict[str, np.ndarray]] = None,
+        cache_dir: Optional[str] = None,
+        registry: Any = None,
+        label: str = "query",
     ) -> None:
         if not kernels:
             raise PlanError("vectorized program needs at least one pipeline")
         self.kernels = kernels
         self.data = data
         self.source = source
+        self.final_pipe = kernels[-1][0]
+        self.fk_offsets = fk_offsets if fk_offsets is not None else {}
+        self.cache_dir = cache_dir
+        self.registry = registry
+        self.label = label
+        self.notes: Dict[str, Any] = {}
+        self.tier = "numpy"
+        self.native: Optional[native.NativeKernel] = None
+        self._numpy_seconds = 0.0
+        self._tier_lock = threading.Lock()
+        builder = native.builder()
+        builder.track(self)
+        if registry is not None:
+            # The ``stats`` op: every live program's tier.
+            registry.register_source("native", builder.snapshot)
         #: Post-merge cleanup applied once to the final (serial) or
         #: merged (parallel) result — eager aggregation's victim-key
         #: deletion lives here so block and morsel partials stay
@@ -324,18 +358,60 @@ class VectorizedProgram:
         lo: int,
     ) -> Dict[str, Any]:
         """Run the final pipeline over ``view`` — the whole scan, or one
-        morsel's or shard's row range of it starting at row ``lo`` —
-        block by block, merging the per-block partials."""
+        morsel's or shard's row range of it starting at row ``lo`` — as
+        one native call when the program has a native kernel, else
+        block by block through the NumPy kernel, merging the per-block
+        partials."""
         _, fn = self.kernels[-1]
         if state is None:
             state = {}
+        kernel = self.native
+        if kernel is not None:
+            result = kernel(view, state, lo)
+            if result is not None:
+                return result
+        started = perf_counter()
         # An empty view is still one (empty) block: the kernel shapes
         # the zero answer.
         rows = max(rows_of(view), 1)
         step = self.block_rows or rows
-        return merge_partials(
+        result = merge_partials(
             [
                 fn(slice_columns(view, at, at + step), state, lo + at)
                 for at in range(0, rows, step)
             ]
         )
+        if self.tier == "numpy":
+            self._earn(perf_counter() - started, state)
+        return result
+
+    def _earn(self, seconds: float, state: Dict[str, Dict[str, Any]]) -> None:
+        """Ski-rental: hand the program to the builder once its NumPy
+        kernel has cost as much as a build is estimated to."""
+        builder = native.builder()
+        with self._tier_lock:
+            self._numpy_seconds += seconds
+            if (
+                self.tier != "numpy"
+                or self._numpy_seconds < builder.estimate
+            ):
+                return
+            self.tier = "building"
+        if not builder.submit(self, state):
+            self.tier = "numpy"
+
+    def publish(
+        self, tier: str, kernel: Optional[native.NativeKernel]
+    ) -> None:
+        """The builder's verdict: the final tier and, for ``"native"``,
+        the kernel :meth:`run_final` switches to."""
+        if kernel is not None:
+            self.notes["native_source"] = kernel.source.text
+        self.native = kernel
+        self.tier = tier
+
+    def build_now(self) -> str:
+        """Build the native kernel synchronously, whatever the program
+        has earned, and return the resulting tier (for tests: which
+        kernel runs next is then not a race)."""
+        return native.builder().build(self, self.run_setup())

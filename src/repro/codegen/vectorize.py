@@ -115,6 +115,14 @@ class _Env:
             self._fk_cache[key] = name
         return name
 
+    def fk_bound(self, table: str) -> Dict[str, np.ndarray]:
+        """FK column -> the offsets bound for gathers out of ``table``."""
+        return {
+            column: self.bindings[name]
+            for (owner, column), name in self._fk_cache.items()
+            if owner == table
+        }
+
 
 def compile_expr(expr: Expr, data: str, env: _Env) -> str:
     """Python source for ``expr`` evaluated over the columns of the
@@ -750,9 +758,15 @@ def splittable(physical: PhysicalPlan) -> bool:
 
 
 def compile_physical(
-    physical: PhysicalPlan, db: Database, name: str = "query"
+    physical: PhysicalPlan,
+    db: Database,
+    name: str = "query",
+    registry=None,
 ) -> VectorizedProgram:
-    """Generate, ``exec``, and wrap one kernel per pipeline."""
+    """Generate, ``exec``, and wrap one kernel per pipeline.
+
+    ``registry`` is where a later native build of the program reports
+    (default: the process-wide registry)."""
     env = _Env()
     sources: List[str] = [
         f"# vectorized kernels for {name} [{physical.strategy}]",
@@ -779,6 +793,10 @@ def compile_physical(
         source,
         finalize=finalize,
         row_bytes=emitters[-1].row_bytes if splittable(physical) else None,
+        fk_offsets=env.fk_bound(physical.pipelines[-1].table),
+        cache_dir=getattr(db, "dataset_cache_dir", None),
+        registry=registry,
+        label=f"{name}[{physical.strategy}]",
     )
 
 

@@ -43,7 +43,8 @@ from .session import ExecutionKnobs, Session
 AUTO_STRATEGY = "swole"
 
 #: Execution backends a query can be compiled for. ``vectorized`` is
-#: the serving default (generated whole-column NumPy kernels);
+#: the serving default (generated NumPy kernels run a cache-sized row
+#: block at a time, replaced by a C kernel once a program is hot);
 #: ``instrumented`` replays the plan through the event-priced
 #: interpreter and remains the authority for costing and explain.
 BACKENDS = ("instrumented", "vectorized")
@@ -72,8 +73,9 @@ class Engine:
         Default :class:`ExecutionKnobs` for sessions this engine spawns.
     backend:
         Default execution backend for this engine's compilations:
-        ``"vectorized"`` (default — generated whole-column NumPy
-        kernels) or ``"instrumented"`` (the event-priced interpreter;
+        ``"vectorized"`` (default — generated NumPy kernels over
+        cache-sized row blocks, with a native C tier for hot programs)
+        or ``"instrumented"`` (the event-priced interpreter;
         the costing authority). Overrides ``knobs.backend`` when given;
         every query-taking method also accepts a per-call ``backend=``.
     registry:
@@ -205,6 +207,9 @@ class Engine:
             "plan_cache", self.plan_cache.stats.snapshot
         )
         self.registry.register_source("pool", self.pool.snapshot)
+        #: ``_record_run``'s instruments, resolved once per label set.
+        self._run_cells: dict = {}
+        self._event_cells: dict = {}
         # Lazy import: repro.adaptive imports engine modules, and
         # ``repro.engine.__init__`` imports this facade.
         from ..adaptive import resolve_adaptive
@@ -500,24 +505,39 @@ class Engine:
         heuristics reason about, and — past the threshold — a
         slow-query log entry keyed by the plan fingerprint."""
         reg = self.registry
-        reg.histogram(
-            "span_seconds",
-            stage="execute",
-            strategy=strategy,
-            backend=backend,
-        ).observe(metrics.wall_seconds)
-        reg.counter(
-            "queries_total", strategy=strategy, backend=backend
-        ).inc()
-        reg.counter(
-            "plan_cache_lookups_total",
-            strategy=strategy,
-            outcome=metrics.plan_cache,
-        ).inc()
+        key = (strategy, backend, metrics.plan_cache)
+        cells = self._run_cells.get(key)
+        if cells is None:
+            # Resolved once per label set: a registry lookup validates
+            # and sorts its label names every time, which a
+            # sub-millisecond native kernel would notice on every run.
+            cells = self._run_cells[key] = (
+                reg.histogram(
+                    "span_seconds",
+                    stage="execute",
+                    strategy=strategy,
+                    backend=backend,
+                ),
+                reg.counter(
+                    "queries_total", strategy=strategy, backend=backend
+                ),
+                reg.counter(
+                    "plan_cache_lookups_total",
+                    strategy=strategy,
+                    outcome=metrics.plan_cache,
+                ),
+            )
+        span_seconds, queries, lookups = cells
+        span_seconds.observe(metrics.wall_seconds)
+        queries.inc()
+        lookups.inc()
         for kind, count in metrics.event_counts.items():
-            reg.counter(
-                "engine_events_total", strategy=strategy, kind=kind
-            ).inc(count)
+            cell = self._event_cells.get((strategy, kind))
+            if cell is None:
+                cell = self._event_cells[(strategy, kind)] = reg.counter(
+                    "engine_events_total", strategy=strategy, kind=kind
+                )
+            cell.inc(count)
         reg.slow_log.record(
             fingerprint=fingerprint,
             strategy=strategy,

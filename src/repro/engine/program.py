@@ -152,6 +152,10 @@ class CompiledQuery:
     notes: Dict[str, Any] = field(default_factory=dict)
     #: Declared by strategies whose scan pipeline is partitionable.
     parallel: Optional[ParallelPlan] = None
+    #: The :class:`~repro.codegen.npexec.VectorizedProgram` behind
+    #: ``_fn`` on the vectorized backend (its native tier is inspected
+    #: and forced through it); ``None`` on the instrumented one.
+    program: Any = None
 
     def run(self, session: Optional[Session] = None) -> QueryResult:
         """Execute the program serially; return the answer and report.

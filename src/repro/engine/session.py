@@ -22,7 +22,8 @@ class ExecutionKnobs:
         count.
     backend:
         Execution backend compiled programs run on: ``"vectorized"``
-        (generated whole-column NumPy kernels, the serving default) or
+        (generated NumPy kernels over cache-sized row blocks, with a
+        native C tier for hot programs; the serving default) or
         ``"instrumented"`` (the event-priced interpreter that remains
         the authority for costing and explain output).
     min_parallel_rows:

@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.codegen import native
 from repro.codegen.lower import lower_plan
 from repro.codegen.physexec import execute_plan
 from repro.codegen.pipeline import compile_pipeline
+from repro.codegen.vectorize import compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch
 from repro.engine.machine import PAPER_MACHINE
@@ -63,6 +65,39 @@ def staged_program(
     )
 
 
+def vectorized_program(plan, db, strategy="swole", registry=None, **forced):
+    """A :class:`VectorizedProgram` built through the public stages,
+    with ``forced`` fields written over the planner's ``Decisions``
+    (``agg_mode=``) — the vectorized twin of :func:`staged_program`,
+    for tests that drive the native tier below the engine."""
+    bound, decisions, _ = run_passes(plan, db, PAPER_MACHINE, strategy)
+    for name, value in forced.items():
+        assert hasattr(decisions, name), name
+        setattr(decisions, name, value)
+    return compile_physical(
+        lower_plan(bound, decisions, db, strategy), db, registry=registry
+    )
+
+
+def assert_value_equals(expected, value, cell):
+    """``value`` (a result dict) equals ``expected`` key by key, arrays
+    element-wise; ``cell`` labels the failure."""
+    assert set(value) == set(expected), cell
+    for key in expected:
+        lhs, rhs = expected[key], value[key]
+        if isinstance(lhs, np.ndarray):
+            assert np.array_equal(lhs, np.asarray(rhs)), (cell, key)
+        else:
+            assert lhs == rhs, (cell, key)
+
+
+#: Marks a test that builds a native kernel.
+requires_cc = pytest.mark.skipif(
+    native.find_compiler() is None,
+    reason="no C compiler (cc) on PATH: native kernels cannot be built",
+)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_dataset_cache_dir(tmp_path_factory):
     """Point the process-wide dataset cache at a per-run temp dir so
@@ -79,6 +114,15 @@ def _isolated_dataset_cache_dir(tmp_path_factory):
     else:
         os.environ["REPRO_CACHE_DIR"] = old_env
     cache_mod._default_cache = None
+
+
+@pytest.fixture(autouse=True)
+def _parked_native_builder(monkeypatch):
+    """Park the native builder thread, so which kernel a test exercises
+    is never a race: programs stay on their NumPy kernel unless the
+    test builds them itself (``program.build_now()``) or unparks the
+    builder."""
+    monkeypatch.setattr(native.builder(), "parked", True)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """The vectorized backend is a drop-in replacement, bit for bit.
 
 The contract of :mod:`repro.codegen.vectorize` is byte-identity: for
-every query the engine can run, the generated whole-column NumPy
-kernels must return exactly what the instrumented interpreter returns —
+every query the engine can run, the generated NumPy kernels — and the
+native C kernel that replaces a hot program's final pipeline — must
+return exactly what the instrumented interpreter returns —
 same keys, same aggregates, same Python scalar types — under every
 strategy, serially and morsel-parallel. These tests pin that contract:
 
@@ -20,6 +21,13 @@ strategy, serially and morsel-parallel. These tests pin that contract:
 * block-at-a-time execution: wherever the block boundaries fall — odd
   sizes, a one-row tail, blocks no row of which qualifies, an empty
   table — the answer is the whole-column answer, byte for byte;
+* the native axis: all 32 cells x encoding auto/off x serial /
+  ``workers=2`` / ``shards=2`` with the native kernel forced through
+  ``program.build_now()`` (cells the C emitter declines assert their
+  recorded reason), against the NumPy kernel and ``reference_result``;
+  int64 wrap, all-false / all-true masks, 0- and 1-row tables, the
+  key-mask throwaway row, a key spread straddling the dense bound, and
+  three different C sources for the three strategies' Q6;
 * the engine-level seams: backend-qualified plan-cache keys, the
   recorded effective backend, and the instrumented fallback when
   vectorization fails.
@@ -31,18 +39,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import npexec
+from repro.codegen.lower import lower_plan
 from repro.codegen.pipeline import compile_pipeline
-from repro.codegen.vectorize import VectorizeError
+from repro.codegen.vectorize import VectorizeError, compile_physical
 from repro.datagen import microbench as mb
+from repro.datagen import tpch as tpchgen
+from repro.datagen.cache import load_dataset
 from repro.engine import Engine, ExecutionKnobs
+from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
+from repro.plan import passes as PS
 from repro.plan.builder import PlanBuilder, scan
 from repro.plan.expressions import And, Col, Const, DictEq
 from repro.plan.logical import AggSpec
 from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table
-from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
+from repro.tpch import (
+    PIPELINE_QUERIES,
+    STRATEGIES,
+    logical_plan,
+    reference_result,
+)
+
+from .conftest import assert_value_equals, requires_cc, vectorized_program
 
 
 @pytest.fixture(scope="module")
@@ -533,6 +553,259 @@ class TestBlockBoundaries:
             blocked = engine.execute(plan, "swole", backend="vectorized")
             assert results_equal(whole, blocked)
             assert blocked.value["s"] == 0  # 8 * 2**61 wraps to zero
+
+
+def _native_decline(name, strategy):
+    """The reason the C emitter records for a TPC-H cell whose final
+    pipeline it does not cover (``None``: the cell goes native)."""
+    if name == "Q3":
+        return "op GroupJoinAgg"
+    if name == "Q13":
+        return "op GroupDistribution"
+    if name == "Q19":
+        return (
+            "op DisjunctBitmapProbe"
+            if strategy == "swole"
+            else "op DisjunctIndexProbe"
+        )
+    if strategy != "swole":
+        return {"Q4": "op HashSemiProbe", "Q5": "op HashJoinCarryProbe"}.get(
+            name
+        )
+    return None
+
+
+@requires_cc
+class TestNativeSweep:
+    """Every cell on its native kernel (or declined with the reason
+    the emitter records): encoding auto/off x serial / morsel threads /
+    shard processes, against the NumPy kernel and the reference."""
+
+    @pytest.fixture(scope="class")
+    def cached_db(self):
+        # Through the dataset cache: shard workers map it by
+        # fingerprint, and the kernels build under its directory.
+        return load_dataset("tpch", tpchgen.TpchConfig(scale_factor=0.002))
+
+    @pytest.fixture(scope="class")
+    def engines(self, cached_db):
+        knobs = ExecutionKnobs(morsel_rows=1500)
+        with Engine(db=cached_db, workers=2, knobs=knobs) as auto:
+            with Engine(
+                db=cached_db, workers=2, knobs=knobs, encoding="off"
+            ) as off:
+                yield {"auto": auto, "off": off}
+
+    @pytest.mark.parametrize("name", PIPELINE_QUERIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_cell_byte_identical(self, cached_db, engines, name, strategy):
+        plan = logical_plan(name)
+        expected = reference_result(name, cached_db)
+        declined = _native_decline(name, strategy)
+        for encoding, engine in engines.items():
+            on_numpy = engine.execute(plan, strategy, workers=1)
+            program = engine.compile(plan, strategy).program
+            assert program.tier == "numpy"  # the builder is parked
+            tier = program.build_now()
+            if declined is None:
+                assert tier == "native", (name, strategy, encoding)
+                assert "int64_t kernel(" in engine.compile(
+                    plan, strategy
+                ).notes["native_source"]
+            else:
+                assert tier == f"declined: {declined}"
+                assert program.native is None
+            for mode in ({"workers": 1}, {"workers": 2}, {"shards": 2}):
+                cell = (name, strategy, encoding, mode)
+                result = engine.execute(plan, strategy, **mode)
+                assert results_equal(on_numpy, result), cell
+                assert_value_equals(expected, result.value, cell)
+                # Compiled scans long enough to fan out.
+                if name in ("Q1", "Q6") and strategy != "interpreter":
+                    assert result.metrics.parallel == (mode != {"workers": 1})
+                    assert result.metrics.sharded == ("shards" in mode)
+            if program.native is not None:
+                assert program.native.fallbacks == {}
+
+    def test_three_strategies_three_instruction_streams(self, engines):
+        plan = logical_plan("Q6")
+        sources = set()
+        for strategy in ("datacentric", "hybrid", "swole"):
+            compiled = engines["auto"].compile(plan, strategy)
+            assert compiled.program.build_now() == "native"
+            sources.add(compiled.notes["native_source"])
+        assert len(sources) == 3
+        branching, = [s for s in sources if "if (" in s and " m " not in s]
+        masked, = [s for s in sources if "-m & " in s]
+        assert branching.count("if (") == 3  # one branch per conjunct
+        assert "if (" not in masked  # a predicated add, no branch at all
+
+
+def _one_table(**columns):
+    db = Database()
+    db.add_table(
+        Table(
+            name="T",
+            columns=tuple(
+                Column(
+                    name,
+                    {
+                        np.dtype(np.int8): LogicalType.INT8,
+                        np.dtype(np.int32): LogicalType.INT32,
+                        np.dtype(np.int64): LogicalType.INT64,
+                    }[values.dtype],
+                    values,
+                )
+                for name, values in columns.items()
+            ),
+        )
+    )
+    return db
+
+
+@requires_cc
+class TestNativeEdges:
+    """The places a C loop could part ways with NumPy."""
+
+    AGG_MODES = (PS.CONDITIONAL, PS.GATHERED, PS.VALUE_MASK)
+
+    def _both_kernels(self, program):
+        on_numpy = program.execute()
+        assert program.build_now() == "native"
+        on_native = program.execute()
+        assert program.native.fallbacks == {}
+        return on_numpy, on_native
+
+    def _assert_same(self, on_numpy, on_native):
+        assert set(on_numpy) == set(on_native)
+        for key, lhs in on_numpy.items():
+            rhs = on_native[key]
+            assert type(lhs) is type(rhs), key
+            if isinstance(lhs, np.ndarray):
+                assert lhs.dtype == rhs.dtype and lhs.shape == rhs.shape
+                assert np.array_equal(lhs, rhs), key
+            else:
+                assert lhs == rhs, key
+
+    @pytest.mark.parametrize("mode", AGG_MODES)
+    def test_int64_wrap_across_the_whole_scan(self, mode):
+        db = _one_table(
+            x=np.full(8, 2**61, dtype=np.int64),
+            g=np.zeros(8, dtype=np.int32),
+            a=np.zeros(8, dtype=np.int32),
+        )
+        qualifying = PlanBuilder.scan("T").filter(Col("a") < Const(1))
+        scalar = qualifying.group_agg(
+            AggSpec("sum", Col("x") * Const(3), name="s")
+        ).build("be-native-wrap")
+        grouped = qualifying.group_agg(
+            AggSpec("sum", Col("x") * Const(3), name="s"), key="g"
+        ).build("be-native-wrap-grouped")
+        on_numpy, on_native = self._both_kernels(
+            vectorized_program(scalar, db, "swole", agg_mode=mode)
+        )
+        self._assert_same(on_numpy, on_native)
+        # 8 * 3 * 2**61 = 3 * 2**64: wraps to zero, as one int64 sum.
+        assert on_native == {"s": 0}
+        on_numpy, on_native = self._both_kernels(
+            vectorized_program(grouped, db, "swole", agg_mode=mode)
+        )
+        self._assert_same(on_numpy, on_native)
+        assert on_native["aggs"].tolist() == [[0]]
+
+    @pytest.mark.parametrize("cutoff", (-1, 1000), ids=("none", "all"))
+    @pytest.mark.parametrize("rows", (0, 1, 5000))
+    @pytest.mark.parametrize("shape", ("scalar", "grouped"))
+    def test_masks_and_tiny_tables(self, shape, rows, cutoff):
+        rng = np.random.default_rng(rows + 3)
+        db = _one_table(
+            a=rng.integers(0, 100, rows).astype(np.int32),
+            g=rng.integers(-3, 4, rows).astype(np.int8),
+            x=rng.integers(-(2**40), 2**40, rows, dtype=np.int64),
+        )
+        aggregates = (
+            AggSpec("sum", Col("x") * Col("a"), name="s"),
+            AggSpec("count", None, name="c"),
+        )
+        builder = PlanBuilder.scan("T").filter(Col("a") < Const(cutoff))
+        plan = (
+            builder.group_agg(*aggregates)
+            if shape == "scalar"
+            else builder.group_agg(*aggregates, key="g")
+        ).build(f"be-native-{shape}")
+        modes = self.AGG_MODES + (
+            (PS.KEY_MASK,) if shape == "grouped" else ()
+        )
+        for strategy in ("datacentric", "swole"):
+            for mode in modes:
+                on_numpy, on_native = self._both_kernels(
+                    vectorized_program(plan, db, strategy, agg_mode=mode)
+                )
+                self._assert_same(on_numpy, on_native)
+
+    def test_key_mask_throwaway_row_never_reaches_the_output(self):
+        # Group 7 has rows but none selected; a key-masked kernel sends
+        # them to the throwaway row (index spread + 1 = 8 here), which
+        # must be neither a result group nor leak into group 7.
+        a = np.array([1, 1, 9, 9, 1, 9], dtype=np.int32)
+        g = np.array([0, 3, 7, 7, 3, 0], dtype=np.int32)
+        x = np.array([10, 20, 40, 80, 160, 320], dtype=np.int64)
+        plan = (
+            PlanBuilder.scan("T")
+            .filter(Col("a") < Const(5))
+            .group_agg(
+                AggSpec("sum", Col("x"), name="s"),
+                AggSpec("count", None, name="c"),
+                key="g",
+            )
+            .build("be-native-keymask")
+        )
+        program = vectorized_program(
+            plan, _one_table(a=a, g=g, x=x), "swole", agg_mode=PS.KEY_MASK
+        )
+        on_numpy, on_native = self._both_kernels(program)
+        assert "m ? " in program.notes["native_source"]
+        self._assert_same(on_numpy, on_native)
+        assert on_native["keys"].tolist() == [0, 3]
+        assert on_native["aggs"].tolist() == [[10, 1], [180, 2]]
+
+    def test_key_spread_straddling_the_dense_bound(self):
+        # The first half's keys are dense; one far key in the second
+        # half pushes that morsel's spread past the bound, so it alone
+        # takes the NumPy kernel — mid-scan, same answer.
+        rows = 40_000
+        rng = np.random.default_rng(5)
+        g = rng.integers(0, 50, rows).astype(np.int64)
+        g[rows - 1] = 2**40
+        db = _one_table(
+            a=rng.integers(0, 100, rows).astype(np.int32),
+            g=g,
+            x=rng.integers(0, 1000, rows, dtype=np.int64),
+        )
+        plan = (
+            PlanBuilder.scan("T")
+            .filter(Col("a") < Const(50))
+            .group_agg(AggSpec("sum", Col("x"), name="s"), key="g")
+            .build("be-native-spread")
+        )
+        with Engine(
+            db=db, workers=2, knobs=ExecutionKnobs(morsel_rows=rows // 2)
+        ) as engine:
+            for strategy in ("datacentric", "hybrid", "swole"):
+                want = engine.execute(plan, strategy, backend="instrumented")
+                program = engine.compile(plan, strategy).program
+                assert program.build_now() == "native"
+                for workers in (1, 2):
+                    before = dict(program.native.fallbacks)
+                    got = engine.execute(plan, strategy, workers=workers)
+                    assert results_equal(want, got), (strategy, workers)
+                    declined = (
+                        program.native.fallbacks.get("spread", 0)
+                        - before.get("spread", 0)
+                    )
+                    # Serial: the whole scan is one sparse call. Two
+                    # morsels: the dense half stays native.
+                    assert declined == 1, (strategy, workers)
 
 
 class TestEngineSeams:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, available_strategies
+from repro.codegen.native import find_compiler
 from repro.datagen import microbench as mb
 from repro.engine import reference
 from repro.engine.facade import BACKENDS
@@ -25,23 +26,33 @@ from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table
 
+from .conftest import assert_value_equals
+
 STRATEGIES = ("interpreter", "datacentric", "hybrid", "swole")
 
 
-def _assert_matches_reference(query, db):
+def _assert_matches_reference(query, db, native_too=False):
+    """``native_too`` runs each vectorized cell a second time on its
+    native C kernel (cells the emitter declines stay on NumPy)."""
     expected = reference.evaluate(query, db)
     for backend in BACKENDS:
         engine = Engine(db, backend=backend, registry=MetricsRegistry())
         for strategy in STRATEGIES:
             cell = (backend, strategy)
-            value = engine.execute(query, strategy).value
-            assert set(value) == set(expected), cell
-            for key in expected:
-                lhs, rhs = expected[key], value[key]
-                if isinstance(lhs, np.ndarray):
-                    assert np.array_equal(lhs, np.asarray(rhs)), (cell, key)
-                else:
-                    assert lhs == rhs, (cell, key)
+            assert_value_equals(
+                expected, engine.execute(query, strategy).value, cell
+            )
+            if native_too and backend == "vectorized":
+                program = engine.compile(query, strategy).program
+                tier = program.build_now()
+                assert tier == "native" or tier.startswith("declined: "), (
+                    cell, tier,
+                )
+                assert_value_equals(
+                    expected,
+                    engine.execute(query, strategy).value,
+                    (cell, tier),
+                )
 
 
 class TestRegistry:
@@ -184,5 +195,8 @@ micro_queries = st.one_of(
 @settings(max_examples=30, deadline=None)
 def test_any_micro_query_arguments_match_reference(micro_db, query):
     """Random µQ1-µQ5 constructor arguments: 4 strategies x 2 backends
-    all equal ``reference.evaluate``."""
-    _assert_matches_reference(query, micro_db)
+    — and the native kernel wherever there is a compiler and the
+    emitter covers the cell — all equal ``reference.evaluate``."""
+    _assert_matches_reference(
+        query, micro_db, native_too=find_compiler() is not None
+    )
