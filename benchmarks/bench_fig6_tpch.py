@@ -11,6 +11,7 @@ import pytest
 
 from repro.bench.tpch import PAPER_SWOLE_SPEEDUPS, run_fig6
 from repro.codegen.pipeline import compile_pipeline
+from repro.engine import plan_key
 from repro.tpch import logical_plan, query_names
 
 from conftest import BENCH_TPCH
@@ -27,7 +28,8 @@ def fig6_report(tpch_db):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("query", QUERIES)
 def test_fig6_wall_time(benchmark, tpch_db, tpch_session, query, strategy):
-    compiled = compile_pipeline(logical_plan(query), tpch_db, strategy)
+    plan = logical_plan(query)
+    compiled = compile_pipeline(plan, tpch_db, plan_key(plan, strategy))
     benchmark.group = f"fig6:{query}"
     benchmark.pedantic(
         lambda: compiled.run(tpch_session), rounds=3, iterations=1

@@ -38,6 +38,7 @@ from ..core.cost_models import decoded_scan_cost, encoded_scan_cost
 from ..datagen import tpch as tpchgen
 from ..datagen.cache import load_dataset
 from ..engine.machine import PAPER_MACHINE
+from ..engine.plan_cache import plan_key
 from ..engine.program import results_equal
 from ..engine.session import Session
 from ..tpch import STRATEGIES, logical_plan, query_names
@@ -103,10 +104,10 @@ def run_tpch_sweep(db, machine) -> Dict[str, Any]:
         plan = logical_plan(name)
         for strategy in STRATEGIES:
             encoded_prog = compile_pipeline(
-                plan, db, strategy, machine=machine, encoding="auto"
+                plan, db, plan_key(plan, strategy, machine, encoding="auto")
             )
             decoded_prog = compile_pipeline(
-                plan, db, strategy, machine=machine, encoding="off"
+                plan, db, plan_key(plan, strategy, machine, encoding="off")
             )
             encoded = encoded_prog.run(Session(machine=machine))
             decoded = decoded_prog.run(Session(machine=machine))

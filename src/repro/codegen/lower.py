@@ -22,12 +22,11 @@ module only maps tree shapes onto the physical operator vocabulary:
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import List, Optional
+from typing import List
 
 from ..errors import PlanError
 from ..plan import passes as PS
-from ..plan.expressions import And, Expr
-from ..plan.logical import JoinSpec, Query
+from ..plan.expressions import Expr
 from ..plan.ops import (
     DisjunctJoin,
     ExistsJoin,
@@ -74,7 +73,6 @@ from ..plan.physical import (
     ScalarAgg,
     SemiHashBuild,
 )
-from ..core.planner import EAGER
 from ..storage.database import Database
 
 
@@ -86,47 +84,26 @@ def _filter_mode(strategy: str) -> str:
     return "branch" if strategy in ("interpreter", "datacentric") else "prepass"
 
 
-def _combine(conjs: List[Expr]) -> Optional[Expr]:
-    if not conjs:
-        return None
-    if len(conjs) == 1:
-        return conjs[0]
-    return And(conjs)
-
-
-def _spine_predicate(node: PlanNode) -> Optional[Expr]:
-    """The AND of all Filter predicates on a spine (legacy-Query form)."""
-    preds: List[Expr] = []
-    for step in spine(node):
-        if isinstance(step, Filter):
-            preds.extend(step.conjuncts())
-    return _combine(preds)
-
-
-def _legacy_groupjoin_query(plan: LogicalPlan) -> Query:
-    """Reverse-convert an eager-eligible groupjoin tree to a Query.
+def eager_aggregate(plan: LogicalPlan) -> EagerAggregate:
+    """The §III-E op of an eager-eligible groupjoin tree.
 
     The eager pass only fires when the tree has the single-join shape
-    (build side is Filter*(Scan)), so the conversion is total there.
+    (build side is Filter*(Scan)), so the mapping is total there.
     """
     root = plan.root
     assert isinstance(root, GroupByAgg)
     joins = spine_joins(root.child)
-    target = joins[-1]
     if len(joins) != 1:
         raise PlanError("eager aggregation needs a single-join plan")
-    return Query(
+    (target,) = joins
+    return EagerAggregate(
         table=base_table(root.child),
+        fk_column=target.fk_column,
+        pk_column=target.pk_column,
+        build_table=base_table(target.build),
         aggregates=root.aggregates,
-        predicate=_spine_predicate(root.child),
-        group_by=target.fk_column,
-        join=JoinSpec(
-            build_table=base_table(target.build),
-            fk_column=target.fk_column,
-            pk_column=target.pk_column,
-            build_predicate=_spine_predicate(target.build),
-        ),
-        name=plan.name,
+        probe_conjuncts=spine_filters(root.child),
+        build_conjuncts=spine_filters(target.build),
     )
 
 
@@ -144,16 +121,15 @@ def lower_plan(
     filter_mode = _filter_mode(strategy)
     interpreted = strategy == "interpreter"
 
-    if decisions.groupjoin_mode == EAGER:
-        query = _legacy_groupjoin_query(plan)
-        table = base_table(root.child)
+    if decisions.groupjoin_mode == PS.EAGER:
+        op = eager_aggregate(plan)
         return PhysicalPlan(
             strategy=strategy,
             pipelines=(
                 Pipeline(
-                    label=f"eager aggregate {table}",
-                    table=table,
-                    ops=(EagerAggregate(query),),
+                    label=f"eager aggregate {op.table}",
+                    table=op.table,
+                    ops=(op,),
                 ),
             ),
             interpreted=interpreted,

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Set
 import numpy as np
 
 from ..core import eager_aggregation
-from ..core.key_masking import mask_keys
 from ..engine import kernels as K
 from ..engine.events import (
     Branch,
@@ -680,7 +679,7 @@ def _group_key_mask(
     _decode_cols(session, ctx, sorted(op.key.columns()), n)
     emit_expr_compute(session, op.key, n, simd=True)
     raw_keys = np.asarray(op.key.evaluate(view), dtype=np.int64)
-    keys = mask_keys(session, raw_keys, mask, op.key_name)
+    keys = K.mask_keys(session, raw_keys, mask, op.key_name)
     emit_seq_reads(
         session,
         view,
@@ -951,7 +950,7 @@ def _op_outer_groupjoin_agg(
     if op.mode == PS.KEY_MASK:
         ht = HashTable(expected_keys=nc + 1, num_aggs=1)
         _decode(session, ctx, op.fk_column, ctx.n)
-        keys = mask_keys(
+        keys = K.mask_keys(
             session, fk.astype(np.int64), mask, op.fk_column
         )
         K.ht_aggregate(session, ht, keys, np.ones(ctx.n, dtype=np.int64))
@@ -1235,7 +1234,7 @@ def run_pipeline(
         # The eager kernels manage their own kernel/overlap scopes (they
         # are also the morsel-splittable parallel path).
         return eager_aggregation.groupjoin_pipeline(
-            session, db, pipe.ops[0].query
+            session, db, pipe.ops[0]
         )
     if len(pipe.ops) == 1 and isinstance(pipe.ops[0], GroupDistribution):
         # The distribution pass re-reads the groupjoin hash table, not

@@ -52,7 +52,6 @@ from ..plan.expressions import (
     InSet,
     Or,
     StrMatch,
-    conjuncts,
 )
 from ..plan.physical import (
     BitmapBuild,
@@ -253,9 +252,6 @@ class _KernelEmitter:
         else:
             self.out(f"mask = {term}")
             self.has_mask = True
-
-    def mask_or_ones(self) -> str:
-        return "mask" if self.has_mask else "np.ones(n, dtype=bool)"
 
     def fk_offsets_slice(self, fk_column: str) -> str:
         full = self.env.fk_offsets(self.db, self.pipe.table, fk_column)
@@ -644,21 +640,18 @@ class _KernelEmitter:
         # database, so it is computed here at compile time; the
         # deletion itself runs as the program's finalize step so morsel
         # partials stay mergeable (filter once, after the merge).
-        query = op.query
-        join = query.join
-        if query.table != self.pipe.table:
+        if op.table != self.pipe.table:
             raise VectorizeError(
                 "eager aggregation pipeline scans an unexpected table"
             )
-        build_data = self.db.data(join.build_table)
-        build_conjs = conjuncts(join.build_predicate)
-        if build_conjs:
+        build_data = self.db.data(op.build_table)
+        if op.build_conjuncts:
             keep = np.ones(
                 int(next(iter(build_data.values())).shape[0]), dtype=bool
             )
-            for conj in build_conjs:
+            for conj in op.build_conjuncts:
                 keep = keep & np.asarray(conj.evaluate(build_data), bool)
-            victims = build_data[join.pk_column][~keep].astype(np.int64)
+            victims = build_data[op.pk_column][~keep].astype(np.int64)
         else:
             victims = np.empty(0, dtype=np.int64)
 
@@ -670,12 +663,12 @@ class _KernelEmitter:
             }
 
         self.finalize = cleanup
-        for conj in query.predicate_conjuncts():
+        for conj in op.probe_conjuncts:
             self.narrow(_bool(self.expr(conj)))
         keys = self.name("keys")
-        self.out(f"{keys} = {self.col(join.fk_column)}.astype(np.int64)")
+        self.out(f"{keys} = {self.col(op.fk_column)}.astype(np.int64)")
         delta_names = []
-        for agg in query.aggregates:
+        for agg in op.aggregates:
             d = self.name("d")
             self.out(f"{d} = {self.agg_delta(agg, 'v', 'n')}")
             delta_names.append(d)

@@ -37,16 +37,14 @@ from ..engine import kernels as K
 from ..engine.events import Compute, RandomAccess
 from ..engine.hashtable import NULL_KEY, HashTable
 from ..engine.session import Session
-from ..plan.expressions import conjuncts
-from ..plan.logical import Query
+from ..plan.physical import EagerAggregate
 from ..storage.database import Database
-from .key_masking import mask_keys
 
 
 def eager_partial(
     session: Session,
     db: Database,
-    query: Query,
+    op: EagerAggregate,
     view: Dict[str, np.ndarray],
 ) -> Dict[str, Any]:
     """Unconditional aggregation of (a morsel of) the probe table.
@@ -55,23 +53,21 @@ def eager_partial(
     ``NULL_KEY`` throwaway, with the trailing count column — so partial
     states merge additively before :func:`cleanup_merged`.
     """
-    join = query.join
     n = table_rows(view)
-    with session.tracer.kernel(f"eager aggregate {query.table}"), \
+    with session.tracer.kernel(f"eager aggregate {op.table}"), \
             session.tracer.overlap():
-        main_conjs = query.predicate_conjuncts()
-        emit_seq_reads(session, view, [join.fk_column])
-        keys = view[join.fk_column].astype(np.int64)
-        if main_conjs:
-            mask = prepass_predicate(session, view, main_conjs)
-            keys = mask_keys(session, keys, mask, join.fk_column)
-        build_rows = db.table(join.build_table).num_rows
-        num_aggs = len(query.aggregates) + 1
+        emit_seq_reads(session, view, [op.fk_column])
+        keys = view[op.fk_column].astype(np.int64)
+        if op.probe_conjuncts:
+            mask = prepass_predicate(session, view, op.probe_conjuncts)
+            keys = K.mask_keys(session, keys, mask, op.fk_column)
+        build_rows = db.table(op.build_table).num_rows
+        num_aggs = len(op.aggregates) + 1
         table = HashTable(expected_keys=build_rows + 1, num_aggs=num_aggs)
-        cols = agg_exprs_columns(query.aggregates)
+        cols = agg_exprs_columns(op.aggregates)
         emit_seq_reads(session, view, cols)
         slots = None
-        for i, agg in enumerate(query.aggregates):
+        for i, agg in enumerate(op.aggregates):
             if agg.func == "count":
                 deltas = np.ones(n, dtype=np.int64)
                 session.tracer.emit(Compute(n=n, op="add", simd=True))
@@ -99,7 +95,7 @@ def eager_partial(
 def cleanup_merged(
     session: Session,
     db: Database,
-    query: Query,
+    op: EagerAggregate,
     merged: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Build-side cleanup scan over a merged eager-aggregation state.
@@ -108,22 +104,22 @@ def cleanup_merged(
     throwaway entry and groups that saw no unmasked tuple, and strips the
     bookkeeping count column.
     """
-    join = query.join
-    num_aggs = len(query.aggregates) + 1
+    num_aggs = len(op.aggregates) + 1
     result_keys = np.asarray(merged["keys"], dtype=np.int64)
     aggs = np.atleast_2d(np.asarray(merged["aggs"]))
     if result_keys.size == 0:
         aggs = aggs.reshape(0, num_aggs)
 
-    build_data = db.data(join.build_table)
+    build_data = db.data(op.build_table)
     bn = table_rows(build_data)
-    build_rows = db.table(join.build_table).num_rows
-    with session.tracer.kernel(f"cleanup scan {join.build_table}"), \
+    build_rows = db.table(op.build_table).num_rows
+    with session.tracer.kernel(f"cleanup scan {op.build_table}"), \
             session.tracer.overlap():
-        build_conjs = conjuncts(join.build_predicate)
-        if build_conjs:
+        if op.build_conjuncts:
             # note the inversion: delete rows that do NOT qualify
-            keep = prepass_predicate(session, build_data, build_conjs)
+            keep = prepass_predicate(
+                session, build_data, op.build_conjuncts
+            )
             delete_mask = ~keep
             session.tracer.emit(Compute(n=bn, op="cmp", simd=True, width=1))
         else:
@@ -131,8 +127,8 @@ def cleanup_merged(
         k = int(delete_mask.sum())
         deleted = np.zeros(result_keys.shape[0], dtype=bool)
         if k:
-            emit_cond_reads(session, build_data, [join.pk_column], k)
-            victims = build_data[join.pk_column][delete_mask].astype(np.int64)
+            emit_cond_reads(session, build_data, [op.pk_column], k)
+            victims = build_data[op.pk_column][delete_mask].astype(np.int64)
             # random deletions against the eager table (same footprint the
             # hash-table path would pay)
             sizing = HashTable(expected_keys=build_rows + 1, num_aggs=0)
@@ -152,16 +148,16 @@ def cleanup_merged(
         & (aggs[:, num_aggs - 1] > 0)
     )
     return grouped_result(
-        result_keys[keep], aggs[keep, : len(query.aggregates)]
+        result_keys[keep], aggs[keep, : len(op.aggregates)]
     )
 
 
 def groupjoin_pipeline(
     session: Session,
     db: Database,
-    query: Query,
+    op: EagerAggregate,
 ) -> Dict[str, Any]:
     """Groupjoin rewritten as eager aggregation + cleanup deletions."""
-    data = db.data(query.table)
-    merged = eager_partial(session, db, query, data)
-    return cleanup_merged(session, db, query, merged)
+    data = db.data(op.table)
+    merged = eager_partial(session, db, op, data)
+    return cleanup_merged(session, db, op, merged)

@@ -14,7 +14,7 @@ from .costing import CostAccountant, CostReport, Tracer
 from .executor import MorselExecutor
 from .facade import Engine
 from .metrics import RunMetrics, WorkerStats
-from .plan_cache import PlanCache, PlanCacheStats, plan_key
+from .plan_cache import CompileSpec, PlanCache, PlanCacheStats, plan_key
 from .pool import MorselBatch, WorkerPool
 from .events import (
     Branch,
@@ -42,6 +42,7 @@ __all__ = [
     "Branch",
     "CacheHierarchy",
     "CancelToken",
+    "CompileSpec",
     "CacheStats",
     "CompiledQuery",
     "CondRead",

@@ -33,7 +33,7 @@ from ..obs import MetricsRegistry, metrics_registry, span
 from .cancellation import CancelToken
 from .executor import MorselExecutor
 from .machine import PAPER_MACHINE, MachineModel
-from .plan_cache import PlanCache, normalize_query, plan_key
+from .plan_cache import CompileSpec, PlanCache, normalize_query, plan_key
 from .pool import WorkerPool
 from .program import CompiledQuery, QueryResult
 from .session import ExecutionKnobs, Session
@@ -66,7 +66,8 @@ class Engine:
         engine owns: threads start lazily on the first parallel query
         and are reused across queries.
     tile:
-        Vector/tile size threaded into sessions (part of the plan key).
+        Vector/tile size threaded into sessions (it sizes run-time
+        intermediates; no compilation depends on it).
     plan_cache_size:
         LRU capacity of the compiled-program cache.
     knobs:
@@ -92,8 +93,8 @@ class Engine:
         to materialization; ``"off"`` serves every scan decoded.
         Answers are byte-identical either way (the equivalence sweep
         pins it); the knob exists for baseline comparisons and the
-        compression bench. Part of the plan key, so one engine's
-        cached programs never leak across encoding modes.
+        compression bench. Part of the compile spec, so cached programs
+        never leak across encoding modes.
     adaptive:
         Closed-loop re-optimization from production telemetry. ``None``
         / ``False`` (default) keeps the engine fully static. ``True``
@@ -173,15 +174,6 @@ class Engine:
         self.workers = workers
         self.tile = tile
         self.encoding = encoding
-        # The cache-key component: "auto" programs close over the
-        # database's physical code arrays, so the database's encoding
-        # layout is part of what compilation depends on.
-        fingerprint = getattr(db, "encoding_fingerprint", None)
-        self._encoding_key = (
-            "off"
-            if encoding == "off"
-            else (f"auto:{fingerprint()}" if fingerprint else "auto")
-        )
         self.knobs = knobs if knobs is not None else ExecutionKnobs()
         if backend is not None:
             self.knobs.backend = backend
@@ -308,8 +300,8 @@ class Engine:
         planner-driven SWOLE strategy. ``backend`` overrides the
         engine's default execution backend for this call.
         """
-        plan, fingerprint = normalize_query(query)
-        return self._compile_cached(plan, fingerprint, strategy, backend)[0]
+        spec = self._mint_spec(query, strategy, backend)
+        return self._compile_cached(query, spec)[0]
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
         resolved = backend if backend is not None else self.knobs.backend
@@ -319,59 +311,45 @@ class Engine:
             )
         return resolved
 
-    def _compile_cached(
-        self, plan, fingerprint: str, strategy: str,
-        backend: Optional[str] = None,
-    ):
-        resolved = AUTO_STRATEGY if strategy == "auto" else strategy
-        chosen = self._resolve_backend(backend)
-        key = plan_key(
-            plan,
-            resolved,
+    def _mint_spec(
+        self, query, strategy: str, backend: Optional[str]
+    ) -> CompileSpec:
+        """This request's :class:`CompileSpec`, minted once: every
+        later layer — plan cache, compiler, shard workers — reads the
+        compile configuration off it."""
+        spec = plan_key(
+            query,
+            AUTO_STRATEGY if strategy == "auto" else strategy,
             self.machine,
             self.tile,
-            chosen,
-            encoding=self._encoding_key,
+            self._resolve_backend(backend),
+            0,
+            self.encoding,
         )
+        if self.adaptive is not None:
+            # An adaptive engine recompiles a drifted plan with its
+            # measured statistics; riding in the spec, the override
+            # reaches the shard workers with everything else.
+            override = self.adaptive.override_for(spec.fingerprint)
+            if override is not None:
+                spec = spec._replace(override=override)
+        return spec
+
+    def _compile_cached(self, query, spec: CompileSpec):
+        """``(program, was_hit)`` for a minted spec."""
 
         def timed_compile() -> CompiledQuery:
+            from ..codegen.pipeline import compile_pipeline
+
             with span(
                 "compile", self.registry,
-                strategy=resolved, backend=chosen,
+                strategy=spec.strategy, backend=spec.backend,
             ):
-                # An adaptive engine recompiles a drifted plan with its
-                # measured statistics; the override a program was
-                # compiled with rides in ``notes["stats_override"]`` so
-                # the shard runner ships the *same* one to its workers.
-                overrides = (
-                    self.adaptive.override_for(fingerprint)
-                    if self.adaptive is not None
-                    else None
-                )
-                return self._compile_with(
-                    plan, resolved, chosen, overrides
+                return compile_pipeline(
+                    normalize_query(query)[0], self.db, spec, self.registry
                 )
 
-        compiled, was_hit = self.plan_cache.get_or_compile(
-            key, timed_compile
-        )
-        return compiled, was_hit, resolved
-
-    def _compile_with(
-        self, plan, strategy: str, backend: str, overrides
-    ) -> CompiledQuery:
-        from ..codegen.pipeline import compile_pipeline
-
-        return compile_pipeline(
-            plan,
-            self.db,
-            strategy,
-            machine=self.machine,
-            registry=self.registry,
-            backend=backend,
-            overrides=overrides,
-            encoding=self.encoding,
-        )
+        return self.plan_cache.get_or_compile(spec, timed_compile)
 
     def explain(
         self, query, strategy: str = "auto", *,
@@ -448,7 +426,6 @@ class Engine:
                     "pass either deadline= or cancel=, not both"
                 )
             cancel = CancelToken.after(deadline)
-        plan, fingerprint = normalize_query(query)
         n_shards = (
             shards if shards is not None else (self.knobs.shards or 0)
         )
@@ -460,11 +437,11 @@ class Engine:
             # exploit default but exploration may still try the other
             # backend; pass an explicit strategy to opt a call out.
             strategy, backend = self.adaptive.choose(
-                fingerprint, self._resolve_backend(backend)
+                normalize_query(query)[1], self._resolve_backend(backend)
             )
-        compiled, was_hit, resolved = self._compile_cached(
-            plan, fingerprint, strategy, backend
-        )
+        spec = self._mint_spec(query, strategy, backend)
+        fingerprint, resolved = spec.fingerprint, spec.strategy
+        compiled, was_hit = self._compile_cached(query, spec)
         n_workers = workers if workers is not None else self.workers
         if session is None:
             session = self.session(workers=n_workers)

@@ -3,9 +3,9 @@
 Serving the same analytical queries repeatedly should not re-run
 planning and code generation per request (compare Wehrstein et al.,
 "Bespoke OLAP": cache workload-specialised compiled artifacts). The
-cache key captures everything compilation depends on: the operator
-tree's fingerprint, the strategy, the machine model (the SWOLE planner
-reasons about cache ratios), and the tile size.
+cache key is the :class:`CompileSpec` — everything a compilation
+depends on besides the plan and the database, as one frozen value the
+engine mints once per request and every later layer carries.
 
 Compiled programs close over the database's column arrays, so a cache
 is only valid for one :class:`~repro.storage.database.Database`; the
@@ -15,17 +15,15 @@ on :meth:`Engine.invalidate`.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Hashable, NamedTuple, Optional, Tuple
 
-from ..errors import ReproError
-from ..plan.logical import Query
-from ..plan.ops import LogicalPlan, from_query, plan_fingerprint
-from .machine import MachineModel
+from ..errors import PlanError, ReproError
+from ..plan.ops import LogicalPlan, as_plan, plan_fingerprint
+from .costing import StatsOverride
+from .machine import PAPER_MACHINE, MachineModel
 from .program import CompiledQuery
 
 
@@ -42,36 +40,23 @@ _NORMALIZED_MEMO_CAP = 1024
 def normalize_query(query) -> Tuple[LogicalPlan, str]:
     """The engine's front door: ``(operator tree, "ir:" fingerprint)``.
 
-    A :class:`~repro.plan.ops.LogicalPlan` passes through; a legacy
-    microbench :class:`~repro.plan.logical.Query` is lifted with
-    :func:`~repro.plan.ops.from_query` — here and nowhere else, so the
-    two spellings of one query share a plan-cache entry *and* a
-    compiler. Anything else is rejected with a typed error.
+    :func:`~repro.plan.ops.as_plan` turns whatever the engine accepts
+    into the one query type (a legacy microbench ``Query`` is lifted
+    there, so the two spellings of one query share a plan-cache entry
+    *and* a compiler; anything else is a typed error), and the tree is
+    fingerprinted here — the only place past which nothing hashes a
+    plan again.
 
     Memoized per query *object*: the fingerprint is needed on every
-    ``Engine.execute`` for the plan key, and walking the operator tree
-    is a measurable per-request cost for sub-millisecond queries. Query
-    objects are immutable (frozen dataclasses), so identity implies an
-    unchanged plan and fingerprint.
+    ``Engine.execute`` for the compile spec, and walking the operator
+    tree is a measurable per-request cost for sub-millisecond queries.
+    Query objects are immutable (frozen dataclasses), so identity
+    implies an unchanged plan and fingerprint.
     """
     hit = _NORMALIZED_MEMO.get(id(query))
     if hit is not None and hit[0] is query:
         return hit[1], hit[2]
-    if isinstance(query, LogicalPlan):
-        plan = query
-    elif isinstance(query, Query):
-        plan = from_query(query)
-    elif isinstance(query, str):
-        raise ReproError(
-            f"query name strings are no longer accepted (got {query!r}); "
-            f'pass the operator tree — repro.tpch.logical_plan("{query}") '
-            "for the TPC-H queries, or build one with repro.PlanBuilder"
-        )
-    else:
-        raise ReproError(
-            f"cannot compile a {type(query).__name__}; pass a "
-            "LogicalPlan operator tree or a microbench Query"
-        )
+    plan = as_plan(query)
     fingerprint = plan_fingerprint(plan)
     if len(_NORMALIZED_MEMO) >= _NORMALIZED_MEMO_CAP:
         _NORMALIZED_MEMO.clear()
@@ -87,49 +72,92 @@ def query_fingerprint(query) -> str:
     return normalize_query(query)[1]
 
 
-@lru_cache(maxsize=64)
-def machine_fingerprint(machine: MachineModel) -> str:
-    """Stable fingerprint of a machine model (frozen dataclass repr).
+class CompileSpec(NamedTuple):
+    """What one compilation depends on besides the plan and the database.
 
-    Memoized: the fingerprint is recomputed on every ``Engine.execute``
-    for the plan key, and hashing the model's repr is a measurable
-    per-query cost for sub-millisecond queries.
+    The plan-cache key, :func:`~repro.codegen.pipeline.compile_pipeline`'s
+    configuration, the compile half of a shard task and the shard
+    worker's program-cache key are all this one value
+    (``compiled.notes["spec"]``). A tuple, not a dataclass: it is
+    hashed on every request.
+
+    fingerprint:
+        The operator tree's ``ir:`` fingerprint (:func:`normalize_query`).
+    strategy:
+        The resolved strategy — never ``"auto"``.
+    backend:
+        The backend as *requested* (``notes["backend"]`` is the one the
+        program runs on, after any fallback).
+    machine:
+        The machine model the passes price against. Not on the wire: a
+        shard worker supplies the one it was initialised with.
+    encoding:
+        The access-encoding mode, ``"auto"`` or ``"off"``.
+    override:
+        The adaptive loop's measured statistics, or ``None``.
     """
-    digest = hashlib.sha256(repr(machine).encode()).hexdigest()[:16]
-    return f"machine:{digest}"
+
+    fingerprint: str
+    strategy: str
+    backend: str
+    machine: MachineModel
+    encoding: str
+    override: Optional[StatsOverride] = None
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The JSON-safe form a shard task carries beside the plan."""
+        wire = self._asdict()
+        del wire["machine"]
+        if self.override is not None:
+            wire["override"] = {
+                name: value
+                for name, value in asdict(self.override).items()
+                if value is not None
+            }
+        return wire
+
+    @classmethod
+    def from_wire(cls, wire: Any, machine: MachineModel) -> "CompileSpec":
+        """Inverse of :meth:`to_wire`; malformed input is a
+        :class:`~repro.errors.PlanError`, like a malformed plan
+        envelope."""
+        try:
+            texts = [
+                wire[name]
+                for name in ("fingerprint", "strategy", "backend", "encoding")
+            ]
+            override = wire["override"]
+            if override is not None:
+                override = StatsOverride(**override)
+        except (KeyError, TypeError) as exc:
+            raise PlanError(
+                f"malformed compile spec {wire!r}: {exc!r}"
+            ) from exc
+        if not all(isinstance(text, str) for text in texts):
+            raise PlanError(f"malformed compile spec {wire!r}")
+        fingerprint, strategy, backend, encoding = texts
+        return cls(fingerprint, strategy, backend, machine, encoding, override)
 
 
 def plan_key(
     query,
     strategy: str,
-    machine: MachineModel,
-    tile: int,
+    machine: MachineModel = PAPER_MACHINE,
+    tile: int = 0,
     backend: str = "instrumented",
     shards: int = 0,
     encoding: str = "auto",
-) -> Tuple[str, str, str, int, str, int, str]:
-    """The full cache key of one compilation.
+) -> CompileSpec:
+    """Mint the :class:`CompileSpec` of one compilation of ``query``.
 
-    The backend is part of the key: a kernel generated for the
-    vectorized backend must never be served to a request that asked
-    for the instrumented (costed) one, or vice versa. So is the
-    access-encoding decision (the caller resolves ``"auto"`` to
-    ``"auto:<database encoding fingerprint>"``): a program compiled
-    over code streams closes over different physical arrays than one
-    compiled over decoded values. The shard count (``0`` =
-    in-process) no longer separates different programs — parent,
-    workers and the in-process path all compile the same operator tree
-    through the one compiler — so the component is next to go, with
-    the positional tuple itself, when a ``CompileSpec`` replaces it.
+    The one place a spec is made from a query. ``strategy`` must
+    already be resolved; the adaptive engine attaches its ``override``
+    with ``_replace``.
     """
-    return (
-        query_fingerprint(query),
-        strategy,
-        machine_fingerprint(machine),
-        tile,
-        backend,
-        shards,
-        encoding,
+    # ``tile`` and ``shards`` select no program and are ignored; the
+    # positional call at ledger/layers.py:285 pins the signature.
+    return CompileSpec(
+        normalize_query(query)[1], strategy, backend, machine, encoding
     )
 
 
@@ -282,17 +310,15 @@ class PlanCache:
 
         Without an argument, every entry goes (data changed / database
         swapped) and the invalidation counter ticks once, as before.
-        With a query ``fingerprint`` (``plan_key(...)[0]``), only that
-        query's compilations are dropped — every strategy / machine /
-        tile / backend cell — and the counter ticks once per dropped
-        entry. The adaptive re-optimizer uses the targeted form so a
+        With a query ``fingerprint`` (``CompileSpec.fingerprint``), only
+        that query's compilations are dropped — every strategy /
+        machine / backend / encoding cell — and the counter ticks once
+        per dropped entry. The adaptive re-optimizer uses the targeted form so a
         drifted plan recompiles without cooling every other query.
         """
         if fingerprint is not None:
             return self.invalidate_where(
-                lambda key: isinstance(key, tuple)
-                and bool(key)
-                and key[0] == fingerprint
+                lambda key: getattr(key, "fingerprint", None) == fingerprint
             )
         with self._lock:
             dropped = len(self._entries)

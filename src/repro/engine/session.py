@@ -112,16 +112,6 @@ class Session:
             knobs=replace(self.knobs),
         )
 
-    @property
-    def ht_prefetch(self) -> bool:
-        """Deprecated alias for ``knobs.ht_prefetch`` (kept for callers
-        that predate :class:`ExecutionKnobs`)."""
-        return self.knobs.ht_prefetch
-
-    @ht_prefetch.setter
-    def ht_prefetch(self, value: bool) -> None:
-        self.knobs.ht_prefetch = value
-
     def intermediate_bytes(self, width: int) -> int:
         """Footprint of a tile-sized intermediate array (cache resident)."""
         return self.tile * width

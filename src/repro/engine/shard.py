@@ -16,9 +16,9 @@ second of its two *morsel runners* (:class:`ShardRunner`; the first is
 :class:`~repro.engine.pool.WorkerPool`):
 
 * each morsel becomes one **task** on the pickle-free line-JSON
-  protocol — dataset fingerprint + compiled-spec wire form + row range
-  + knobs + measured-stats override, never data, never pickled code;
-* workers compile the spec themselves (codegen is deterministic — the
+  protocol — plan envelope + compile-spec wire form + row range +
+  run-time knobs, never data, never pickled code;
+* workers compile the plan themselves (codegen is deterministic — the
   CI matrix pins golden sources across processes), run the program's
   ``partial`` over their row range, and ship the raw partial state
   back (arrays as dtype-tagged base64 of their exact bytes);
@@ -64,7 +64,7 @@ from ..obs import MetricsRegistry, observe_span
 from ..plan.serde import plan_to_wire
 from . import events as event_types
 from .cancellation import CancelToken
-from .costing import CostReport, StatsOverride
+from .costing import CostReport
 from .machine import MachineModel
 from .program import CompiledQuery
 
@@ -164,25 +164,6 @@ def report_from_wire(machine: MachineModel, wire: List[list]) -> CostReport:
     for kernel, kind, *fields, cycles in wire:
         report.add(kernel, getattr(event_types, kind)(*fields), cycles)
     return report
-
-
-# -- stats-override codec ------------------------------------------------
-
-
-def override_to_wire(override) -> Optional[Dict[str, Any]]:
-    if override is None:
-        return None
-    return {
-        key: value
-        for key, value in asdict(override).items()
-        if value is not None
-    }
-
-
-def override_from_wire(wire) -> Optional[StatsOverride]:
-    if not wire:
-        return None
-    return StatsOverride(**wire)
 
 
 # -- worker handle -------------------------------------------------------
@@ -611,9 +592,8 @@ class ShardRunner:
     morsels, scattered over a :class:`ShardGroup`.
 
     What the workers need to compile the same program — the operator
-    tree, strategy, requested backend, encoding mode and the measured
-    statistics it was priced with — is read off the compiled program
-    (``compile_pipeline`` records all of it in ``notes``).
+    tree and the :class:`~repro.engine.plan_cache.CompileSpec` it was
+    compiled under — is read off the compiled program's ``notes``.
     """
 
     #: Morsels run in worker processes (``RunMetrics.sharded``); a
@@ -639,17 +619,12 @@ class ShardRunner:
         serial phases itself."""
         notes = self.compiled.notes
         task = {
-            "spec": plan_to_wire(notes["logical"]),
-            # The parent already fingerprinted the plan; the workers
-            # key their program cache on it.
-            "fingerprint": notes["fingerprint"],
-            "strategy": self.compiled.strategy,
-            "backend": notes["requested_backend"],
-            # Encoding mode travels on the wire so workers pick the
+            "plan": plan_to_wire(notes["logical"]),
+            # The whole compile configuration (encoding mode and the
+            # measured-stats override included), so workers pick the
             # same per-column code/value streams the parent priced;
-            # workers mmap the cached code arrays, never decoded copies.
-            "encoding": notes["encoding"],
-            "override": override_to_wire(notes.get("stats_override")),
+            # it is also the key of their program cache.
+            "spec": notes["spec"].to_wire(),
             "ht_prefetch": bool(session.knobs.ht_prefetch),
         }
         run = _ShardRun(self.group, task, morsels, label, cancel)

@@ -19,7 +19,8 @@ parent for crash forensics):
     Exit 0. SIGTERM does the same, but drains a task already in flight
     first (graceful drain); a second SIGTERM exits immediately.
 
-Compilation happens *in the worker*, from the spec's wire form —
+Compilation happens *in the worker*, from the plan envelope and the
+compile spec's wire form —
 programs, like columns, never cross the pipe. Codegen is deterministic
 (the golden-source tests pin it), so the worker's program is the same
 one the parent would have compiled, and the partial states it produces
@@ -40,11 +41,12 @@ from typing import Any, Dict, Optional, Tuple
 from ..codegen.pipeline import compile_pipeline
 from ..plan.serde import plan_from_wire
 from .machine import MachineModel
+from .plan_cache import CompileSpec
 from .session import Session
-from .shard import encode_partial, override_from_wire, report_to_wire
+from .shard import encode_partial, report_to_wire
 
-#: Compiled programs kept per worker (LRU); a serving worker sees a
-#: small working set of (query, strategy, backend) triples.
+#: Compiled programs kept per worker (LRU, keyed by the task's
+#: :class:`CompileSpec`); a serving worker sees a small working set.
 _PROGRAM_CACHE_CAP = 32
 
 
@@ -54,7 +56,7 @@ class _Worker:
         self.db = None
         self.machine: Optional[MachineModel] = None
         self.tile = 1024
-        self.programs: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self.programs: "OrderedDict[CompileSpec, Tuple]" = OrderedDict()
         self.busy = False
         self.stop_requested = False
 
@@ -82,16 +84,6 @@ class _Worker:
 
     # -- compilation -----------------------------------------------------
 
-    def _program_key(self, msg: Dict[str, Any]) -> Tuple:
-        override = msg.get("override") or {}
-        return (
-            msg["fingerprint"],  # the parent's ``ir:`` plan fingerprint
-            msg["strategy"],
-            msg["backend"],
-            msg.get("encoding", "auto"),
-            tuple(sorted(override.items())),
-        )
-
     def _compile(self, msg: Dict[str, Any]) -> Tuple:
         """The (compiled, ctx) pair for a task message, cached.
 
@@ -102,31 +94,27 @@ class _Worker:
         query. Setup cycles are deliberately not reported: the parent
         accounts the serial phases itself.
         """
-        key = self._program_key(msg)
-        hit = self.programs.get(key)
+        spec = CompileSpec.from_wire(msg.get("spec"), self.machine)
+        hit = self.programs.get(spec)
         if hit is not None:
-            self.programs.move_to_end(key)
+            self.programs.move_to_end(spec)
             return hit
         compiled = compile_pipeline(
-            plan_from_wire(msg["spec"]), self.db, msg["strategy"],
-            machine=self.machine, backend=msg["backend"],
-            overrides=override_from_wire(msg.get("override")),
-            encoding=msg.get("encoding", "auto"),
+            plan_from_wire(msg.get("plan")), self.db, spec
         )
         ctx = None
         if compiled.parallel is not None and compiled.parallel.setup:
-            setup_session = self._session(msg)
-            ctx = compiled.parallel.setup(setup_session)
-        self.programs[key] = (compiled, ctx)
+            ctx = compiled.parallel.setup(self._session(msg, spec))
+        self.programs[spec] = (compiled, ctx)
         while len(self.programs) > _PROGRAM_CACHE_CAP:
             self.programs.popitem(last=False)
         return compiled, ctx
 
-    def _session(self, msg: Dict[str, Any]) -> Session:
+    def _session(self, msg: Dict[str, Any], spec: CompileSpec) -> Session:
         session = Session(
             machine=self.machine, tile=self.tile, workers=1
         )
-        session.knobs.backend = msg["backend"]
+        session.knobs.backend = spec.backend
         session.knobs.ht_prefetch = bool(msg.get("ht_prefetch", False))
         return session
 
@@ -140,7 +128,7 @@ class _Worker:
                 f"{compiled.strategy}:{compiled.name} declares no "
                 f"parallel plan; the parent should not have sharded it"
             )
-        session = self._session(msg)
+        session = self._session(msg, compiled.notes["spec"])
         lo, hi = int(msg["lo"]), int(msg["hi"])
         label = f"{compiled.strategy}:{compiled.name}"
         started = time.perf_counter()

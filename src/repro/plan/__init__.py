@@ -28,7 +28,7 @@ from .expressions import (
     arith_ops,
     conjuncts,
 )
-from .logical import AggSpec, JoinSpec, Query, QueryStats, sample_stats
+from .logical import AggSpec, JoinSpec, Query
 from .ops import (
     DisjunctJoin,
     ExistsJoin,
@@ -71,7 +71,6 @@ __all__ = [
     "PlanBuilder",
     "Project",
     "Query",
-    "QueryStats",
     "Scan",
     "StrMatch",
     "arith_ops",
@@ -82,6 +81,5 @@ __all__ = [
     "plan_from_wire",
     "plan_to_dict",
     "plan_to_wire",
-    "sample_stats",
     "scan",
 ]

@@ -15,13 +15,11 @@ operator trees to begin with (:mod:`repro.tpch.plans`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..errors import PlanError
-from .expressions import Expr, conjuncts
+from .expressions import Expr
 
 
 @dataclass(frozen=True)
@@ -93,114 +91,3 @@ class Query:
     def is_semijoin(self) -> bool:
         """Join where no build attribute is needed beyond the join itself."""
         return self.join is not None and not self.is_groupjoin
-
-    def predicate_conjuncts(self) -> Tuple[Expr, ...]:
-        return conjuncts(self.predicate)
-
-    def main_columns(self) -> Tuple[str, ...]:
-        """All columns of ``table`` the query touches (sorted)."""
-        cols = set()
-        for term in self.predicate_conjuncts():
-            cols |= term.columns()
-        for agg in self.aggregates:
-            if agg.expr is not None:
-                cols |= agg.expr.columns()
-        if self.group_by is not None:
-            cols.add(self.group_by)
-        if self.join is not None:
-            cols.add(self.join.fk_column)
-        return tuple(sorted(cols))
-
-    def reused_columns(self) -> Tuple[str, ...]:
-        """Columns referenced by both the predicate and an aggregate —
-        the access-merging opportunity (paper §III-C)."""
-        pred_cols = set()
-        for term in self.predicate_conjuncts():
-            pred_cols |= term.columns()
-        agg_cols = set()
-        for agg in self.aggregates:
-            if agg.expr is not None:
-                agg_cols |= agg.expr.columns()
-        return tuple(sorted(pred_cols & agg_cols))
-
-
-@dataclass
-class QueryStats:
-    """Optimizer statistics for a query, measured by sampling.
-
-    Feeds the SWOLE cost models (paper §III). All fields are measured
-    from data samples at plan time, never taken from query results.
-    """
-
-    num_rows: int
-    selectivity: float
-    group_cardinality: int = 1
-    build_rows: int = 0
-    build_selectivity: float = 1.0
-    join_match_fraction: float = 1.0
-    agg_ops: Tuple[str, ...] = ()
-    column_widths: Dict[str, int] = field(default_factory=dict)
-
-
-def sample_stats(query: Query, tables: Dict[str, Dict[str, np.ndarray]],
-                 sample_rows: int = 65536) -> QueryStats:
-    """Measure :class:`QueryStats` from a prefix sample of the data.
-
-    A prefix sample is adequate because all generated workloads are
-    row-order-independent (uniform random); the test suite checks the
-    estimates against full-data truth within tolerance.
-    """
-    data = tables[query.table]
-    any_column = next(iter(data.values()))
-    num_rows = int(any_column.shape[0])
-    take = min(sample_rows, num_rows)
-    sample = {name: values[:take] for name, values in data.items()}
-
-    if query.predicate is None:
-        selectivity = 1.0
-    else:
-        mask = query.predicate.evaluate(sample)
-        selectivity = float(mask.mean()) if take else 1.0
-
-    group_cardinality = 1
-    if query.group_by is not None:
-        column = data[query.group_by]
-        group_cardinality = int(np.unique(column[:take]).shape[0])
-        if take < num_rows:
-            # Prefix samples under-count distinct values; extrapolate with
-            # the standard birthday-style estimator.
-            seen_fraction = group_cardinality / take
-            if seen_fraction > 0.95:
-                group_cardinality = int(group_cardinality * num_rows / take)
-
-    build_rows = 0
-    build_selectivity = 1.0
-    if query.join is not None:
-        build = tables[query.join.build_table]
-        build_any = next(iter(build.values()))
-        build_rows = int(build_any.shape[0])
-        if query.join.build_predicate is not None:
-            btake = min(sample_rows, build_rows)
-            bsample = {name: values[:btake] for name, values in build.items()}
-            bmask = query.join.build_predicate.evaluate(bsample)
-            build_selectivity = float(bmask.mean()) if btake else 1.0
-
-    agg_ops: Tuple[str, ...] = ()
-    for agg in query.aggregates:
-        if agg.expr is not None:
-            from .expressions import arith_ops
-
-            agg_ops += arith_ops(agg.expr)
-
-    widths = {name: int(values.dtype.itemsize) for name, values in data.items()}
-
-    return QueryStats(
-        num_rows=num_rows,
-        selectivity=selectivity,
-        group_cardinality=max(group_cardinality, 1),
-        build_rows=build_rows,
-        build_selectivity=build_selectivity,
-        join_match_fraction=build_selectivity,
-        agg_ops=agg_ops,
-        column_widths=widths,
-    )

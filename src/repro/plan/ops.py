@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
-from ..errors import PlanError
+from ..errors import PlanError, ReproError
 from .expressions import Col, Expr, conjuncts
 from .logical import AggSpec, Query
 
@@ -447,3 +447,28 @@ def from_query(query: Query) -> LogicalPlan:
         key_name=key_name,
     )
     return LogicalPlan(name=query.name, root=root)
+
+
+def as_plan(query) -> LogicalPlan:
+    """Whatever the engine accepts as a query, as its operator tree.
+
+    A :class:`LogicalPlan` passes through; a legacy microbench
+    :class:`~repro.plan.logical.Query` is lifted with
+    :func:`from_query` — here and nowhere else, so nothing past the
+    engine's door (:func:`repro.engine.plan_cache.normalize_query`)
+    knows the legacy spelling. Anything else is a typed error.
+    """
+    if isinstance(query, LogicalPlan):
+        return query
+    if isinstance(query, Query):
+        return from_query(query)
+    if isinstance(query, str):
+        raise ReproError(
+            f"query name strings are no longer accepted (got {query!r}); "
+            f'pass the operator tree — repro.tpch.logical_plan("{query}") '
+            "for the TPC-H queries, or build one with repro.PlanBuilder"
+        )
+    raise ReproError(
+        f"cannot compile a {type(query).__name__}; pass a "
+        "LogicalPlan operator tree or a microbench Query"
+    )

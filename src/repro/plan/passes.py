@@ -91,6 +91,9 @@ HASH_JOIN = "hash"
 BITMAP_MASK = P.BITMAP_MASK
 BITMAP_OFFSETS = P.BITMAP_OFFSETS
 
+#: Groupjoin lowering mode (§III-E rewrite).
+EAGER = P.EAGER
+
 _SAMPLE_ROWS = 65536
 
 
@@ -137,7 +140,7 @@ class Decisions:
     agg_mode: str = CONDITIONAL
     merged_columns: Tuple[str, ...] = ()
     join_modes: Dict[PlanNode, str] = field(default_factory=dict)
-    groupjoin_mode: Optional[str] = None  # P.GROUPJOIN | P.EAGER | None
+    groupjoin_mode: Optional[str] = None  # P.GROUPJOIN | EAGER | None
     outer_mode: str = CONDITIONAL  # OuterGroupJoin count-delta mode
     has_outer: bool = False
     group_cardinality: int = 1
@@ -887,10 +890,10 @@ def _pass_groupjoin(
     )
     mode, estimates = P.choose_groupjoin_mode(machine, inputs)
     decisions.groupjoin_mode = mode
-    action = "applied" if mode == P.EAGER else "declined"
+    action = "applied" if mode == EAGER else "declined"
     detail = (
         "aggregate before the join, delete-cleanup after"
-        if mode == P.EAGER
+        if mode == EAGER
         else "hash groupjoin is cheaper on these statistics"
     )
     notes.append(
@@ -1339,6 +1342,7 @@ __all__ = [
     "HASH_JOIN",
     "BITMAP_MASK",
     "BITMAP_OFFSETS",
+    "EAGER",
     "Decisions",
     "PassNote",
     "STRATEGIES",

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .expressions import Expr, compare_count
-from .logical import AggSpec, Query
+from .logical import AggSpec
 
 #: Access styles for non-terminal operators.
 BRANCH = "branch"  # tuple-at-a-time, conditional reads, branch events
@@ -470,18 +470,25 @@ class EagerAggregate(PhysicalOp):
     """§III-E rewrite: unconditional FK-grouped aggregation of the probe
     table, then a build-side cleanup scan deleting non-qualifying keys.
 
-    Carries the equivalent single-join :class:`Query` so execution can
-    reuse the morsel-splittable kernels in
-    :mod:`repro.core.eager_aggregation`.
+    Carries exactly what the morsel-splittable kernels in
+    :mod:`repro.core.eager_aggregation` read: ``table`` is the probe
+    table, aggregated by ``fk_column``; the cleanup scan deletes the
+    ``pk_column`` keys of ``build_table`` rows failing
+    ``build_conjuncts``.
     """
 
-    query: Query
+    table: str
+    fk_column: str
+    pk_column: str
+    build_table: str
+    aggregates: Tuple[AggSpec, ...]
+    probe_conjuncts: Tuple[Expr, ...] = ()
+    build_conjuncts: Tuple[Expr, ...] = ()
 
     def describe(self) -> str:
-        join = self.query.join
         return (
-            f"EagerAggregate key={join.fk_column} "
-            f"(cleanup scan over {join.build_table})"
+            f"EagerAggregate key={self.fk_column} "
+            f"(cleanup scan over {self.build_table})"
         )
 
 

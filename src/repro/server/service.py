@@ -51,6 +51,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cancellation import CancelToken
@@ -142,6 +143,33 @@ class PendingQuery:
         self.enqueued_at: float = 0.0
         self._event = threading.Event()
         self._response: Optional[QueryResponse] = None
+
+    @cached_property
+    def coalesce_key(self) -> Optional[Tuple]:
+        """Identity under which requests may share one execution, or
+        ``None`` when the spec is not wire-form (an in-process plan or
+        ``Query`` object has no cheap, reliable equality).
+
+        An *execution* identity, derived from the bytes the client
+        sent — never from the envelope's unverified ``fingerprint``
+        claim. Cached, so a request is serialised at most once, on
+        first need: the service compares keys under its lock on every
+        dequeue, and a dequeue that finds the queue empty never asks.
+        """
+        request = self.request
+        if not isinstance(request.query, dict):
+            return None
+        try:
+            spec_key = json.dumps(request.query, sort_keys=True)
+        except (TypeError, ValueError):
+            return None
+        return (
+            spec_key,
+            request.strategy,
+            request.workers,
+            request.backend,
+            request.shards,
+        )
 
     def resolve(self, response: QueryResponse) -> None:
         self._response = response
@@ -421,38 +449,16 @@ class QueryService:
                     self._in_flight -= 1 + len(followers)
                     self._cond.notify_all()
 
-    @staticmethod
-    def _coalesce_key(request: QueryRequest) -> Optional[Tuple]:
-        """Identity under which requests may share one execution, or
-        ``None`` when the spec is not wire-form (an in-process plan or
-        ``Query`` object has no cheap, reliable equality)."""
-        spec = request.query
-        if not isinstance(spec, dict):
-            return None
-        try:
-            spec_key = json.dumps(spec, sort_keys=True)
-        except (TypeError, ValueError):
-            return None
-        return (
-            spec_key,
-            request.strategy,
-            request.workers,
-            request.backend,
-            request.shards,
-        )
-
     def _take_duplicates(self, pending: PendingQuery) -> List[PendingQuery]:
         # Caller holds self._cond. Pull queued requests identical to the
         # one just dequeued; they will be answered from its execution.
         if not self.coalesce or not self._queue:
             return []
-        key = self._coalesce_key(pending.request)
+        key = pending.coalesce_key
         if key is None:
             return []
         followers = [
-            other
-            for other in self._queue
-            if self._coalesce_key(other.request) == key
+            other for other in self._queue if other.coalesce_key == key
         ]
         if followers:
             matched = set(map(id, followers))

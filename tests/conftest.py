@@ -15,7 +15,7 @@ from repro.codegen.vectorize import compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch
 from repro.engine.machine import PAPER_MACHINE
-from repro.engine.plan_cache import normalize_query
+from repro.engine.plan_cache import normalize_query, plan_key
 from repro.engine.pool import WorkerPool
 from repro.engine.program import CompiledQuery
 from repro.engine.session import Session
@@ -23,10 +23,12 @@ from repro.plan.passes import run_passes
 from repro.tpch import logical_plan
 
 
-def compile_named(name, strategy, db, **kwargs) -> CompiledQuery:
-    """TPC-H query ``name`` through the staged pipeline (instrumented
-    unless ``backend=`` says otherwise)."""
-    return compile_pipeline(logical_plan(name), db, strategy, **kwargs)
+def compile_named(name, strategy, db, **config) -> CompiledQuery:
+    """TPC-H query ``name`` through the staged pipeline; ``config`` is
+    :func:`plan_key`'s (instrumented unless ``backend=`` says
+    otherwise)."""
+    plan = logical_plan(name)
+    return compile_pipeline(plan, db, plan_key(plan, strategy, **config))
 
 
 def drain(batch):

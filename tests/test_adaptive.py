@@ -22,13 +22,13 @@ from repro.bench.adaptive import clustered_microbench
 from repro.datagen import microbench as mb
 from repro.engine.costing import StatsOverride
 from repro.engine.facade import Engine
-from repro.engine.plan_cache import PlanCache, query_fingerprint
+from repro.codegen.pipeline import compile_pipeline
+from repro.engine.plan_cache import PlanCache, plan_key, query_fingerprint
 from repro.engine.program import results_equal
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
 
-from .conftest import compile_named
 
 
 BENCH_POLICY = AdaptivePolicy(
@@ -276,9 +276,12 @@ class TestReOptimizer:
             store, drift_threshold=0.3, min_observations=2
         )
         cache = PlanCache(capacity=8)
-        cache.put(("fp", "swole", "m", 1024, "vectorized"), object())
-        cache.put(("fp", "swole", "m", 1024, "instrumented"), object())
-        cache.put(("other", "swole", "m", 1024, "vectorized"), object())
+        spec = plan_key(mb.q1(30), "swole")
+        cache.put(spec._replace(fingerprint="fp"), object())
+        cache.put(
+            spec._replace(fingerprint="fp", backend="vectorized"), object()
+        )
+        cache.put(spec, object())
         triggered = reopt.maybe_reoptimize(
             "fp", {"survival": 0.95}, cache
         )
@@ -563,7 +566,6 @@ class TestEngineIntegration:
         )
         engine.plan_cache.invalidate(fingerprint)
         after = engine.explain(query, "swole")
-        assert "stats_override" not in before
         assert before != after
 
     def test_explain_feedback_only_after_observations(self, micro_db):
@@ -608,15 +610,17 @@ class TestTpchEquivalence:
                     )
 
     def test_override_threads_into_compile_tpch(self, tpch_db):
-        plain = compile_named("Q6", "swole", tpch_db)
+        plan = logical_plan("Q6")
+        plain = plan_key(plan, "swole")
         override = StatsOverride(selectivity=0.9)
-        overridden = compile_named(
-            "Q6", "swole", tpch_db, overrides=override
+        overridden = compile_pipeline(
+            plan, tpch_db, plain._replace(override=override)
         )
         # The object itself: the shard path ships it to the workers.
-        assert overridden.notes["stats_override"] is override
-        assert "stats_override" not in plain.notes
-        assert "estimated_stats" in plain.notes
+        assert overridden.notes["spec"].override is override
+        notes = compile_pipeline(plan, tpch_db, plain).notes
+        assert notes["spec"].override is None
+        assert notes["estimated_stats"] != overridden.notes["estimated_stats"]
 
 
 # -- fan-out floor knob ---------------------------------------------------
@@ -670,32 +674,40 @@ class TestMinParallelRows:
 
 class TestTargetedInvalidation:
     def test_invalidate_by_fingerprint(self):
-        cache = PlanCache(capacity=8)
-        keys = [
-            ("fpA", "swole", "m", 1024, "vectorized"),
-            ("fpA", "hybrid", "m", 1024, "instrumented"),
-            ("fpB", "swole", "m", 1024, "vectorized"),
+        # Every strategy x backend x encoding cell of the drifted plan
+        # goes; another plan's entry stays.
+        cache = PlanCache(capacity=16)
+        doomed = [
+            plan_key(mb.q1(30), strategy, backend=backend, encoding=encoding)
+            for strategy in ("swole", "hybrid")
+            for backend in ("vectorized", "instrumented")
+            for encoding in ("auto", "off")
         ]
-        for key in keys:
+        kept = plan_key(mb.q1(31), "swole", backend="vectorized")
+        for key in doomed + [kept]:
             cache.put(key, object())
-        assert cache.invalidate("fpA") == 2
-        assert cache.keys() == [keys[2]]
-        assert cache.stats.invalidations == 2
+        assert cache.invalidate(doomed[0].fingerprint) == 8
+        assert cache.keys() == [kept]
+        assert cache.stats.invalidations == 8
         assert cache.invalidate("missing") == 0
 
     def test_invalidate_where(self):
         cache = PlanCache(capacity=8)
-        for backend in ("vectorized", "instrumented"):
-            cache.put(("fp", "swole", "m", 1024, backend), object())
+        keys = {
+            backend: plan_key(mb.q1(30), "swole", backend=backend)
+            for backend in ("vectorized", "instrumented")
+        }
+        for key in keys.values():
+            cache.put(key, object())
         dropped = cache.invalidate_where(
-            lambda key: key[-1] == "instrumented"
+            lambda key: key.backend == "instrumented"
         )
         assert dropped == 1
-        assert cache.keys() == [("fp", "swole", "m", 1024, "vectorized")]
+        assert cache.keys() == [keys["vectorized"]]
 
     def test_full_invalidate_still_counts_once(self):
         cache = PlanCache(capacity=8)
-        for i in range(3):
-            cache.put(("fp%d" % i, "s", "m", 1024, "b"), object())
+        for sel in range(3):
+            cache.put(plan_key(mb.q1(sel), "swole"), object())
         assert cache.invalidate() == 3
         assert cache.stats.invalidations == 1

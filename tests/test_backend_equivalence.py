@@ -45,7 +45,7 @@ from repro.codegen.vectorize import VectorizeError, compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.datagen.cache import load_dataset
-from repro.engine import Engine, ExecutionKnobs
+from repro.engine import Engine, ExecutionKnobs, plan_key
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
 from repro.plan import passes as PS
@@ -62,7 +62,12 @@ from repro.tpch import (
     reference_result,
 )
 
-from .conftest import assert_value_equals, requires_cc, vectorized_program
+from .conftest import (
+    assert_value_equals,
+    compile_named,
+    requires_cc,
+    vectorized_program,
+)
 
 
 @pytest.fixture(scope="module")
@@ -841,26 +846,24 @@ class TestEngineSeams:
         monkeypatch.setattr(pipeline_mod, "compile_physical", boom)
         plan = logical_plan("Q6")
         compiled = compile_pipeline(
-            plan, tpch_db, "swole", backend="vectorized"
+            plan, tpch_db, plan_key(plan, "swole", backend="vectorized")
         )
         assert compiled.notes["backend"] == "instrumented"
         assert "synthetic" in compiled.notes["backend_fallback"]
 
     def test_notes_carry_the_kernel_source_and_block_rows(self, tpch_db):
-        vectorized = compile_pipeline(
-            logical_plan("Q6"), tpch_db, "swole", backend="vectorized"
+        vectorized = compile_named(
+            "Q6", "swole", tpch_db, backend="vectorized"
         )
         assert vectorized.notes["vectorized_source"] == vectorized.source
         assert "def _kernel_0(v, state, lo):" in vectorized.source
         assert vectorized.notes["block_rows"] > 0
         # Q14's IndexGather final pipeline does not split: one block.
-        unsplit = compile_pipeline(
-            logical_plan("Q14"), tpch_db, "swole", backend="vectorized"
+        unsplit = compile_named(
+            "Q14", "swole", tpch_db, backend="vectorized"
         )
         assert unsplit.notes["block_rows"] is None
-        instrumented = compile_pipeline(
-            logical_plan("Q6"), tpch_db, "swole", backend="instrumented"
-        )
+        instrumented = compile_named("Q6", "swole", tpch_db)
         assert "vectorized_source" not in instrumented.notes
         assert "block_rows" not in instrumented.notes
 

@@ -159,12 +159,6 @@ class TestSessionApi:
         assert knobs.ht_prefetch is False
         assert knobs.morsel_rows is None
 
-    def test_ht_prefetch_property_shim(self):
-        session = Session(knobs=ExecutionKnobs(ht_prefetch=True))
-        assert session.ht_prefetch is True
-        session.ht_prefetch = False
-        assert session.knobs.ht_prefetch is False
-
     def test_clone_isolates_knobs(self):
         session = Session(knobs=ExecutionKnobs(ht_prefetch=False))
         clone = session.clone()

@@ -162,7 +162,7 @@ class TestHashKernels:
         assert K.ht_delete(session, table, np.asarray([3, 4, 99])) == 2
 
     def test_prefetch_flag_propagates(self, session):
-        session.ht_prefetch = True
+        session.knobs.ht_prefetch = True
         table = HashTable(expected_keys=10)
         K.ht_insert_keys(session, table, np.arange(10))
         (event,) = events_of(session, RandomAccess)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.pipeline import compile_pipeline
-from repro.engine import Engine, ExecutionKnobs, Session
+from repro.engine import Engine, ExecutionKnobs, Session, plan_key
 from repro.engine.program import results_equal
 from repro.plan.builder import PlanBuilder, scan
 from repro.plan.expressions import And, Col, Const, DictEq
@@ -27,7 +27,9 @@ IMPOSSIBLE = Col("l_commitdate") < Const(-1)
 def _run_all(plan, db):
     """The plan's result under every strategy, asserting byte-identity."""
     results = {
-        strategy: compile_pipeline(plan, db, strategy).run(Session())
+        strategy: compile_pipeline(
+            plan, db, plan_key(plan, strategy)
+        ).run(Session())
         for strategy in STRATEGIES
     }
     baseline = results["interpreter"]

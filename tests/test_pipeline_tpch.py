@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.datagen import microbench as mb
-from repro.engine import Engine, ExecutionKnobs, Session
+from repro.engine import Engine, ExecutionKnobs, Session, plan_key
 from repro.engine.program import results_equal
 from repro.plan.ops import from_query, plan_fingerprint
 from repro.tpch import (
@@ -226,8 +226,9 @@ class TestMicroQueriesThroughPipeline:
 
         expected = reference.evaluate(query, db)
         for backend in ("instrumented", "vectorized"):
+            plan = from_query(query)
             pipe = compile_pipeline(
-                from_query(query), db, strategy, backend=backend
+                plan, db, plan_key(plan, strategy, backend=backend)
             )
             value = pipe.run(Session()).value
             assert set(value) == set(expected), backend

@@ -1,16 +1,21 @@
-"""Plan cache: keying, LRU eviction, counters, invalidation."""
+"""Plan cache: the compile spec, LRU eviction, counters, invalidation."""
+
+import json
 
 import pytest
 
+from repro.codegen.pipeline import compile_pipeline
 from repro.datagen import microbench as mb
+from repro.engine import Engine
+from repro.engine.costing import StatsOverride
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.plan_cache import (
+    CompileSpec,
     PlanCache,
-    machine_fingerprint,
     plan_key,
     query_fingerprint,
 )
-from repro.errors import ReproError
+from repro.errors import PlanError, ReproError
 
 
 def _program(name="p"):
@@ -48,16 +53,105 @@ class TestKeys:
         q = mb.q1(30)
         assert query_fingerprint(q) == plan_fingerprint(from_query(q))
 
-    def test_machine_fingerprint_separates_scales(self):
-        assert machine_fingerprint(PAPER_MACHINE) != machine_fingerprint(
-            PAPER_MACHINE.scaled(0.01)
+    def test_plan_key_separates_what_compilation_reads(self):
+        base = plan_key(mb.q1(30), "swole", PAPER_MACHINE, 1024)
+        assert base == plan_key(mb.q1(30), "swole", PAPER_MACHINE, 1024)
+        assert hash(base) == hash(
+            plan_key(mb.q1(30), "swole", PAPER_MACHINE, 1024)
+        )
+        assert base != plan_key(mb.q1(31), "swole", PAPER_MACHINE, 1024)
+        assert base != plan_key(mb.q1(30), "hybrid", PAPER_MACHINE, 1024)
+        assert base != plan_key(
+            mb.q1(30), "swole", PAPER_MACHINE.scaled(0.01), 1024
+        )
+        assert base != base._replace(backend="vectorized")
+        assert base != base._replace(encoding="off")
+        assert base != base._replace(override=StatsOverride(selectivity=0.5))
+
+    def test_plan_key_as_the_ledger_calls_it(self):
+        # ledger/layers.py:285 pins the positional signature; tile and
+        # shards select no program, so they select no cache entry.
+        q, m = mb.q1(30), PAPER_MACHINE
+        spec = plan_key(q, "swole", m, 1024, "vectorized", 0, "auto")
+        assert spec == CompileSpec(
+            query_fingerprint(q), "swole", "vectorized", m, "auto", None
+        )
+        for tile, shards in ((4096, 0), (1024, 2), (0, 8)):
+            assert spec == plan_key(
+                q, "swole", m, tile, "vectorized", shards, "auto"
+            )
+
+    @pytest.mark.parametrize(
+        "override",
+        [None, StatsOverride(selectivity=0.25, group_cardinality=7)],
+    )
+    def test_spec_wire_roundtrip(self, override):
+        spec = plan_key(mb.q1(30), "swole", backend="vectorized")._replace(
+            override=override
+        )
+        wire = json.loads(json.dumps(spec.to_wire()))
+        assert "machine" not in wire
+        assert CompileSpec.from_wire(wire, PAPER_MACHINE) == spec
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            None,
+            [],
+            {"fingerprint": "ir:0", "strategy": "swole"},
+            {
+                "fingerprint": "ir:0", "strategy": ["swole"],
+                "backend": "vectorized", "encoding": "auto",
+                "override": None,
+            },
+            {
+                "fingerprint": "ir:0", "strategy": "swole",
+                "backend": "vectorized", "encoding": "auto",
+                "override": {"selectivty": 0.5},
+            },
+        ],
+    )
+    def test_malformed_spec_wire_is_a_plan_error(self, wire):
+        with pytest.raises(PlanError, match="malformed compile spec"):
+            CompileSpec.from_wire(wire, PAPER_MACHINE)
+
+
+class TestSpecCarried:
+    """The spec the engine mints is the object every later layer holds."""
+
+    def test_notes_carry_the_cache_key(self, micro_db):
+        engine = Engine(micro_db, backend="vectorized", encoding="off")
+        compiled = engine.compile(mb.q1(30), "hybrid")
+        (key,) = engine.plan_cache.keys()
+        spec = compiled.notes["spec"]
+        assert spec is key
+        assert spec == plan_key(
+            mb.q1(30), "hybrid", engine.machine,
+            backend="vectorized", encoding="off",
+        )
+        assert compiled.notes["fingerprint"] == spec.fingerprint
+        assert not {"requested_backend", "encoding", "stats_override"} & set(
+            compiled.notes
         )
 
-    def test_plan_key_separates_strategy_and_tile(self):
-        base = plan_key(mb.q1(30), "swole", PAPER_MACHINE, 1024)
-        assert base != plan_key(mb.q1(30), "hybrid", PAPER_MACHINE, 1024)
-        assert base != plan_key(mb.q1(30), "swole", PAPER_MACHINE, 4096)
-        assert base == plan_key(mb.q1(30), "swole", PAPER_MACHINE, 1024)
+    def test_compile_miss_never_rehashes_the_plan(
+        self, micro_db, monkeypatch
+    ):
+        import repro.codegen.pipeline as pipeline_mod
+        import repro.engine.plan_cache as plan_cache_mod
+        import repro.plan.ops as ops_mod
+
+        plan = ops_mod.from_query(mb.q1(30))
+        spec = plan_key(plan, "swole")
+
+        def rehash(_plan):
+            raise AssertionError("plan fingerprinted past the door")
+
+        monkeypatch.setattr(ops_mod, "plan_fingerprint", rehash)
+        monkeypatch.setattr(plan_cache_mod, "plan_fingerprint", rehash)
+        assert not hasattr(pipeline_mod, "plan_fingerprint")
+        compiled = compile_pipeline(plan, micro_db, spec)
+        assert spec.fingerprint in compiled.source
 
 
 class TestCacheBehaviour:

@@ -308,6 +308,42 @@ class TestCoalescing:
         for r in coalesced:
             assert r.metrics["queue_wait_seconds"] >= 0.0
 
+    def test_each_queued_spec_is_serialised_once(self, monkeypatch):
+        # The coalesce key is compared under the service lock on every
+        # dequeue; it must be computed once per request, not once per
+        # comparison (a full queue used to re-serialise every waiting
+        # request on every dequeue).
+        import json
+        import types
+
+        import repro.server.service as service_mod
+
+        dumped = []
+
+        def counting_dumps(obj, **kwargs):
+            dumped.append(obj)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(
+            service_mod, "json", types.SimpleNamespace(dumps=counting_dumps)
+        )
+        gate = threading.Event()
+        stub = StubEngine(gate=gate)
+        service = QueryService(stub, concurrency=1, queue_depth=16)
+        labels = ["a", "b", "c", "d", "e", "f"] + ["same"] * 4
+        try:
+            blocker, pendings = self.queue_behind_blocker(
+                stub, service, gate, labels
+            )
+            assert all(p.response(timeout=10.0).ok for p in pendings)
+        finally:
+            gate.set()
+            service.shutdown()
+        assert service.stats.coalesced == 3
+        assert stub.calls == ["blocker", "a", "b", "c", "d", "e", "f", "same"]
+        # The blocker found an empty queue and never needed a key.
+        assert len(dumped) == len(labels)
+
     def test_coalesce_false_executes_each_request(self):
         gate = threading.Event()
         stub = StubEngine(gate=gate)

@@ -10,6 +10,7 @@ in-process execution instead of paying the pipe.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,15 +22,15 @@ from repro.engine import Engine
 from repro.engine.costing import CostReport, StatsOverride
 from repro.engine.events import Branch, CondRead, RandomAccess, StatSample
 from repro.engine.machine import PAPER_MACHINE
+from repro.engine.plan_cache import plan_key
 from repro.engine.shard import (
     decode_partial,
     encode_partial,
-    override_from_wire,
-    override_to_wire,
     report_from_wire,
     report_to_wire,
 )
 from repro.errors import ReproError
+from repro.plan.serde import plan_to_wire
 from repro.server import QueryRequest, QueryService
 from repro.server.protocol import ProtocolError
 from repro.tpch import logical_plan
@@ -148,12 +149,13 @@ class TestWireCodec:
         assert back.by_kind == report.by_kind
 
     def test_override_wire_roundtrip(self):
+        # The override rides inside the compile spec's wire form, unset
+        # fields omitted (the round trip itself: test_plan_cache).
+        spec = plan_key(logical_plan("Q6"), "swole")
+        assert spec.to_wire()["override"] is None
         override = StatsOverride(selectivity=0.25, group_cardinality=7)
-        wire = override_to_wire(override)
-        assert wire == {"selectivity": 0.25, "group_cardinality": 7}
-        assert override_from_wire(wire) == override
-        assert override_to_wire(None) is None
-        assert override_from_wire(None) is None
+        wire = spec._replace(override=override).to_wire()
+        assert wire["override"] == {"selectivity": 0.25, "group_cardinality": 7}
 
 
 class TestByteIdentity:
@@ -326,10 +328,104 @@ class TestThreadShardParity:
             assert first.report.metrics.plan_cache == "miss"
             assert second.report.metrics.plan_cache == "hit"
             assert second.report.metrics.sharded
+            engine.execute(plan, "swole", shards=0)
+            engine.execute(plan, "swole", shards=SHARDS)
             assert (engine.cache_stats.misses, engine.cache_stats.hits) == (
-                1, 1,
+                1, 3,
             )
             assert len(engine.plan_cache) == 1
+
+
+class TestWorkerProgramCache:
+    """The task's compile spec is the worker's program-cache key."""
+
+    @pytest.fixture()
+    def worker(self, cached_tpch_db, monkeypatch):
+        """A shard worker driven in-process, counting its compiles."""
+        from repro.engine import shard_worker
+
+        compiles = []
+        real = shard_worker.compile_pipeline
+
+        def counting(plan, db, spec):
+            compiles.append(spec)
+            return real(plan, db, spec)
+
+        monkeypatch.setattr(shard_worker, "compile_pipeline", counting)
+        worker = shard_worker._Worker()
+        ready = worker.init(
+            {
+                "shard_id": 0,
+                "machine": asdict(PAPER_MACHINE),
+                "cache_dir": cached_tpch_db.dataset_cache_dir,
+                "fingerprint": cached_tpch_db.dataset_fingerprint,
+            }
+        )
+        assert ready["op"] == "ready"
+        return worker, compiles
+
+    @staticmethod
+    def task(spec, lo=0, hi=64):
+        return {
+            "op": "task",
+            "plan": plan_to_wire(logical_plan("Q6")),
+            "spec": json.loads(json.dumps(spec.to_wire())),
+            "lo": lo,
+            "hi": hi,
+        }
+
+    def test_same_spec_compiles_once_and_override_compiles_again(
+        self, worker
+    ):
+        worker, compiles = worker
+        spec = plan_key(logical_plan("Q6"), "swole")
+        worker.task(self.task(spec))
+        worker.task(self.task(spec, lo=64, hi=128))
+        assert compiles == [spec]
+        override = StatsOverride(selectivity=0.9)
+        overridden = spec._replace(override=override)
+        worker.task(self.task(overridden))
+        worker.task(self.task(overridden))
+        assert compiles == [spec, overridden]
+        # The worker prices with the override the parent shipped.
+        program, _ = worker.programs[overridden]
+        assert program.notes["spec"].override == override
+        assert worker.programs[spec][0].notes["spec"].override is None
+
+    def test_parent_ships_the_override_it_compiled_with(
+        self, cached_tpch_db
+    ):
+        plan = logical_plan("Q6")
+        override = StatsOverride(selectivity=0.9)
+        with Engine(
+            cached_tpch_db, adaptive=True, shards=SHARDS,
+            min_parallel_rows=1,
+        ) as engine:
+            expected = repr(engine.execute(plan, "swole", shards=0).value)
+            fingerprint = plan_key(plan, "swole").fingerprint
+            engine.adaptive.reopt.apply_override(fingerprint, override)
+            engine.plan_cache.invalidate(fingerprint)
+            compiled = engine.compile(plan, "swole")
+            assert compiled.notes["spec"].override is override
+            shipped = compiled.notes["spec"].to_wire()["override"]
+            assert shipped == {"selectivity": 0.9}
+            result = engine.execute(plan, "swole")
+            assert result.report.metrics.sharded
+            assert repr(result.value) == expected
+
+    def test_malformed_spec_is_a_task_error_like_a_malformed_plan(
+        self, sharded_engine
+    ):
+        handle = sharded_engine.start_shards().worker(0)
+        good = self.task(plan_key(logical_plan("Q6"), "swole"))
+        bad_spec = handle.request({**good, "spec": {"strategy": "swole"}})
+        bad_plan = handle.request({**good, "plan": {"v": 1}})
+        for reply in (bad_spec, bad_plan):
+            assert reply["op"] == "error"
+            assert reply["error"].startswith("PlanError: ")
+        assert "malformed compile spec" in bad_spec["error"]
+        # Deterministic task errors leave the worker serving.
+        assert handle.request(good)["op"] == "result"
 
 
 class TestFallback:

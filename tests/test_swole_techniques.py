@@ -9,11 +9,14 @@ the ``Decisions`` -> ``lower_plan`` -> ``physexec.execute_plan``; see
 import numpy as np
 
 from repro import Engine
+from repro.codegen.lower import eager_aggregate
+from repro.core.eager_aggregation import groupjoin_pipeline
 from repro.datagen import microbench as mb
 from repro.engine import Session, reference
 from repro.engine.events import CondRead, RandomAccess, SeqRead
 from repro.engine.hashtable import NULL_KEY
 from repro.plan import passes as PS
+from repro.plan.ops import as_plan
 
 from .conftest import staged_program
 
@@ -128,22 +131,32 @@ class TestPositionalBitmapSemijoin:
         assert compiled.run(Session()).value == expected
 
 
+def eager_groupjoin(session, db, query):
+    """§III-E forced on ``query``, the op built straight from its tree."""
+    return groupjoin_pipeline(session, db, eager_aggregate(as_plan(query)))
+
+
 class TestEagerAggregation:
+    def test_op_is_built_from_the_tree(self):
+        op = eager_aggregate(as_plan(mb.q5(40)))
+        assert op.describe() == (
+            "EagerAggregate key=r_fk (cleanup scan over S)"
+        )
+        assert (op.table, op.pk_column) == ("R", "s_pk")
+        assert op.probe_conjuncts == ()
+        assert [c.to_c() for c in op.build_conjuncts] == ["s_x[i] < 40"]
+
     def test_matches_traditional_groupjoin(self, micro_db):
         query = mb.q5(40)
-        from repro.core.eager_aggregation import groupjoin_pipeline
-
         session = Session()
-        value = groupjoin_pipeline(session, micro_db, query)
+        value = eager_groupjoin(session, micro_db, query)
         expected = reference.evaluate(query, micro_db)
         assert np.array_equal(value["keys"], expected["keys"])
         assert np.array_equal(value["aggs"], expected["aggs"])
 
     def test_deletions_charged(self, micro_db):
-        from repro.core.eager_aggregation import groupjoin_pipeline
-
         session = Session()
-        groupjoin_pipeline(session, micro_db, mb.q5(30))
+        eager_groupjoin(session, micro_db, mb.q5(30))
         kinds = {
             e.kind
             for _, e, _ in session.tracer.report.events
@@ -153,7 +166,6 @@ class TestEagerAggregation:
 
     def test_with_probe_side_predicate(self, micro_db):
         """EA composes with key masking when the probe side filters."""
-        from repro.core.eager_aggregation import groupjoin_pipeline
         from repro.plan.expressions import Col, Const
         from repro.plan.logical import AggSpec, JoinSpec, Query
 
@@ -171,7 +183,7 @@ class TestEagerAggregation:
             name="ea-with-pred",
         )
         session = Session()
-        value = groupjoin_pipeline(session, micro_db, query)
+        value = eager_groupjoin(session, micro_db, query)
         expected = reference.evaluate(query, micro_db)
         assert np.array_equal(value["keys"], expected["keys"])
         assert np.array_equal(value["aggs"], expected["aggs"])
