@@ -144,7 +144,7 @@ def run_workload(
             "misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         },
-        backend=backend if backend is not None else engine.knobs.backend,
+        backend=backend if backend is not None else engine.backend,
     )
 
 

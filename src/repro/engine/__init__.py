@@ -36,7 +36,7 @@ from .program import (
     results_equal,
 )
 from .session import ExecutionKnobs, Session
-from .shard import ShardGroup, ShardRunner, ShardWorkerDied
+from .shard import ShardGroup, ShardWorkerDied
 
 __all__ = [
     "Branch",
@@ -69,7 +69,6 @@ __all__ = [
     "SeqWrite",
     "Session",
     "ShardGroup",
-    "ShardRunner",
     "ShardWorkerDied",
     "WorkerPool",
     "WorkerStats",

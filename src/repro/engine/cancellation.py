@@ -104,8 +104,7 @@ class CancelToken:
     def stop_error(self, label: str, slots: list):
         """The error a morsel cursor records when this token stopped it
         (call once :meth:`stop_requested` is true). ``slots`` are the
-        cursor's per-morsel results, ``None`` where unfinished — one
-        wording for the thread and the shard runner."""
+        cursor's per-morsel results, ``None`` where unfinished."""
         done = sum(1 for slot in slots if slot is not None)
         progress = f"after {done}/{len(slots)} morsels"
         if self._cancelled:

@@ -1,14 +1,17 @@
 """Morsel-driven parallel execution of compiled query programs.
 
 The executor partitions a program's base-table scan into row-range
-*morsels* (Leis et al., "Morsel-Driven Parallelism") and hands them to
-a *morsel runner* — the thread pool (the NumPy kernels release the GIL
-in the hot loops, so scan morsels genuinely overlap on multicore hosts)
-or the shard worker processes. Everything around the runner — fan-out
-floor, setup/finalize costing, the deterministic merge
-(:func:`repro.engine.program.merge_partials`), the simulated schedule
-and the run metrics — happens here, once, so a 4-worker or 4-shard run
-is bit-identical to a serial run and measured the same way.
+*morsels* (Leis et al., "Morsel-Driven Parallelism") and drains them on
+the persistent thread pool (:mod:`repro.engine.pool`): the NumPy
+kernels release the GIL in the hot loops, so scan morsels genuinely
+overlap on multicore hosts, and a plan whose ``partial`` is remote
+(:func:`repro.engine.shard.remote_plan`) runs its morsels in shard
+worker processes while the same threads wait on their pipes.
+Everything around the pool — fan-out floor, setup/finalize costing, the
+deterministic merge (:func:`repro.engine.program.merge_partials`), the
+simulated schedule and the run metrics — happens here, once, so a
+4-worker or 4-shard run is bit-identical to a serial run and measured
+the same way.
 
 Costing extends to parallel time: each morsel's simulated cycles are
 measured on its own tracer, then scheduled greedily onto the simulated
@@ -29,7 +32,7 @@ from ..obs import MetricsRegistry, span
 from .cancellation import CancelToken
 from .costing import CostReport
 from .metrics import RunMetrics, event_counts, greedy_schedule, merge_reports
-from .pool import WorkerPool
+from .pool import MorselBatch, WorkerPool
 from .program import CompiledQuery, QueryResult, merge_partials
 from .session import Session
 
@@ -61,34 +64,30 @@ def split_morsels(n_rows: int, morsel_rows: int) -> List[Tuple[int, int]]:
 
 
 class MorselExecutor:
-    """Runs compiled programs, fanning partitionable scans across the
-    lanes of a morsel runner.
+    """Runs compiled programs, fanning partitionable scans across
+    ``workers`` threads of a :class:`~repro.engine.pool.WorkerPool`.
 
     Programs without a :class:`~repro.engine.program.ParallelPlan` (or
     runs on one in-process worker) execute serially through the
     program's own ``run``; either way the result carries
     :class:`RunMetrics`.
 
-    ``runner`` is anything with ``run(session, plan, ctx, morsels,
-    label, lanes, cancel) -> (values, cost reports, busy seconds per
-    lane)`` in morsel-index order and a ``sharded`` flag: a
-    :class:`~repro.engine.pool.WorkerPool` (the default — the
-    :class:`repro.Engine` facade passes its persistent one) or a
-    :class:`~repro.engine.shard.ShardRunner`. ``workers`` is the lane
-    count: threads, or shard processes.
+    ``pool`` defaults to a private pool; the :class:`repro.Engine`
+    facade passes its persistent one. For a sharded plan ``workers``
+    counts shard processes (one pool thread waits on each).
     """
 
     def __init__(
         self,
         *,
         workers: int = 1,
-        runner=None,
+        pool: Optional[WorkerPool] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if workers < 1:
             raise ExecutionError("executor needs at least one worker")
         self.workers = workers
-        self.runner = runner if runner is not None else WorkerPool(workers)
+        self.pool = pool if pool is not None else WorkerPool(workers)
         #: Where the morsel-execute / merge spans land; ``None`` keeps
         #: the executor span-free (direct library use stays untouched —
         #: the :class:`repro.Engine` facade always passes its registry).
@@ -125,8 +124,8 @@ class MorselExecutor:
                 floor = plan.min_parallel_rows
             serial_limit = max(serial_limit, floor)
         if (
-            (self.workers <= 1 and not self.runner.sharded)
-            or plan is None
+            plan is None
+            or (self.workers <= 1 and not plan.sharded)
             or plan.n_rows <= serial_limit
         ):
             # A serial run is a single morsel spanning the whole scan:
@@ -147,7 +146,7 @@ class MorselExecutor:
                 event_counts=event_counts(result.report),
             )
             return result
-        return self._execute_parallel(compiled, session, plan, started, cancel)
+        return self._execute_parallel(label, session, plan, started, cancel)
 
     def _span(self, stage: str):
         """A tracing span on the executor's registry (inert without
@@ -160,14 +159,13 @@ class MorselExecutor:
 
     def _execute_parallel(
         self,
-        compiled: CompiledQuery,
+        label: str,
         session: Session,
         plan,
         started: float,
         cancel: Optional[CancelToken] = None,
     ) -> QueryResult:
         session.reset()
-        label = f"{compiled.strategy}:{compiled.name}"
 
         serial_reports: List[CostReport] = []
         ctx = None
@@ -182,8 +180,10 @@ class MorselExecutor:
         )
         morsels = split_morsels(plan.n_rows, morsel_rows)
         with self._span("morsel_execute"):
-            values, morsel_reports, wall_by_worker = self.runner.run(
-                session, plan, ctx, morsels, label, self.workers, cancel
+            values, morsel_reports, wall_by_worker = self.pool.run_batch(
+                MorselBatch(
+                    session, plan, ctx, morsels, label, self.workers, cancel
+                )
             )
 
         with self._span("merge"):
@@ -217,7 +217,7 @@ class MorselExecutor:
             morsel_rows=morsel_rows,
             scan_rows=plan.n_rows,
             parallel=True,
-            sharded=self.runner.sharded,
+            sharded=plan.sharded,
             machine=session.machine,
             total_cycles=report.total_cycles,
             critical_path_cycles=critical,

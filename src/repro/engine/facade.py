@@ -37,6 +37,7 @@ from .plan_cache import CompileSpec, PlanCache, normalize_query, plan_key
 from .pool import WorkerPool
 from .program import CompiledQuery, QueryResult
 from .session import ExecutionKnobs, Session
+from .shard import ShardGroup, dataset_provenance, remote_plan
 
 #: ``strategy="auto"`` resolves to the paper's planner-driven strategy
 #: (SWOLE itself falls back to hybrid whenever a pullup would not pay).
@@ -71,14 +72,15 @@ class Engine:
     plan_cache_size:
         LRU capacity of the compiled-program cache.
     knobs:
-        Default :class:`ExecutionKnobs` for sessions this engine spawns.
+        Default :class:`ExecutionKnobs` for sessions this engine spawns
+        (copied: the engine never writes to the caller's object).
     backend:
         Default execution backend for this engine's compilations:
         ``"vectorized"`` (default — generated NumPy kernels over
         cache-sized row blocks, with a native C tier for hot programs)
         or ``"instrumented"`` (the event-priced interpreter;
-        the costing authority). Overrides ``knobs.backend`` when given;
-        every query-taking method also accepts a per-call ``backend=``.
+        the costing authority). Every query-taking method also accepts
+        a per-call ``backend=``.
     registry:
         The :class:`~repro.obs.MetricsRegistry` this engine reports
         into (default: the process-wide registry). The engine registers
@@ -118,12 +120,12 @@ class Engine:
         the host's actual serial-vs-parallel crossover, which then
         seeds new sessions automatically.
     shards:
-        Default worker-*process* count for the multi-process shard
-        runner (:mod:`repro.engine.shard`): the morsel executor
-        scatters over ``shards`` pre-forked workers mapping the same
-        on-disk columns by dataset fingerprint instead of over the
-        thread pool — same merge, schedule and metrics — so sharded
-        results stay byte-identical to serial. Requires a database loaded
+        Default worker-*process* count (:mod:`repro.engine.shard`):
+        each morsel's kernel runs in one of ``shards`` pre-forked
+        workers mapping the same on-disk columns by dataset
+        fingerprint, while the pool's threads wait on their pipes —
+        same cursor, merge, schedule and metrics — so sharded results
+        stay byte-identical to serial. Requires a database loaded
         through the dataset cache (it carries the fingerprint workers
         map by); raises :class:`~repro.errors.ReproError` otherwise.
         Workers fork lazily on the first sharded query — call
@@ -157,14 +159,7 @@ class Engine:
         if shards is not None:
             if shards < 1:
                 raise ReproError("Engine needs at least one shard")
-            if not getattr(db, "dataset_fingerprint", None):
-                raise ReproError(
-                    "shard execution needs a database loaded through "
-                    "the dataset cache (repro.datagen.cache), so "
-                    "worker processes can map the same on-disk "
-                    "columns by fingerprint; this database carries "
-                    "no provenance"
-                )
+            dataset_provenance(db)
         if encoding not in ("auto", "off"):
             raise ReproError(
                 f"unknown encoding mode {encoding!r}; have ['auto', 'off']"
@@ -174,20 +169,15 @@ class Engine:
         self.workers = workers
         self.tile = tile
         self.encoding = encoding
-        self.knobs = knobs if knobs is not None else ExecutionKnobs()
-        if backend is not None:
-            self.knobs.backend = backend
+        self.knobs = replace(knobs) if knobs is not None else ExecutionKnobs()
         if min_parallel_rows is not None:
             self.knobs.min_parallel_rows = min_parallel_rows
-        if shards is not None:
-            self.knobs.shards = shards
+        self.backend = self._resolve_backend(
+            "vectorized" if backend is None else backend
+        )
+        self.shards = shards
         self._shard_group = None
         self._shard_lock = threading.Lock()
-        if self.knobs.backend not in BACKENDS:
-            raise ReproError(
-                f"unknown backend {self.knobs.backend!r}; "
-                f"have {list(BACKENDS)}"
-            )
         self.plan_cache = PlanCache(capacity=plan_cache_size)
         self.pool = WorkerPool(workers)
         self.registry = (
@@ -236,7 +226,7 @@ class Engine:
         """Pre-fork the shard workers (the server calls this at boot so
         the first request never pays fork + dataset-map latency).
         Returns the :class:`~repro.engine.shard.ShardGroup`."""
-        n = shards if shards is not None else self.knobs.shards
+        n = shards if shards is not None else self.shards
         if not n:
             raise ReproError(
                 "no shard count configured; pass start_shards(n) or "
@@ -244,17 +234,20 @@ class Engine:
             )
         return self._ensure_shard_group(n).start()
 
-    def _ensure_shard_group(self, shards: int):
-        from .shard import ShardGroup
-
+    def _ensure_shard_group(self, shards: int) -> ShardGroup:
         with self._shard_lock:
             group = self._shard_group
             if group is None:
-                group = ShardGroup.for_engine(self, shards)
+                group = ShardGroup(
+                    shards,
+                    self.db,
+                    machine=self.machine,
+                    tile=self.tile,
+                    registry=self.registry,
+                )
                 self.registry.register_source("shards", group.snapshot)
                 self._shard_group = group
-            elif shards > group.shards:
-                group.grow(shards)
+            group.grow(shards)
         return group
 
     def __enter__(self) -> "Engine":
@@ -304,7 +297,7 @@ class Engine:
         return self._compile_cached(query, spec)[0]
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
-        resolved = backend if backend is not None else self.knobs.backend
+        resolved = backend if backend is not None else self.backend
         if resolved not in BACKENDS:
             raise ReproError(
                 f"unknown backend {resolved!r}; have {list(BACKENDS)}"
@@ -406,9 +399,9 @@ class Engine:
 
         ``shards`` overrides the engine's default shard-process count
         for this call (``0`` forces in-process execution). When the
-        effective count is ``>= 1``, the executor's morsel runner is
-        the shard worker processes instead of the thread pool; results
-        and measurements are identical either way.
+        effective count is ``>= 1``, each morsel's kernel runs in a
+        shard worker process instead of on its pool thread; results and
+        measurements are identical either way.
 
         ``deadline`` gives the run a relative budget in seconds;
         ``cancel`` threads an existing
@@ -426,9 +419,7 @@ class Engine:
                     "pass either deadline= or cancel=, not both"
                 )
             cancel = CancelToken.after(deadline)
-        n_shards = (
-            shards if shards is not None else (self.knobs.shards or 0)
-        )
+        n_shards = shards if shards is not None else (self.shards or 0)
         if strategy == "auto" and self.adaptive is not None:
             # Adaptive routing: auto means "the measured-best arm",
             # with deterministic periodic exploration keeping every
@@ -445,17 +436,17 @@ class Engine:
         n_workers = workers if workers is not None else self.workers
         if session is None:
             session = self.session(workers=n_workers)
-        # Threads or processes is only a choice of morsel runner; the
-        # executor scatters, merges, schedules and measures either way.
-        runner, lanes = self.pool, n_workers
+        # Threads or processes is only where a morsel's kernel runs;
+        # one pool drains the cursor, and the executor scatters, merges,
+        # schedules and measures either way.
+        program, lanes = compiled, n_workers
         if n_shards >= 1:
-            from .shard import ShardRunner
-
             group = self._ensure_shard_group(n_shards)
-            runner, lanes = ShardRunner(group, compiled), group.shards
+            program = replace(compiled, parallel=remote_plan(group, compiled))
+            lanes = group.shards
         result = MorselExecutor(
-            workers=lanes, runner=runner, registry=self.registry
-        ).execute(compiled, session, cancel=cancel)
+            workers=lanes, pool=self.pool, registry=self.registry
+        ).execute(program, session, cancel=cancel)
         metrics = result.report.metrics
         metrics.plan_cache = "hit" if was_hit else "miss"
         # Label telemetry by the backend the program actually runs on

@@ -26,10 +26,12 @@ cost reports are stored by morsel *index*, and the simulated schedule
 is computed from those reports — never from real thread timing — so a
 pooled run is bit-identical to a serial run.
 
-The pool is one of the executor's two *morsel runners* (the other is
-:class:`repro.engine.shard.ShardRunner`): ``run(session, plan, ctx,
-morsels, label, lanes, cancel)`` returns values, cost reports and busy
-seconds per lane, in morsel-index order.
+:class:`MorselBatch` is the only morsel cursor there is: claim order,
+deadline/cancel stop and lowest-index failure are decided here for
+both tiers. A sharded run is a batch whose ``plan.partial`` round-trips
+each morsel to a worker process (:func:`repro.engine.shard.remote_plan`)
+while its pool thread waits on the pipe. One batch runs at a time:
+concurrent queries queue on the submit lock, never interleave morsels.
 """
 
 from __future__ import annotations
@@ -206,9 +208,6 @@ class WorkerPool:
     threads, so one engine-owned pool serves any ``workers=`` override.
     """
 
-    #: Morsels run in this process (``RunMetrics.sharded``).
-    sharded = False
-
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ExecutionError("worker pool needs at least one worker")
@@ -281,10 +280,7 @@ class WorkerPool:
                 self._threads = [t for t in self._threads if t.is_alive()]
                 if self._atexit_registered and not self._threads:
                     self._atexit_registered = False
-                    try:
-                        atexit.unregister(self.shutdown)
-                    except Exception:  # pragma: no cover - interpreter exit
-                        pass
+                    atexit.unregister(self.shutdown)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -294,28 +290,12 @@ class WorkerPool:
 
     # -- batches ---------------------------------------------------------
 
-    def run(
-        self,
-        template: Session,
-        plan,
-        ctx: Any,
-        morsels: List[Tuple[int, int]],
-        label: str,
-        workers: int,
-        cancel: Optional[CancelToken] = None,
-    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
-        """Run one batch on the pool and return morsel-ordered results."""
-        return self.run_batch(
-            MorselBatch(
-                template, plan, ctx, morsels, label, workers, cancel=cancel
-            )
-        )
-
     def run_batch(
         self, batch: MorselBatch
     ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
-        """Drain ``batch`` on the pool's threads (callers that want to
-        inspect the batch afterwards build it themselves)."""
+        """Drain ``batch`` on the pool's threads and return its
+        morsel-ordered values, cost reports and busy seconds per
+        worker."""
         self.ensure_started(batch.workers)
         with self._submit_lock:
             begin = time.perf_counter()

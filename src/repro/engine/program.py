@@ -9,7 +9,8 @@ the real query answer and the simulated-cost report.
 Strategies whose pipelines can scan the base table in independent
 row ranges additionally declare a :class:`ParallelPlan`, which the
 morsel executor (:mod:`repro.engine.executor`) uses to fan the scan out
-across worker threads and merge the partial states back together.
+across worker threads (or, through them, shard worker processes) and
+merge the partial states back together.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ class ParallelPlan:
     vectorized kernels finish small scans faster than threads can be
     dispatched. Pinning ``ExecutionKnobs.morsel_rows`` overrides the
     raised floor — the explicit knob exists to force the parallel path.
+
+    ``sharded`` marks a plan whose ``partial`` runs in a shard worker
+    process (:func:`repro.engine.shard.remote_plan`): reported as
+    ``RunMetrics.sharded``, and fanned out even on one lane.
     """
 
     table: str
@@ -53,6 +58,7 @@ class ParallelPlan:
         Callable[[Session, Dict[str, Any], Any], Dict[str, Any]]
     ] = None
     min_parallel_rows: int = 0
+    sharded: bool = False
 
 
 def merge_partials(parts: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -20,12 +20,6 @@ class ExecutionKnobs:
         Row-range size of one morsel for the parallel executor. ``None``
         lets the executor pick a size from the scan length and worker
         count.
-    backend:
-        Execution backend compiled programs run on: ``"vectorized"``
-        (generated NumPy kernels over cache-sized row blocks, with a
-        native C tier for hot programs; the serving default) or
-        ``"instrumented"`` (the event-priced interpreter that remains
-        the authority for costing and explain output).
     min_parallel_rows:
         Scan length below which partitionable programs run serial
         anyway (the thread fan-out floor). ``None`` defers to the
@@ -35,21 +29,11 @@ class ExecutionKnobs:
         seed it from the feedback store's measured serial-vs-parallel
         crossover — to override the built-in constant per host. A
         pinned ``morsel_rows`` disables the floor entirely, as before.
-    shards:
-        Worker *processes* for the multi-process shard executor
-        (:mod:`repro.engine.shard`). ``None`` (the default) keeps
-        execution in-process; ``N >= 1`` scatters morsels over ``N``
-        pre-forked workers mapping the same on-disk columns. Requires a
-        database loaded through the dataset cache (workers locate the
-        columns by fingerprint). Scans below the fan-out floor fall
-        back to the thread executor transparently.
     """
 
     ht_prefetch: bool = False
     morsel_rows: int | None = None
-    backend: str = "vectorized"
     min_parallel_rows: int | None = None
-    shards: int | None = None
 
 
 class Session:

@@ -1,19 +1,21 @@
-"""Multi-process shard runner over shared memory-mapped columns.
+"""Shard worker processes over shared memory-mapped columns.
 
-The thread-pool runner tops out where the GIL does: NumPy kernels
-release it in their hot loops, but short OLAP queries spend enough time
-in interpreter glue that served throughput stalls at a few x over
-serial. This module scales past that by running one **worker process
-per core**, each mapping the *same* on-disk ``.npy`` column files the
+The thread pool tops out where the GIL does: NumPy kernels release it
+in their hot loops, but short OLAP queries spend enough time in
+interpreter glue that served throughput stalls at a few x over serial.
+This module scales past that by running one **worker process per
+core**, each mapping the *same* on-disk ``.npy`` column files the
 fingerprinted dataset cache already maintains (``np.load(...,
 mmap_mode="r")``): the OS page cache backs every worker with one
 physical copy of the data, and no column bytes ever cross a pipe.
 
-There is one scatter/merge path —
-:class:`~repro.engine.executor.MorselExecutor` splits the scan, costs
-setup/finalize, merges, schedules and measures — and this module is the
-second of its two *morsel runners* (:class:`ShardRunner`; the first is
-:class:`~repro.engine.pool.WorkerPool`):
+A shard is a *remote partial*, not a second executor:
+:func:`remote_plan` swaps a compiled program's ``partial`` for one that
+round-trips the morsel to a worker, and the engine's one
+:class:`~repro.engine.pool.WorkerPool` drains it through the one
+:class:`~repro.engine.pool.MorselBatch` cursor exactly as it drains a
+thread run (its threads only wait on pipes here), under the same
+:class:`~repro.engine.executor.MorselExecutor`:
 
 * each morsel becomes one **task** on the pickle-free line-JSON
   protocol — plan envelope + compile-spec wire form + row range +
@@ -22,24 +24,25 @@ second of its two *morsel runners* (:class:`ShardRunner`; the first is
   CI matrix pins golden sources across processes), run the program's
   ``partial`` over their row range, and ship the raw partial state
   back (arrays as dtype-tagged base64 of their exact bytes);
-* the runner hands the decoded partials back **in morsel-index order**
-  and the executor pushes them through the one
-  :func:`~repro.engine.program.merge_partials` / ``finalize`` path, in
-  the same order as a serial or thread run, so sharded answers are
-  *byte-identical* to serial ones (float aggregation is not associative
-  across regroupings; per-worker pre-merging would break that
-  guarantee, so workers never merge).
+* the decoded partials land in the batch's **morsel-index** slots and
+  go through the one :func:`~repro.engine.program.merge_partials` /
+  ``finalize`` path, in the same order as a serial or thread run, so
+  sharded answers are *byte-identical* to serial ones (float
+  aggregation is not associative across regroupings; per-worker
+  pre-merging would break that guarantee, so workers never merge).
 
 Lifecycle: workers are pre-forked and handshaked before the first
 query (``init`` loads the mmap'd dataset by fingerprint), crashed
 workers are detected by pipe EOF and their in-flight morsel is retried
 on a fresh worker (bounded retries; a *deterministic* task error is
-never retried), and ``stop()`` drains gracefully — ``shutdown`` op,
-stdin close, then SIGTERM, then SIGKILL.
+never retried — it fails the batch like any raising partial), and
+``stop()`` drains gracefully — ``shutdown`` op, stdin close, then
+SIGTERM, then SIGKILL.
 
 Measurement is not forked either: a reply carries the morsel's
 :class:`~repro.engine.costing.CostReport` — its priced event stream —
-so a sharded run's report is the same object a thread run builds, and
+which the remote partial replays into the pool thread's own tracer, so
+a sharded run's report is the same object a thread run builds, and
 :func:`repro.adaptive.feedback.observation_from_run` reads both.
 """
 
@@ -52,10 +55,11 @@ import os
 import subprocess
 import sys
 import threading
-from collections import deque
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from queue import SimpleQueue
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -63,7 +67,6 @@ from ..errors import ExecutionError, ReproError
 from ..obs import MetricsRegistry, observe_span
 from ..plan.serde import plan_to_wire
 from . import events as event_types
-from .cancellation import CancelToken
 from .costing import CostReport
 from .machine import MachineModel
 from .program import CompiledQuery
@@ -158,12 +161,16 @@ def report_to_wire(report: CostReport) -> List[list]:
     ]
 
 
-def report_from_wire(machine: MachineModel, wire: List[list]) -> CostReport:
-    """Inverse of :func:`report_to_wire`."""
-    report = CostReport(machine=machine)
+def _replay(report: CostReport, wire: List[list]) -> CostReport:
+    """Add :func:`report_to_wire` rows to ``report``, in order."""
     for kernel, kind, *fields, cycles in wire:
         report.add(kernel, getattr(event_types, kind)(*fields), cycles)
     return report
+
+
+def report_from_wire(machine: MachineModel, wire: List[list]) -> CostReport:
+    """Inverse of :func:`report_to_wire`."""
+    return _replay(CostReport(machine=machine), wire)
 
 
 # -- worker handle -------------------------------------------------------
@@ -286,8 +293,24 @@ class ShardWorkerHandle:
 # -- the shard group -----------------------------------------------------
 
 
+def dataset_provenance(db) -> Tuple[str, str]:
+    """``(fingerprint, cache_dir)`` of a database loaded through the
+    dataset cache — what worker processes map the columns by."""
+    fingerprint = getattr(db, "dataset_fingerprint", None)
+    cache_dir = getattr(db, "dataset_cache_dir", None)
+    if not fingerprint or not cache_dir:
+        raise ReproError(
+            "shard execution needs a database loaded through the "
+            "dataset cache (repro.datagen.cache.load_dataset), so "
+            "worker processes can map the same on-disk columns by "
+            "fingerprint; this database carries no provenance"
+        )
+    return fingerprint, cache_dir
+
+
 class ShardGroup:
-    """A fixed set of pre-forked workers mapping one dataset.
+    """A fixed set of pre-forked workers mapping one dataset — ``db``
+    must carry dataset provenance (:func:`dataset_provenance`).
 
     Every worker is addressed by its shard id; dead workers are
     respawned on demand, so a crash costs one morsel retry, never the
@@ -297,52 +320,33 @@ class ShardGroup:
     def __init__(
         self,
         shards: int,
+        db,
         *,
-        fingerprint: str,
-        cache_dir: str,
         machine: MachineModel,
         tile: int,
-        registry: Optional[MetricsRegistry] = None,
+        registry: MetricsRegistry,
     ) -> None:
         if shards < 1:
             raise ReproError("a shard group needs at least one shard")
         self.shards = shards
-        self.fingerprint = fingerprint
-        self.cache_dir = cache_dir
+        self.fingerprint, self.cache_dir = dataset_provenance(db)
         self.machine = machine
         self.tile = tile
         self.registry = registry
         self._handles: Dict[int, ShardWorkerHandle] = {}
         self._lock = threading.Lock()
+        #: Shard ids not running a task: a worker serves one request
+        #: at a time, so a task takes an id and puts it back.
+        self._idle: "SimpleQueue[int]" = SimpleQueue()
+        for shard_id in range(shards):
+            self._idle.put(shard_id)
         self._stopped = False
-        # Lifetime counters (mirrored into the registry when present).
+        # Lifetime counters (mirrored into the registry).
         self.tasks = 0
         self.retries = 0
         self.restarts = 0
         self.crashes = 0
         atexit.register(self.stop)
-
-    @classmethod
-    def for_engine(cls, engine, shards: int) -> "ShardGroup":
-        """Build a group from an engine whose database carries dataset
-        provenance (i.e. was loaded through the dataset cache)."""
-        fingerprint = getattr(engine.db, "dataset_fingerprint", None)
-        cache_dir = getattr(engine.db, "dataset_cache_dir", None)
-        if not fingerprint or not cache_dir:
-            raise ReproError(
-                "shard execution needs a database loaded through the "
-                "dataset cache (repro.datagen.cache.load_dataset), so "
-                "worker processes can map the same on-disk columns by "
-                "fingerprint; this database carries no provenance"
-            )
-        return cls(
-            shards,
-            fingerprint=fingerprint,
-            cache_dir=cache_dir,
-            machine=engine.machine,
-            tile=engine.tile,
-            registry=engine.registry,
-        )
 
     def _config(self) -> Dict[str, Any]:
         return {
@@ -362,8 +366,9 @@ class ShardGroup:
     def grow(self, shards: int) -> None:
         """Raise the shard count (never shrinks)."""
         with self._lock:
-            if shards > self.shards:
-                self.shards = shards
+            for shard_id in range(self.shards, shards):
+                self._idle.put(shard_id)
+            self.shards = max(self.shards, shards)
 
     def worker(self, shard_id: int) -> ShardWorkerHandle:
         """The live handle for one shard, respawning a dead worker."""
@@ -373,12 +378,8 @@ class ShardGroup:
             handle = self._handles.get(shard_id)
             if handle is not None and handle.alive():
                 return handle
-            if handle is not None:
-                # Found dead outside a request: still a crash.
-                self.crashes += 1
-                self._count("shard_worker_crashes_total")
-                self.restarts += 1
-                self._count("shard_worker_restarts_total")
+        if handle is not None:
+            self.note_crash(shard_id)  # found dead outside a request
         fresh = ShardWorkerHandle.spawn(shard_id, self._config())
         with self._lock:
             if self._stopped:
@@ -388,17 +389,61 @@ class ShardGroup:
         return fresh
 
     def note_crash(self, shard_id: int) -> None:
-        """Record that a request to ``shard_id`` found the worker dead
-        (its next :meth:`worker` call respawns it)."""
+        """Record that ``shard_id``'s worker was found dead (its next
+        :meth:`worker` call respawns it)."""
         with self._lock:
             self.crashes += 1
             self._count("shard_worker_crashes_total")
+            self.restarts += 1
+            self._count("shard_worker_restarts_total")
             handle = self._handles.pop(shard_id, None)
         if handle is not None:
             handle.stop(grace=0.1)
+
+    def run_task(self, task: Dict[str, Any]) -> Dict[str, Any]:
+        """Round-trip one task on an idle worker (blocking while all
+        are busy); returns its ``result`` reply.
+
+        A worker that dies with the task in flight is respawned and the
+        task retried on it, at most :data:`MAX_TASK_RETRIES` times. A
+        worker-*reported* error is deterministic — retrying reproduces
+        it — and raises at once.
+        """
+        shard_id = self._idle.get()
+        try:
+            died = None
+            for _ in range(MAX_TASK_RETRIES + 1):
+                if died is not None:
+                    with self._lock:
+                        self.retries += 1
+                    self._count("shard_retries_total")
+                try:
+                    reply = self.worker(shard_id).request(task)
+                    break
+                except ShardWorkerDied as exc:
+                    self.note_crash(shard_id)
+                    died = exc
+            else:
+                raise ExecutionError(
+                    f"task failed {MAX_TASK_RETRIES + 1} times on crashed "
+                    f"workers (last: {died})"
+                ) from died
+        finally:
+            self._idle.put(shard_id)
+        if reply.get("op") == "error":
+            raise ExecutionError(
+                f"shard {shard_id} worker: {reply.get('error', 'unknown')}"
+            )
         with self._lock:
-            self.restarts += 1
-            self._count("shard_worker_restarts_total")
+            self.tasks += 1
+        self._count("shard_tasks_total", shard=str(shard_id))
+        observe_span(
+            "shard_task",
+            float(reply.get("wall", 0.0)),
+            self.registry,
+            shard=str(shard_id),
+        )
+        return reply
 
     def kill_worker(self, shard_id: int) -> bool:
         """Hard-kill one worker (crash injection for tests/bench)."""
@@ -412,8 +457,7 @@ class ShardGroup:
 
     def _count(self, name: str, **labels) -> None:
         # Caller holds self._lock or does not need to.
-        if self.registry is not None:
-            self.registry.counter(name, **labels).inc()
+        self.registry.counter(name, **labels).inc()
 
     def snapshot(self) -> dict:
         """Stat source: group shape plus lifetime task counters."""
@@ -440,201 +484,51 @@ class ShardGroup:
             self._handles.clear()
         for handle in handles:
             handle.stop()
-        try:
-            atexit.unregister(self.stop)
-        except Exception:  # pragma: no cover - interpreter exit
-            pass
+        atexit.unregister(self.stop)
 
 
-# -- the runner ----------------------------------------------------------
+# -- the remote partial --------------------------------------------------
 
 
-class _ShardRun:
-    """One sharded query: a morsel cursor scattered over the group.
+def remote_plan(group: ShardGroup, compiled: CompiledQuery):
+    """``compiled``'s :class:`~repro.engine.program.ParallelPlan` with
+    its ``partial`` run on ``group``'s workers (``None`` when the
+    program declares no parallel plan and so runs serial in-process).
 
-    One channel thread per lane claims morsel indices, round-trips
-    tasks to its worker, and records results by index (order never
-    depends on timing — the same determinism contract as
-    :class:`~repro.engine.pool.MorselBatch`). A worker death re-enqueues
-    the in-flight morsel (bounded by :data:`MAX_TASK_RETRIES`) on the
-    respawned worker; a *deterministic* task error cancels the run.
+    Only ``partial`` changes: ``setup`` and ``finalize`` still run,
+    costed, in the parent — setup state (``ctx``) is not shipped, each
+    worker builds its own once per program, uncosted — and the cursor,
+    deadline/cancel stop and failure policy stay
+    :class:`~repro.engine.pool.MorselBatch`'s.
     """
+    if compiled.parallel is None:
+        return None
+    notes = compiled.notes
 
-    def __init__(
-        self,
-        group: ShardGroup,
-        task_template: Dict[str, Any],
-        morsels: List[Tuple[int, int]],
-        label: str,
-        cancel: Optional[CancelToken],
-    ) -> None:
-        self.group = group
-        self.template = task_template
-        self.morsels = morsels
-        self.label = label
-        self.cancel = cancel
-        self.replies: List[Optional[Dict[str, Any]]] = [None] * len(morsels)
-        self.wall_by_shard: Dict[int, float] = {}
-        self.errors: List[Tuple[int, str]] = []
-        self.stop_error: Optional[ExecutionError] = None
-        self.cancelled = False
-        self._pending: deque = deque(range(len(morsels)))
-        self._retries: Dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    # -- cursor ----------------------------------------------------------
-
-    def _claim(self) -> Optional[int]:
-        with self._lock:
-            if self.cancelled or not self._pending:
-                return None
-            if self.cancel is not None and self.cancel.stop_requested():
-                self.cancelled = True
-                self.stop_error = self.cancel.stop_error(
-                    self.label, self.replies
-                )
-                return None
-            return self._pending.popleft()
-
-    def _record(self, index: int, shard_id: int, reply: Dict[str, Any]):
-        wall = float(reply.get("wall", 0.0))
-        with self._lock:
-            self.replies[index] = reply
-            self.wall_by_shard[shard_id] = (
-                self.wall_by_shard.get(shard_id, 0.0) + wall
-            )
-            self.group.tasks += 1
-        self.group._count("shard_tasks_total", shard=str(shard_id))
-        if self.group.registry is not None:
-            observe_span(
-                "shard_task", wall, self.group.registry, shard=str(shard_id)
-            )
-
-    def _fail(self, index: int, message: str) -> None:
-        with self._lock:
-            self.errors.append((index, message))
-            self.cancelled = True
-
-    def _retry(self, index: int) -> bool:
-        """Re-enqueue a morsel whose worker died; False past the cap."""
-        with self._lock:
-            count = self._retries.get(index, 0) + 1
-            self._retries[index] = count
-            if count > MAX_TASK_RETRIES:
-                return False
-            self._pending.append(index)
-            self.group.retries += 1
-        self.group._count("shard_retries_total")
-        return True
-
-    # -- channels --------------------------------------------------------
-
-    def _channel(self, shard_id: int) -> None:
-        while True:
-            index = self._claim()
-            if index is None:
-                return
-            lo, hi = self.morsels[index]
-            task = {**self.template, "op": "task", "lo": lo, "hi": hi}
-            try:
-                handle = self.group.worker(shard_id)
-            except ReproError as exc:
-                self._fail(index, f"shard {shard_id} unspawnable: {exc}")
-                return
-            try:
-                reply = handle.request(task)
-            except ShardWorkerDied as exc:
-                self.group.note_crash(shard_id)
-                if not self._retry(index):
-                    self._fail(
-                        index,
-                        f"morsel failed {MAX_TASK_RETRIES + 1} times on "
-                        f"crashed workers (last: {exc})",
-                    )
-                    return
-                continue
-            if reply.get("op") == "error":
-                # Deterministic failure: retrying reproduces it.
-                self._fail(index, str(reply.get("error", "unknown")))
-                return
-            self._record(index, shard_id, reply)
-
-    def execute(self, lanes: int) -> None:
-        threads = [
-            threading.Thread(
-                target=self._channel,
-                args=(shard_id,),
-                name=f"repro-shard-{shard_id}",
-                daemon=True,
-            )
-            for shard_id in range(lanes)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    def raise_failure(self) -> None:
-        if not self.errors:
-            if self.stop_error is not None:
-                raise self.stop_error
-            return
-        index, message = min(self.errors, key=lambda pair: pair[0])
-        lo, hi = self.morsels[index]
-        raise ExecutionError(
-            f"morsel {index} (rows [{lo}, {hi})) of {self.label} failed "
-            f"on a shard worker: {message}"
-        )
-
-
-class ShardRunner:
-    """The shard tier as a morsel runner: one compiled program's
-    morsels, scattered over a :class:`ShardGroup`.
-
-    What the workers need to compile the same program — the operator
-    tree and the :class:`~repro.engine.plan_cache.CompileSpec` it was
-    compiled under — is read off the compiled program's ``notes``.
-    """
-
-    #: Morsels run in worker processes (``RunMetrics.sharded``); a
-    #: single lane still crosses the pipe rather than running serial.
-    sharded = True
-
-    def __init__(self, group: ShardGroup, compiled: CompiledQuery) -> None:
-        self.group = group
-        self.compiled = compiled
-
-    def run(
-        self,
-        session,
-        plan,
-        ctx: Any,
-        morsels: List[Tuple[int, int]],
-        label: str,
-        lanes: int,
-        cancel: Optional[CancelToken] = None,
-    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
-        """Setup state (``ctx``) is not shipped: each worker builds
-        its own once per program, uncosted — the executor accounts the
-        serial phases itself."""
-        notes = self.compiled.notes
-        task = {
+    @cache
+    def template() -> Dict[str, Any]:
+        """Built by the query's first morsel, so a scan under the
+        fan-out floor never pays for it: the operator tree plus the
+        whole compile configuration — encoding mode and measured-stats
+        override included — so workers pick the same per-column
+        code/value streams the parent priced; the spec is also the key
+        of their program cache."""
+        return {
+            "op": "task",
             "plan": plan_to_wire(notes["logical"]),
-            # The whole compile configuration (encoding mode and the
-            # measured-stats override included), so workers pick the
-            # same per-column code/value streams the parent priced;
-            # it is also the key of their program cache.
             "spec": notes["spec"].to_wire(),
-            "ht_prefetch": bool(session.knobs.ht_prefetch),
         }
-        run = _ShardRun(self.group, task, morsels, label, cancel)
-        run.execute(lanes)
-        run.raise_failure()
-        return (
-            [decode_partial(r["value"]) for r in run.replies],
-            [
-                report_from_wire(session.machine, r["report"])
-                for r in run.replies
-            ],
-            run.wall_by_shard,
+
+    def partial(session, ctx, lo: int, hi: int) -> Dict[str, Any]:
+        reply = group.run_task(
+            {
+                **template(),
+                "lo": lo,
+                "hi": hi,
+                "ht_prefetch": bool(session.knobs.ht_prefetch),
+            }
         )
+        _replay(session.tracer.report, reply["report"])
+        return decode_partial(reply["value"])
+
+    return replace(compiled.parallel, partial=partial, sharded=True)

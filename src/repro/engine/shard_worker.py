@@ -104,17 +104,14 @@ class _Worker:
         )
         ctx = None
         if compiled.parallel is not None and compiled.parallel.setup:
-            ctx = compiled.parallel.setup(self._session(msg, spec))
+            ctx = compiled.parallel.setup(self._session(msg))
         self.programs[spec] = (compiled, ctx)
         while len(self.programs) > _PROGRAM_CACHE_CAP:
             self.programs.popitem(last=False)
         return compiled, ctx
 
-    def _session(self, msg: Dict[str, Any], spec: CompileSpec) -> Session:
-        session = Session(
-            machine=self.machine, tile=self.tile, workers=1
-        )
-        session.knobs.backend = spec.backend
+    def _session(self, msg: Dict[str, Any]) -> Session:
+        session = Session(machine=self.machine, tile=self.tile)
         session.knobs.ht_prefetch = bool(msg.get("ht_prefetch", False))
         return session
 
@@ -128,7 +125,7 @@ class _Worker:
                 f"{compiled.strategy}:{compiled.name} declares no "
                 f"parallel plan; the parent should not have sharded it"
             )
-        session = self._session(msg, compiled.notes["spec"])
+        session = self._session(msg)
         lo, hi = int(msg["lo"]), int(msg["hi"])
         label = f"{compiled.strategy}:{compiled.name}"
         started = time.perf_counter()

@@ -5,14 +5,18 @@ an explicit cancel flag; the morsel batch checks it at every claim, so
 a timed-out parallel run stops within one morsel's worth of work and
 raises :class:`QueryTimeout` naming the elapsed time; ``Engine.execute``
 accepts either a relative ``deadline=`` budget or an existing token.
+Thread and shard runs share the one cursor, so the engine-level cases
+run on both tiers.
 """
 
+import re
 import time
 
 import pytest
 
 from repro.datagen import microbench as mb
-from repro.engine import CancelToken, Engine, MorselBatch
+from repro.datagen.cache import load_dataset
+from repro.engine import CancelToken, Engine, ExecutionKnobs, MorselBatch
 from repro.engine.program import results_equal
 from repro.engine.session import Session
 from repro.errors import QueryCancelled, QueryTimeout, ReproError
@@ -41,6 +45,30 @@ def slow_batch(token, n_morsels=50, workers=2, sleep=0.02):
             Session(), plan, None, morsels, "slow", workers, cancel=token
         ),
         plan,
+    )
+
+
+class LapsesAtClaim(CancelToken):
+    """A deadline that lapses when the cursor is asked for its
+    ``claims + 1``-th morsel: mid-run by construction, no sleeping."""
+
+    def __init__(self, claims):
+        super().__init__(deadline=time.monotonic() + 3600.0)
+        self.claims_left = claims
+
+    def stop_requested(self, now=None):
+        self.claims_left -= 1
+        if self.claims_left < 0:
+            self.deadline = self.created_at
+        return super().stop_requested(now)
+
+
+def morsels_run(engine):
+    """Lifetime (pool morsels, shard tasks) of ``engine``."""
+    group = engine._shard_group
+    return (
+        engine.pool.snapshot()["morsels"],
+        group.snapshot()["tasks"] if group is not None else 0,
     )
 
 
@@ -192,3 +220,55 @@ class TestEnginePlumbing:
 
         assert issubclass(QueryTimeout, ExecutionError)
         assert issubclass(QueryCancelled, ExecutionError)
+
+    # -- both tiers: threads and shard processes, one cursor -------------
+
+    MORSELS = 20
+
+    @pytest.fixture(params=["workers", "shards"])
+    def tier(self, request):
+        """``(engine, execute kwargs)`` running 20-morsel scans on two
+        threads, or on two shard processes."""
+        db = load_dataset(
+            "microbench",
+            mb.MicrobenchConfig(num_rows=20_000, s_rows=200, c_cardinality=16),
+        )
+        how = {"workers": {"shards": 0}, "shards": {"shards": 2}}
+        knobs = ExecutionKnobs(morsel_rows=20_000 // self.MORSELS)
+        with Engine(db, workers=2, knobs=knobs) as engine:
+            # Warm: program compiled, pool threads / workers up.
+            warm = engine.execute(mb.q1(30), "swole", **how[request.param])
+            assert warm.metrics.morsels == self.MORSELS
+            assert warm.metrics.sharded == (request.param == "shards")
+            yield engine, how[request.param]
+
+    def test_expired_token_runs_no_morsel(self, tier):
+        engine, how = tier
+        before = morsels_run(engine)
+        token = CancelToken(deadline=time.monotonic() - 0.01)
+        with pytest.raises(QueryTimeout):
+            engine.execute(mb.q1(30), "swole", cancel=token, **how)
+        # raised at the door: no batch submitted, no task sent
+        assert morsels_run(engine) == before
+
+    def test_deadline_lapsing_mid_run_stops_within_one_morsel(self, tier):
+        engine, how = tier
+        expected = engine.execute(mb.q1(30), "swole", workers=1, shards=0)
+        before = morsels_run(engine)
+        handed_out = 5
+        with pytest.raises(
+            QueryTimeout, match=rf"after \d+/{self.MORSELS} morsels"
+        ) as info:
+            engine.execute(
+                mb.q1(30), "swole", cancel=LapsesAtClaim(handed_out), **how
+            )
+        done = int(re.search(r"after (\d+)/", str(info.value)).group(1))
+        assert done <= handed_out
+        # Nothing was claimed past the lapse: only morsels handed out
+        # before it ran (or, on shards, crossed the pipe).
+        after = morsels_run(engine)
+        assert 0 < after[0] - before[0] <= handed_out
+        assert after[1] - before[1] <= handed_out
+        again = engine.execute(mb.q1(30), "swole", **how)
+        assert again.metrics.morsels == self.MORSELS
+        assert results_equal(again, expected)

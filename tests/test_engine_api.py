@@ -1,5 +1,6 @@
 """The Engine facade, session knobs, and deprecated entry points."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -144,6 +145,24 @@ class TestEngineExecute:
         with pytest.raises(ReproError):
             Engine(db=micro_db, workers=0)
 
+    def test_engine_never_writes_to_the_callers_knobs(self, micro_db):
+        # One knobs object configuring two engines: the first engine's
+        # keyword defaults must not reach the second through it.
+        knobs = ExecutionKnobs(morsel_rows=4096)
+        first = Engine(
+            micro_db, knobs=knobs, backend="instrumented",
+            min_parallel_rows=7,
+        )
+        assert first.knobs.min_parallel_rows == 7
+        assert knobs == ExecutionKnobs(morsel_rows=4096)
+        second = Engine(micro_db, knobs=knobs)
+        assert second.knobs == knobs and second.knobs is not knobs
+        program = second.compile(mb.q1(30))
+        assert program.notes["spec"].backend == "vectorized"
+        assert first.compile(mb.q1(30)).notes["spec"].backend == (
+            "instrumented"
+        )
+
 
 class TestSessionApi:
     def test_session_is_keyword_only(self):
@@ -158,6 +177,12 @@ class TestSessionApi:
         knobs = ExecutionKnobs()
         assert knobs.ht_prefetch is False
         assert knobs.morsel_rows is None
+
+    def test_knobs_hold_only_what_a_run_reads(self):
+        # Engine defaults (backend, shards) are Engine attributes.
+        assert [f.name for f in dataclasses.fields(ExecutionKnobs)] == [
+            "ht_prefetch", "morsel_rows", "min_parallel_rows",
+        ]
 
     def test_clone_isolates_knobs(self):
         session = Session(knobs=ExecutionKnobs(ht_prefetch=False))

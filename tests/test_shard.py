@@ -10,6 +10,11 @@ in-process execution instead of paying the pipe.
 """
 
 import json
+import os
+import signal
+import sys
+import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -24,12 +29,14 @@ from repro.engine.events import Branch, CondRead, RandomAccess, StatSample
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.plan_cache import plan_key
 from repro.engine.shard import (
+    MAX_TASK_RETRIES,
+    ShardWorkerHandle,
     decode_partial,
     encode_partial,
     report_from_wire,
     report_to_wire,
 )
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.plan.serde import plan_to_wire
 from repro.server import QueryRequest, QueryService
 from repro.server.protocol import ProtocolError
@@ -477,6 +484,168 @@ class TestCrashRecovery:
         assert snapshot["crashes"] >= 1
         assert snapshot["restarts"] >= 1
         assert snapshot["alive"] == SHARDS
+
+    @staticmethod
+    def intercept_sends(monkeypatch, on_task):
+        """Route every task message through ``on_task(handle, message,
+        send)``, where ``send`` is the real ``ShardWorkerHandle.send``."""
+        real = ShardWorkerHandle.send
+
+        def send(handle, message):
+            if message.get("op") == "task":
+                return on_task(handle, message, real)
+            return real(handle, message)
+
+        monkeypatch.setattr(ShardWorkerHandle, "send", send)
+
+    def test_worker_killed_with_its_task_in_flight_is_retried(
+        self, sharded_engine, monkeypatch
+    ):
+        plan = logical_plan("Q6")
+        expected = repr(sharded_engine.execute(plan, "swole").value)
+        group = sharded_engine.start_shards()
+        before = group.snapshot()
+        armed = [True]
+
+        def die_holding_the_task(handle, message, send):
+            try:
+                armed.pop()
+            except IndexError:
+                return send(handle, message)
+            # Stopped first, so the worker cannot answer before it
+            # dies: the task is sent, unanswered, and lost with it.
+            os.kill(handle.pid, signal.SIGSTOP)
+            send(handle, message)
+            handle.proc.kill()
+
+        self.intercept_sends(monkeypatch, die_holding_the_task)
+        result = sharded_engine.execute(plan, "swole")
+        assert not armed
+        assert repr(result.value) == expected
+        after = group.snapshot()
+        assert after["retries"] >= before["retries"] + 1
+        assert after["crashes"] >= before["crashes"] + 1
+        assert after["alive"] == SHARDS
+
+    def test_worker_dying_on_every_attempt_fails_the_morsel(
+        self, sharded_engine, monkeypatch
+    ):
+        plan = logical_plan("Q6")
+        expected = repr(sharded_engine.execute(plan, "swole").value)
+        group = sharded_engine.start_shards()
+        attempts = []
+
+        def die_on_the_first_morsel(handle, message, send):
+            if message["lo"] == 0:
+                attempts.append(handle.pid)
+                handle.proc.kill()
+                handle.proc.wait()
+            send(handle, message)
+
+        self.intercept_sends(monkeypatch, die_on_the_first_morsel)
+        started = time.monotonic()
+        with pytest.raises(
+            ExecutionError,
+            match=rf"morsel 0 \(rows \[0, \d+\)\) of swole:.* failed: .*"
+            rf"{MAX_TASK_RETRIES + 1} times on crashed workers",
+        ):
+            sharded_engine.execute(plan, "swole")
+        assert time.monotonic() - started < 60.0
+        # every try ran, each retry on a freshly spawned process
+        assert len(set(attempts)) == MAX_TASK_RETRIES + 1
+        monkeypatch.undo()
+        assert repr(sharded_engine.execute(plan, "swole").value) == expected
+        assert group.snapshot()["alive"] == SHARDS
+
+    def test_worker_reported_error_names_the_morsel_and_is_not_retried(
+        self, sharded_engine, monkeypatch
+    ):
+        group = sharded_engine.start_shards()
+        sends = []
+
+        def malformed_spec_on_the_first_morsel(handle, message, send):
+            if message["lo"] == 0:
+                sends.append(handle.pid)
+                message = {**message, "spec": {"strategy": "swole"}}
+            send(handle, message)
+
+        self.intercept_sends(monkeypatch, malformed_spec_on_the_first_morsel)
+        before = group.snapshot()
+        with pytest.raises(
+            ExecutionError,
+            match=r"morsel 0 \(rows \[0, \d+\)\) .*PlanError: malformed "
+            r"compile spec",
+        ):
+            sharded_engine.execute(logical_plan("Q6"), "swole")
+        after = group.snapshot()
+        assert len(sends) == 1  # deterministic: retrying reproduces it
+        for counter in ("retries", "crashes", "restarts"):
+            assert after[counter] == before[counter], counter
+        assert after["alive"] == SHARDS
+
+
+class TestOnePool:
+    """Sharded morsels drain on the engine's persistent pool threads."""
+
+    def test_sharded_queries_start_no_threads(
+        self, sharded_engine, monkeypatch
+    ):
+        plan = logical_plan("Q6")
+        sharded_engine.execute(plan, "swole")  # pool threads are up
+        started = []
+        real = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(20):
+            assert sharded_engine.execute(plan, "swole").metrics.sharded
+        assert started == []
+
+    def test_concurrent_sharded_queries_share_the_group(self, sharded_engine):
+        # More clients than cores or shards, switching often: every
+        # answer exact, every task accounted, every shard id returned.
+        plans = [logical_plan("Q1"), logical_plan("Q6")]
+        expected = [
+            repr(sharded_engine.execute(plan, "swole").value)
+            for plan in plans
+        ]
+        group = sharded_engine.start_shards()
+        tasks_before = group.snapshot()["tasks"]
+        clients, rounds = 6, 4
+        sent, wrong, errors = [], [], []
+
+        def client(offset):
+            try:
+                for i in range(rounds):
+                    which = (offset + i) % len(plans)
+                    result = sharded_engine.execute(plans[which], "swole")
+                    sent.append(result.metrics.morsels)
+                    if repr(result.value) != expected[which]:
+                        wrong.append(which)
+            except Exception as exc:  # any raise is the finding
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(i,), daemon=True)
+            for i in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive(), "sharded clients wedged"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not wrong
+        assert len(sent) == clients * rounds
+        assert group.snapshot()["tasks"] - tasks_before == sum(sent)
+        assert group._idle.qsize() == group.shards
 
 
 class TestLifecycle:

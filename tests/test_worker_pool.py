@@ -169,9 +169,7 @@ class TestLifecycleRaces:
         assert not errors
         # whatever state the race ended in, the pool still works...
         batch, _ = make_batch(n_morsels=4, workers=2)
-        values, reports, _ = pool.run(
-            batch.template, batch.plan, None, batch.morsels, "test", 2
-        )
+        values, reports, _ = pool.run_batch(batch)
         assert len(values) == 4
         # ...and shuts down cleanly.
         pool.shutdown()
@@ -197,14 +195,9 @@ class TestCancellation:
         with WorkerPool(workers=2) as pool:
             batch, _ = make_batch(n_morsels=8, workers=2, fail_at={400})
             with pytest.raises(ExecutionError):
-                pool.run(
-                    batch.template, batch.plan, None, batch.morsels,
-                    "test", 2,
-                )
+                pool.run_batch(batch)
             ok, _ = make_batch(n_morsels=8, workers=2)
-            values, reports, _ = pool.run(
-                ok.template, ok.plan, None, ok.morsels, "test", 2
-            )
+            values, reports, _ = pool.run_batch(ok)
             assert len(values) == len(reports) == 8
 
 
@@ -214,9 +207,7 @@ class TestKnobIsolation:
         # still observe the template's value
         with WorkerPool(workers=2) as pool:
             batch, plan = make_batch(n_morsels=8, workers=2)
-            pool.run(
-                batch.template, batch.plan, None, batch.morsels, "test", 2
-            )
+            pool.run_batch(batch)
             assert plan.seen_prefetch
             assert not any(plan.seen_prefetch.values())
 
