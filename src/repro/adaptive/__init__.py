@@ -96,11 +96,6 @@ class AdaptiveController:
         self._lock = threading.Lock()
         self._plan_cache = None
         self._registry = None
-        #: Last estimated-statistics block seen per fingerprint. Only
-        #: pipeline-compiled programs carry estimates; caching them
-        #: lets runs of hand-compiled arms (whose plans record none)
-        #: still drive the drift check for the same query.
-        self._estimates: dict = {}
         self.explorations = 0
 
     # -- engine wiring ---------------------------------------------------
@@ -136,20 +131,11 @@ class AdaptiveController:
         observation: Observation,
         estimated_stats: Optional[Mapping[str, float]] = None,
     ) -> bool:
-        """Fold one completed run and run the drift check; returns True
-        when the run triggered a re-optimization."""
+        """Fold one completed run and run the drift check against the
+        statistics its plan was priced with (``notes["estimated_stats"]``,
+        which every compiled program records); returns True when the
+        run triggered a re-optimization."""
         self.store.record(fingerprint, strategy, backend, observation)
-        with self._lock:
-            if estimated_stats:
-                if (
-                    fingerprint not in self._estimates
-                    and len(self._estimates)
-                    >= self.policy.max_fingerprints
-                ):
-                    self._estimates.clear()
-                self._estimates[fingerprint] = dict(estimated_stats)
-            else:
-                estimated_stats = self._estimates.get(fingerprint)
         if self._plan_cache is None:
             return False
         return self.reopt.maybe_reoptimize(

@@ -11,11 +11,6 @@ from .microbench import (
     run_strategies,
     scaled_machine,
 )
-from .throughput import (
-    WorkloadResult,
-    run_throughput,
-    run_workload,
-)
 from .tpch import FIG6_SERIES, PAPER_SWOLE_SPEEDUPS, TpchReport, run_fig6
 
 __all__ = [
@@ -24,7 +19,6 @@ __all__ = [
     "PAPER_SWOLE_SPEEDUPS",
     "SweepResult",
     "TpchReport",
-    "WorkloadResult",
     "fig8",
     "fig9",
     "fig10",
@@ -32,7 +26,5 @@ __all__ = [
     "fig12",
     "run_fig6",
     "run_strategies",
-    "run_throughput",
-    "run_workload",
     "scaled_machine",
 ]

@@ -7,16 +7,14 @@ critical path), and ``--plan-cache cold`` to force recompilation between
 sweep points. ``--quick`` runs a small smoke suite: one fig8 panel plus
 a parallel-scan and plan-cache demonstration.
 
-``--throughput`` runs the closed-loop wall-clock throughput suite
-instead (warm Engine, mixed Q1/Q6/microbench workloads, both
-backends) and writes the machine-readable report to
-``BENCH_throughput.json`` (``--out``).
 ``--serve-bench`` runs the query-service load generator instead
 (closed-loop client fleet against an admission-controlled
 :class:`~repro.server.service.QueryService`; pass ``--connect
 host:port`` to drive a running ``python -m repro.server``) and writes
-``BENCH_serving.json``. ``--seed`` pins every dataset generator's seed
-so either report reproduces byte-for-byte. Generated datasets are
+``BENCH_serving.json``; ``--adapt-bench`` and ``--shard-bench`` write
+``BENCH_adaptive.json`` and ``BENCH_shard.json``. ``--seed`` pins
+every dataset generator's seed so a report reproduces its datasets
+and answers byte-for-byte. Generated datasets are
 cached under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro/datasets``)
 by every mode, so reruns skip datagen.
 """
@@ -147,7 +145,8 @@ def main() -> None:
         type=int,
         default=None,
         help="microbench R rows (paper: 100M; caches scale to match; "
-        "default 1M for figures, 200K for --throughput)",
+        "default 1M for figures, 200K for --serve-bench, 400K for "
+        "--adapt-bench)",
     )
     parser.add_argument(
         "--sf",
@@ -173,7 +172,7 @@ def main() -> None:
         "--backend",
         choices=("instrumented", "vectorized"),
         default="vectorized",
-        help="execution backend for --quick/--throughput/--serve-bench "
+        help="execution backend for --quick/--serve-bench "
         "(figures always use the instrumented backend: their y-axis is "
         "the paper's simulated seconds)",
     )
@@ -181,12 +180,7 @@ def main() -> None:
         "--quick",
         action="store_true",
         help="small smoke suite (CI): tiny fig8 + executor/cache demos; "
-        "with --throughput, shrinks the throughput suite instead",
-    )
-    parser.add_argument(
-        "--throughput",
-        action="store_true",
-        help="closed-loop wall-clock throughput suite (writes --out)",
+        "with a --*-bench flag, shrinks that bench instead",
     )
     parser.add_argument(
         "--serve-bench",
@@ -205,18 +199,9 @@ def main() -> None:
     parser.add_argument(
         "--shard-bench",
         action="store_true",
-        help="multi-process shard executor bench: byte-equivalence "
-        "sweep vs serial, serial/threads/shards throughput scenarios, "
-        "and an induced worker-crash recovery drill (writes --out, "
-        "default BENCH_shard.json)",
-    )
-    parser.add_argument(
-        "--compression-bench",
-        action="store_true",
-        help="compression access-path bench: encoded vs decoded scan "
-        "cycles across code widths and selectivities, plus the full "
-        "TPC-H encoded/decoded equivalence and cycle-ratio sweep "
-        "(writes --out, default BENCH_compression.json)",
+        help="multi-process shard executor bench: serial/threads/shards "
+        "closed-loop throughput scenarios (writes --out, default "
+        "BENCH_shard.json)",
     )
     parser.add_argument(
         "--shards",
@@ -225,16 +210,10 @@ def main() -> None:
         help="worker processes for --shard-bench",
     )
     parser.add_argument(
-        "--iters",
-        type=int,
-        default=30,
-        help="measured iterations per throughput workload",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
-        help="dataset generator seed for --throughput/--serve-bench "
+        help="dataset generator seed for the --*-bench modes "
         "(default: each generator's own; pin for byte-reproducible runs)",
     )
     parser.add_argument(
@@ -292,37 +271,18 @@ def main() -> None:
     parser.add_argument(
         "--out",
         default=None,
-        help="output path of the throughput/serving report (defaults to "
-        "BENCH_throughput.json / BENCH_serving.json)",
+        help="output path of a bench report (defaults to "
+        "BENCH_serving.json / BENCH_adaptive.json / BENCH_shard.json)",
     )
     args = parser.parse_args()
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.iters < 1:
-        parser.error("--iters must be at least 1")
     if args.rounds is not None and args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    if sum((
-        args.throughput, args.serve_bench, args.adapt_bench,
-        args.shard_bench, args.compression_bench,
-    )) > 1:
+    if sum((args.serve_bench, args.adapt_bench, args.shard_bench)) > 1:
         parser.error(
-            "pick one of --throughput / --serve-bench / --adapt-bench "
-            "/ --shard-bench / --compression-bench"
+            "pick one of --serve-bench / --adapt-bench / --shard-bench"
         )
-    if args.compression_bench:
-        from .compression import run_compression_bench
-
-        run_compression_bench(
-            sf=(
-                (0.002 if args.sf == 0.01 else args.sf)
-                if args.quick
-                else args.sf
-            ),
-            seed=args.seed,
-            out_path=args.out or "BENCH_compression.json",
-        )
-        return
     if args.shard_bench:
         from .shard import run_shard_bench
 
@@ -408,31 +368,6 @@ def main() -> None:
                 connect=args.connect,
                 connect_workload=args.serve_workload,
                 out_path=args.out or "BENCH_serving.json",
-            )
-        return
-    if args.throughput:
-        from .throughput import run_throughput
-
-        out = args.out or "BENCH_throughput.json"
-        if args.quick:
-            run_throughput(
-                rows=50_000,
-                sf=0.002,
-                workers=max(args.workers, 4),
-                iterations=min(args.iters, 10),
-                seed=args.seed,
-                backend=args.backend,
-                out_path=out,
-            )
-        else:
-            run_throughput(
-                rows=args.rows if args.rows is not None else 200_000,
-                sf=args.sf,
-                workers=max(args.workers, 4),
-                iterations=args.iters,
-                seed=args.seed,
-                backend=args.backend,
-                out_path=out,
             )
         return
     if args.quick:

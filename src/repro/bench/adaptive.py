@@ -20,11 +20,12 @@ adaptive :class:`~repro.Engine` in three phases:
 3. **adapted** — the same shifted workload after the loop has
    converged again.
 
-The report asserts the loop's contract: at least one recompile after
+The report records the loop's contract: at least one recompile after
 the shift, zero failed requests, post-adaptation throughput within
-10% of the pre-shift baseline, and — the correctness bar — the
-adaptive engine's answers byte-identical to a static engine's for
-every strategy × backend cell, measured-statistics overrides active.
+10% of the pre-shift baseline. The correctness bar — every strategy ×
+backend cell answering as a static engine does with the overrides
+active — is a tier-1 test
+(``tests/test_adaptive.py::TestEngineIntegration``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -40,12 +41,10 @@ from ..adaptive import AdaptivePolicy
 from ..datagen import microbench as mb
 from ..datagen.cache import load_dataset
 from ..engine import Engine
-from ..engine.program import results_equal
 from ..server.protocol import QueryRequest
 from ..server.service import QueryService
 from ..storage.database import Database
 from ..storage.table import Column, Table
-from ..tpch import STRATEGIES
 from .microbench import scaled_machine
 
 #: Selectivities (percent) before and after the mid-run shift. The
@@ -151,32 +150,6 @@ def _drive_phase(
     }
 
 
-def _equivalence_sweep(
-    adaptive_engine: Engine, static_engine: Engine, queries
-) -> List[dict]:
-    """Compare the adaptive engine (overrides active) against a static
-    engine for every query × strategy × backend cell."""
-    cells = []
-    for name, query in queries:
-        for strategy in STRATEGIES:
-            for backend in ("instrumented", "vectorized"):
-                got = adaptive_engine.execute(
-                    query, strategy, backend=backend
-                )
-                want = static_engine.execute(
-                    query, strategy, backend=backend
-                )
-                cells.append(
-                    {
-                        "query": name,
-                        "strategy": strategy,
-                        "backend": backend,
-                        "identical": results_equal(got, want),
-                    }
-                )
-    return cells
-
-
 def run_adapt_bench(
     *,
     rows: int = 400_000,
@@ -205,7 +178,6 @@ def run_adapt_bench(
     engine = Engine(
         db, machine=machine, workers=2, adaptive=BENCH_POLICY
     )
-    static = Engine(db, machine=machine, workers=2)
     baseline_query = mb.q1(BASELINE_SEL)
     shifted_query = mb.q1(SHIFTED_SEL)
 
@@ -216,7 +188,7 @@ def run_adapt_bench(
         f"drift_threshold={BENCH_POLICY.drift_threshold}"
     )
     phases = []
-    with engine, static:
+    with engine:
         service = QueryService(
             engine, concurrency=concurrency, coalesce=False
         )
@@ -267,11 +239,6 @@ def run_adapt_bench(
         recompiles_after_shift = (
             engine.adaptive.recompiles - at_shift
         )
-        equivalence = _equivalence_sweep(
-            engine,
-            static,
-            [("q1_baseline", baseline_query), ("q1_shifted", shifted_query)],
-        )
         snapshot = engine.adaptive.snapshot()
         winners = {
             name: engine.adaptive.store.best_arm(fingerprint)
@@ -313,15 +280,6 @@ def run_adapt_bench(
             name: (f"{arm[0]}/{arm[1]}" if arm else None)
             for name, arm in winners.items()
         },
-        "equivalence": {
-            "cells": len(equivalence),
-            "identical": sum(
-                1 for cell in equivalence if cell["identical"]
-            ),
-            "mismatches": [
-                cell for cell in equivalence if not cell["identical"]
-            ],
-        },
         "plan_cache": engine.plan_cache.stats.snapshot(),
         "adaptive": snapshot,
     }
@@ -339,9 +297,7 @@ def run_adapt_bench(
     print(
         f"  recompiles after shift: {recompiles_after_shift}; "
         f"throughput recovered: {report['throughput_recovered']:.2f}x "
-        f"of baseline; equivalence "
-        f"{report['equivalence']['identical']}/"
-        f"{report['equivalence']['cells']} cells identical"
+        f"of baseline"
     )
     print(f"  report -> {out_path}")
     return report

@@ -1,8 +1,9 @@
 """Closed-loop serving benchmark: qps, tail latency, shed and miss rates.
 
-Where ``--throughput`` drives a bare :class:`~repro.engine.facade.Engine`
-from one loop, this bench measures the *query service layer* the way a
-client fleet would: ``clients`` closed-loop load generators (one thread
+Where the ledger (``ledger/run.py``) drives a bare
+:class:`~repro.engine.facade.Engine` or one client from one loop, this
+bench measures the *query service layer* under load, the way a client
+fleet would: ``clients`` closed-loop load generators (one thread
 — and, over TCP, one connection — each) issue a mixed workload against
 a :class:`~repro.server.service.QueryService` with configured
 ``concurrency`` and ``queue_depth``, every request carrying a deadline.
@@ -77,7 +78,6 @@ from ..server import (
     ServiceClient,
 )
 from ..tpch import logical_plan
-from .throughput import percentile
 
 #: Strategies measured by default (the paper's main series).
 DEFAULT_STRATEGIES = ("datacentric", "hybrid", "swole")
@@ -92,6 +92,14 @@ DEFAULT_DEADLINE = 2.0
 #: Interleaved serial/served rounds per (workload, strategy); the
 #: report keeps the best round of each side (plus all per-round qps).
 DEFAULT_ROUNDS = 3
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted sample."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
+    return sorted_values[rank]
 
 
 def effective_concurrency(requested: int) -> int:
@@ -362,7 +370,7 @@ def run_service_scenario(
         engine, concurrency=concurrency, queue_depth=queue_depth
     ) as service:
         # Warm the plan cache outside the measured loop (one request
-        # per mix entry), as the throughput bench does.
+        # per mix entry).
         issue = service_issue_fn(service, backend)
         for _, spec in mix:
             issue(spec, strategy, None)

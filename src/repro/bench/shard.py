@@ -1,34 +1,22 @@
 """Closed-loop shard-executor benchmark (``--shard-bench``).
 
-Three phases, written machine-readable to ``BENCH_shard.json``:
+A closed-loop client fleet drives the same engine three ways over an
+identical request stream, written machine-readable to
+``BENCH_shard.json``: ``serial`` (one worker, no shards), ``threads``
+(the thread-pool morsel executor at N workers), and ``shards`` (N
+worker processes over the memory-mapped columns). Reported per
+scenario: achieved qps, wall seconds and failed requests. Headline:
+``per_core_efficiency`` = (shard qps / serial qps) / usable cores, and
+``speedup_vs_threads`` = shard qps / thread qps. Both are
+*host-honest*: ``usable cores`` is ``min(shards, os.cpu_count())`` and
+the host's core count is recorded in the report — on a single-core
+container the shard fleet time-slices one core and the speedup columns
+say so; the CI gate asserts on its own multi-core run, never on
+committed numbers from a smaller machine.
 
-1. **Equivalence sweep** — every TPC-H query × strategy cell (all 32),
-   on both execution backends, runs once serially and once sharded; the
-   answers must match *byte-for-byte* (``repr`` equality, which for
-   NumPy arrays includes every float bit printed, backed by the
-   simulated-cycle totals agreeing too). This is the correctness gate
-   the multi-process executor lives under: scatter/gather must be
-   invisible in the answer.
-
-2. **Throughput scenarios** — a closed-loop client fleet drives the
-   same engine three ways over an identical request stream: ``serial``
-   (one worker, no shards), ``threads`` (the thread-pool morsel
-   executor at N workers — today's serving ceiling), and ``shards``
-   (N worker processes over the memory-mapped columns). Reported per
-   scenario: achieved qps and wall seconds. Headline:
-   ``per_core_efficiency`` = (shard qps / serial qps) / usable cores,
-   and ``speedup_vs_threads`` = shard qps / thread qps. Both are
-   *host-honest*: ``usable cores`` is ``min(shards, os.cpu_count())``
-   and the host's core count is recorded in the report — on a
-   single-core container the shard fleet time-slices one core and the
-   speedup columns say so; the CI gate asserts on its own multi-core
-   run, never on committed numbers from a smaller machine.
-
-3. **Crash drill** — mid-stream, the bench hard-kills a shard worker
-   (SIGKILL, no warning) while queries are in flight. The contract:
-   zero failed requests (the dead worker's morsel retries on a fresh
-   process), at least one recorded restart, and the post-crash answers
-   still byte-identical.
+Correctness lives in tier-1 tests, not here: every query x strategy
+cell sharded on both backends (``tests/test_shard.py::TestShardedSweep``)
+and a worker killed mid-task (``TestCrashRecovery``).
 """
 
 from __future__ import annotations
@@ -45,10 +33,10 @@ from ..datagen import tpch as tpchgen
 from ..datagen.cache import load_dataset
 from ..engine import Engine
 from ..engine.machine import PAPER_MACHINE
-from ..tpch import STRATEGIES, logical_plan, query_names
+from ..tpch import logical_plan
 
-#: The serving workload of the throughput phase: the two biggest
-#: lineitem scans — the queries the serving bench also hammers.
+#: The serving workload: the two biggest lineitem scans — the queries
+#: the serving bench also hammers.
 WORKLOAD = ("Q1", "Q6")
 
 
@@ -65,63 +53,6 @@ def _build_engine(
         shards=shards,
         min_parallel_rows=1,
     )
-
-
-def run_equivalence_sweep(
-    db, machine, shards: int
-) -> Dict[str, Any]:
-    """Sharded vs serial byte-identity over every query × strategy
-    cell, both backends. The gate is on the *answers* (``repr``
-    equality — every float bit); simulated-cycle parity against the
-    thread path at the same worker count is recorded alongside as a
-    diagnostic (the instrumented cost model has a known, pre-existing
-    str-hash-order sensitivity on string-keyed joins, so cycle parity
-    across processes is informative, not contractual)."""
-    serial = _build_engine(db, machine)
-    threads = _build_engine(db, machine, workers=shards)
-    sharded = _build_engine(db, machine, shards=shards)
-    sharded.start_shards()
-    cells = 0
-    identical = 0
-    sharded_runs = 0
-    cycles_equal_runs = 0
-    mismatches: List[str] = []
-    try:
-        for name in query_names():
-            plan = logical_plan(name)
-            for strategy in STRATEGIES:
-                cells += 1
-                cell_ok = True
-                for backend in ("vectorized", "instrumented"):
-                    a = serial.execute(plan, strategy, backend=backend)
-                    t = threads.execute(plan, strategy, backend=backend)
-                    b = sharded.execute(plan, strategy, backend=backend)
-                    if b.report.metrics.sharded:
-                        sharded_runs += 1
-                    if abs(
-                        t.report.total_cycles - b.report.total_cycles
-                    ) < 1e-6:
-                        cycles_equal_runs += 1
-                    if repr(a.value) != repr(b.value) or (
-                        repr(t.value) != repr(b.value)
-                    ):
-                        cell_ok = False
-                        mismatches.append(
-                            f"{name}/{strategy}/{backend}"
-                        )
-                if cell_ok:
-                    identical += 1
-    finally:
-        sharded.shutdown()
-        threads.shutdown()
-        serial.shutdown()
-    return {
-        "cells": cells,
-        "identical": identical,
-        "sharded_runs": sharded_runs,
-        "cycles_equal_runs": cycles_equal_runs,
-        "mismatches": mismatches,
-    }
 
 
 def _drive(
@@ -164,55 +95,6 @@ def _drive(
     }
 
 
-def run_crash_drill(
-    db, machine, shards: int, *, requests: int = 12
-) -> Dict[str, Any]:
-    """Kill a shard worker mid-stream; every request must still answer
-    correctly (retried morsel on a fresh worker, zero failures)."""
-    engine = _build_engine(db, machine, shards=shards)
-    group = engine.start_shards()
-    plans = [logical_plan(name) for name in WORKLOAD]
-    failures: List[str] = []
-    expected = [
-        repr(engine.execute(plan, "swole").value) for plan in plans
-    ]
-    killed = threading.Event()
-
-    def killer() -> None:
-        time.sleep(0.01)  # let a request get morsels in flight
-        if group.kill_worker(0):
-            killed.set()
-
-    thread = threading.Thread(target=killer, daemon=True)
-    thread.start()
-    wrong = 0
-    for i in range(requests):
-        plan = plans[i % len(plans)]
-        try:
-            result = engine.execute(plan, "swole")
-            if repr(result.value) != expected[i % len(plans)]:
-                wrong += 1
-        except Exception as exc:
-            failures.append(f"{type(exc).__name__}: {exc}")
-    thread.join()
-    snapshot = group.snapshot()
-    engine.shutdown()
-    return {
-        "induced": killed.is_set(),
-        "requests": requests,
-        "failures": failures,
-        "wrong_answers": wrong,
-        "restarts": snapshot["restarts"],
-        "retries": snapshot["retries"],
-        "recovered": (
-            killed.is_set()
-            and not failures
-            and wrong == 0
-            and snapshot["restarts"] >= 1
-        ),
-    }
-
-
 def run_shard_bench(
     *,
     sf: float = 0.05,
@@ -230,20 +112,9 @@ def run_shard_bench(
     host_cpus = os.cpu_count() or 1
     usable_cores = max(1, min(shards, host_cpus))
 
-    print(f"== equivalence sweep (shards={shards}, sf={sf}) ==")
-    equivalence = run_equivalence_sweep(db, machine, shards)
-    print(
-        f"  {equivalence['identical']}/{equivalence['cells']} cells "
-        f"byte-identical ({equivalence['sharded_runs']} sharded runs, "
-        f"{equivalence['cycles_equal_runs']} with exact simulated-cycle "
-        f"parity vs the thread path)"
-    )
-    if equivalence["mismatches"]:
-        print(f"  MISMATCHES: {equivalence['mismatches']}")
-
     plans = [logical_plan(name) for name in WORKLOAD]
     scenarios: Dict[str, Dict[str, Any]] = {}
-    print("== throughput scenarios ==")
+    print(f"== throughput scenarios (shards={shards}, sf={sf}) ==")
     for label, kwargs in (
         ("serial", {"workers": 1}),
         ("threads", {"workers": shards}),
@@ -271,19 +142,9 @@ def run_shard_bench(
             f"{len(scenario['failures'])} failed)"
         )
 
-    print("== crash drill ==")
-    crash = run_crash_drill(db, machine, shards)
-    print(
-        f"  induced={crash['induced']} recovered={crash['recovered']} "
-        f"restarts={crash['restarts']} failures={len(crash['failures'])}"
-    )
-
     serial_qps = scenarios["serial"]["qps"]
     shard_qps = scenarios["shards"]["qps"]
     thread_qps = scenarios["threads"]["qps"]
-    failed = sum(
-        len(s["failures"]) for s in scenarios.values()
-    ) + len(crash["failures"])
     headline = {
         "speedup_vs_serial": shard_qps / serial_qps if serial_qps else 0.0,
         "speedup_vs_threads": (
@@ -292,11 +153,8 @@ def run_shard_bench(
         "per_core_efficiency": (
             (shard_qps / serial_qps) / usable_cores if serial_qps else 0.0
         ),
-        "failed_requests": failed,
-        "crash_recovered": crash["recovered"],
-        "equivalence_ok": (
-            equivalence["identical"] == equivalence["cells"]
-            and not equivalence["mismatches"]
+        "failed_requests": sum(
+            len(s["failures"]) for s in scenarios.values()
         ),
     }
     print(
@@ -323,9 +181,7 @@ def run_shard_bench(
             "requests_per_client": requests_per_client,
             "workload": list(WORKLOAD),
         },
-        "equivalence": equivalence,
         "scenarios": scenarios,
-        "crash_drill": crash,
         "headline": headline,
     }
     if out_path:

@@ -35,7 +35,6 @@ from .events import (
 )
 from .hashtable import NULL_KEY, HashTable
 from .session import Session
-from ..storage.bitmap import BlockCompressedBitmap, PositionalBitmap
 
 #: Comparison operators supported by predicate kernels.
 _COMPARE_OPS = {
@@ -194,44 +193,6 @@ def string_match(
     return mask
 
 
-def combine_and(session: Session, *masks: np.ndarray) -> np.ndarray:
-    """AND several prepass results (SIMD-able byte ops)."""
-    if not masks:
-        raise ExecutionError("combine_and needs at least one mask")
-    result = masks[0]
-    for mask in masks[1:]:
-        session.tracer.emit(
-            Compute(n=result.shape[0], op="and", simd=True, width=1)
-        )
-        result = result & mask
-    return result
-
-
-def combine_or(session: Session, *masks: np.ndarray) -> np.ndarray:
-    """OR several prepass results."""
-    if not masks:
-        raise ExecutionError("combine_or needs at least one mask")
-    result = masks[0]
-    for mask in masks[1:]:
-        session.tracer.emit(
-            Compute(n=result.shape[0], op="or", simd=True, width=1)
-        )
-        result = result | mask
-    return result
-
-
-def branch(session: Session, mask: np.ndarray, site: str) -> np.ndarray:
-    """A conditional branch per tuple on ``mask`` (data-centric ``if``).
-
-    Emits the branch event with the *measured* taken fraction; returns the
-    mask unchanged for chaining.
-    """
-    n = int(mask.shape[0])
-    taken = float(mask.mean()) if n else 0.0
-    session.tracer.emit(Branch(n=n, taken_fraction=taken, site=site))
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Selection vectors and conditional access
 # ---------------------------------------------------------------------------
@@ -287,7 +248,7 @@ def conditional_read(
     """Conditional read guarded by a per-tuple ``if`` (data-centric form).
 
     Costs the same CondRead pattern but without gather overhead (the
-    branch itself was already costed by :func:`branch`).
+    caller prices the branch itself).
     """
     k = int(mask.sum())
     session.tracer.emit(
@@ -302,73 +263,8 @@ def conditional_read(
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic and aggregation
+# Loop overheads
 # ---------------------------------------------------------------------------
-
-
-def arith(
-    session: Session,
-    op: str,
-    left: np.ndarray,
-    right,
-    simd: bool = True,
-) -> np.ndarray:
-    """Elementwise arithmetic with cost accounting.
-
-    ``op`` is one of add/sub/mul/div. Division results are truncated
-    toward zero to match integer codegen semantics.
-    """
-    if op not in ("add", "sub", "mul", "div"):
-        raise ExecutionError(f"unknown arithmetic op {op!r}")
-    n = int(np.shape(left)[0])
-    width = _width(left)
-    session.tracer.emit(Compute(n=n, op=op, simd=simd, width=width))
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    if op == "div":
-        divisor = np.asarray(right)
-        if divisor.size and (divisor == 0).any():
-            raise ExecutionError("division by zero in arith kernel")
-        quotient = np.floor_divide(left, right)
-        return quotient
-    raise ExecutionError(f"unknown arithmetic op {op!r}")
-
-
-def reduce_sum(
-    session: Session, values: np.ndarray, simd: bool = True
-) -> int:
-    """Sum a vector of already-materialised values."""
-    session.tracer.emit(
-        Compute(n=int(values.shape[0]), op="add", simd=simd, width=_width(values))
-    )
-    return int(values.sum(dtype=np.int64))
-
-
-def masked_sum(
-    session: Session,
-    values: np.ndarray,
-    mask: np.ndarray,
-    array: str,
-    read: bool = True,
-) -> int:
-    """Value masking aggregation (paper §III-A, Fig. 3).
-
-    Unconditionally reads ``values`` sequentially, multiplies by the 0/1
-    predicate result, and sums — all SIMD-able, all sequential. The wasted
-    work on masked tuples is the price of the access pattern.
-    """
-    if read:
-        seq_read(session, values, array)
-    n = int(values.shape[0])
-    width = _width(values)
-    session.tracer.emit(Compute(n=n, op="mul", simd=True, width=width))
-    session.tracer.emit(Compute(n=n, op="add", simd=True, width=width))
-    masked = values * mask.astype(values.dtype)
-    return int(masked.sum(dtype=np.int64))
 
 
 def scalar_loop(session: Session, n: int, label: str = "loop") -> None:
@@ -510,83 +406,3 @@ def ht_add_at(
     session.tracer.emit(
         Compute(n=int(slots.shape[0]), op="add", simd=False, width=8)
     )
-
-
-def ht_delete(
-    session: Session, table: HashTable, keys: np.ndarray
-) -> int:
-    """Delete keys (eager aggregation's cleanup scan)."""
-    existed = table.delete(keys)
-    session.tracer.emit(
-        RandomAccess(
-            n=int(keys.shape[0]),
-            struct_bytes=table.nbytes,
-            kind="ht_delete",
-            op_cycles=_ht_op_cycles(session, table),
-        )
-    )
-    return existed
-
-
-# ---------------------------------------------------------------------------
-# Positional bitmap kernels (paper §III-D)
-# ---------------------------------------------------------------------------
-
-
-def bitmap_build_mask(
-    session: Session, bitmap: PositionalBitmap, mask: np.ndarray, array: str
-) -> PositionalBitmap:
-    """Unconditional bitmap build: one sequential write of the whole map."""
-    bitmap.set_from_mask(mask)
-    session.tracer.emit(
-        SeqWrite(n=bitmap.nbytes, width=1, array=array, array_bytes=0)
-    )
-    return bitmap
-
-
-def bitmap_build_offsets(
-    session: Session,
-    bitmap: PositionalBitmap,
-    offsets: np.ndarray,
-    array: str,
-) -> PositionalBitmap:
-    """Selection-vector bitmap build: set bits only for selected rows."""
-    bitmap.set_offsets(offsets)
-    session.tracer.emit(
-        RandomAccess(
-            n=int(offsets.shape[0]),
-            struct_bytes=bitmap.nbytes,
-            kind="bitmap_set",
-        )
-    )
-    return bitmap
-
-
-def bitmap_probe(
-    session: Session,
-    bitmap,
-    offsets: np.ndarray,
-    array: str,
-) -> np.ndarray:
-    """Positional probe: test the bit at each foreign-key offset.
-
-    The offsets themselves come from the FK index, which the caller scans
-    sequentially (and accounts via :func:`seq_read`). The bitmap accesses
-    are random but the structure is tiny (paper: 100M rows ~= 12.5 MB),
-    so the capacity model prices them at cache latency. Works for both
-    packed and block-compressed bitmaps; compressed ones pay an extra flag
-    check per probe.
-    """
-    result = bitmap.test(offsets)
-    op_cycles = 0.0
-    if isinstance(bitmap, BlockCompressedBitmap):
-        op_cycles = 2.0  # flag load + branch-free select
-    session.tracer.emit(
-        RandomAccess(
-            n=int(offsets.shape[0]),
-            struct_bytes=bitmap.nbytes,
-            kind="bitmap_test",
-            op_cycles=op_cycles,
-        )
-    )
-    return result

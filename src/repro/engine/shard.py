@@ -179,12 +179,10 @@ def report_from_wire(machine: MachineModel, wire: List[list]) -> CostReport:
 class ShardWorkerHandle:
     """One worker process plus its line-JSON request channel."""
 
-    def __init__(
-        self, shard_id: int, proc: subprocess.Popen, pid: int
-    ) -> None:
+    def __init__(self, shard_id: int, proc: subprocess.Popen) -> None:
         self.shard_id = shard_id
         self.proc = proc
-        self.pid = pid
+        self.pid = proc.pid
         self._lock = threading.Lock()
 
     @classmethod
@@ -210,16 +208,13 @@ class ShardWorkerHandle:
             bufsize=1,
             env=env,
         )
-        handle = cls(shard_id, proc, proc.pid)
+        handle = cls(shard_id, proc)
         try:
             ready = handle.request(
                 {"op": "init", "shard_id": shard_id, **config}
             )
         except ShardWorkerDied as exc:
-            proc.kill()
-            raise ReproError(
-                f"shard worker {shard_id} failed to initialise: {exc}"
-            ) from exc
+            ready = {"error": str(exc)}
         if ready.get("op") != "ready":
             proc.kill()
             raise ReproError(

@@ -525,6 +525,33 @@ class TestEngineIntegration:
             for name in counters
         )
 
+    def test_every_cell_matches_static_after_drift_and_shift(self):
+        # A selectivity shift mid-run, as the adaptation bench drives it:
+        # both fingerprints end with measured-statistics overrides, and
+        # every strategy x backend compiled under them answers as a
+        # static engine does.
+        db = _clustered_db()
+        engine = Engine(db, adaptive=BENCH_POLICY)
+        static = Engine(db)
+        queries = (mb.q1(60), mb.q1(30))
+        for query in queries:
+            for _ in range(16):
+                engine.execute(query, "auto")
+        for query in queries:
+            override = engine.adaptive.override_for(query_fingerprint(query))
+            assert override is not None
+            for strategy in STRATEGIES:
+                assert (
+                    engine.compile(query, strategy).notes["spec"].override
+                    == override
+                )
+                for backend in ("instrumented", "vectorized"):
+                    got = engine.execute(query, strategy, backend=backend)
+                    want = static.execute(query, strategy, backend=backend)
+                    assert results_equal(got, want), (
+                        query.name, strategy, backend,
+                    )
+
     def test_recompile_on_drift_is_deterministic(self):
         # Same observation sequence -> same override, same re-planned
         # tree, byte-identical explain. Observations are synthetic so

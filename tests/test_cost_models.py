@@ -9,6 +9,7 @@ dependence on hash-table size, and eager aggregation's flatness.
 import pytest
 
 from repro.core import cost_models as cm
+from repro.datagen.tpch import TpchConfig
 from repro.engine.machine import PAPER_MACHINE
 from repro.errors import CostModelError
 
@@ -200,3 +201,39 @@ class TestBitmapBuild:
         assert cm.bitmap_build_unconditional_cost(
             PAPER_MACHINE, small
         ) < cm.bitmap_build_unconditional_cost(PAPER_MACHINE, large)
+
+
+#: The paper machine and the one the TPC-H tests run on (SF 0.002).
+ENCODING_MACHINES = {
+    "paper": PAPER_MACHINE,
+    "sf0.002": PAPER_MACHINE.scaled(
+        TpchConfig(scale_factor=0.002).machine_scale
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "machine", ENCODING_MACHINES.values(), ids=list(ENCODING_MACHINES)
+)
+class TestEncodedScan:
+    """The access-encoding pass's decision surface: a narrow code stream
+    against the 8-byte decoded scan of the same column (the code-width
+    argument of Lin et al.)."""
+
+    def test_narrow_codes_beat_decoded_at_selective_predicates(self, machine):
+        decoded = cm.decoded_scan_cost(machine, N, 8)
+        for width in (1, 2, 4):
+            for selectivity in (0.01, 0.10):
+                encoded = cm.encoded_scan_cost(machine, N, width, selectivity)
+                assert encoded < decoded, (width, selectivity)
+
+    def test_advantage_is_the_width_ratio(self, machine):
+        # SIMD decode of the survivors is orders of magnitude under the
+        # stream term, so the stream width decides everything.
+        decoded = cm.decoded_scan_cost(machine, N, 8)
+        advantage = [
+            decoded / cm.encoded_scan_cost(machine, N, width, 0.01)
+            for width in (1, 2, 4, 8)
+        ]
+        assert advantage == sorted(advantage, reverse=True)
+        assert advantage == pytest.approx([8.0, 4.0, 2.0, 1.0])

@@ -10,11 +10,9 @@ from repro.engine.events import (
     Compute,
     RandomAccess,
     SeqRead,
-    SeqWrite,
 )
 from repro.engine.hashtable import NULL_KEY, HashTable
 from repro.errors import ExecutionError
-from repro.storage.bitmap import BlockCompressedBitmap, PositionalBitmap
 
 
 @pytest.fixture()
@@ -61,22 +59,6 @@ class TestPredicates:
         ]
         assert compute.n == 3 and compute.simd is False
 
-    def test_combine_and_or(self, session):
-        a = np.asarray([True, True, False])
-        b = np.asarray([True, False, False])
-        assert K.combine_and(session, a, b).tolist() == [True, False, False]
-        assert K.combine_or(session, a, b).tolist() == [True, True, False]
-
-    def test_combine_requires_masks(self, session):
-        with pytest.raises(ExecutionError):
-            K.combine_and(session)
-
-    def test_branch_measures_taken_fraction(self, session):
-        mask = np.asarray([True] * 30 + [False] * 70)
-        K.branch(session, mask, "site")
-        (event,) = events_of(session, Branch)
-        assert event.taken_fraction == pytest.approx(0.3)
-
 
 class TestSelectionAndGather:
     def test_selection_vector_no_branch(self, session):
@@ -107,39 +89,6 @@ class TestSelectionAndGather:
         assert cond.n_selected == int(mask.sum())
 
 
-class TestArithmetic:
-    def test_ops(self, session):
-        a = np.asarray([10, 20, 30], dtype=np.int64)
-        assert K.arith(session, "add", a, 1).tolist() == [11, 21, 31]
-        assert K.arith(session, "sub", a, 1).tolist() == [9, 19, 29]
-        assert K.arith(session, "mul", a, 2).tolist() == [20, 40, 60]
-        assert K.arith(session, "div", a, 3).tolist() == [3, 6, 10]
-
-    def test_division_by_zero_rejected(self, session):
-        with pytest.raises(ExecutionError):
-            K.arith(session, "div", np.asarray([1]), 0)
-
-    def test_unknown_op_rejected(self, session):
-        with pytest.raises(ExecutionError):
-            K.arith(session, "pow", np.asarray([1]), 2)
-
-    def test_reduce_sum(self, session):
-        assert K.reduce_sum(session, np.asarray([1, 2, 3])) == 6
-
-    def test_masked_sum_matches_filtered_sum(self, session, values):
-        mask = values < 50
-        expected = int(values[mask].astype(np.int64).sum())
-        assert K.masked_sum(session, values.astype(np.int64), mask, "x") == expected
-
-    def test_masked_sum_reads_sequentially_not_conditionally(
-        self, session, values
-    ):
-        """The value-masking contract: no CondRead on the value column."""
-        K.masked_sum(session, values.astype(np.int64), values < 50, "x")
-        assert not events_of(session, CondRead)
-        assert events_of(session, SeqRead)
-
-
 class TestHashKernels:
     def test_ht_aggregate_and_lookup(self, session, rng):
         table = HashTable(expected_keys=50)
@@ -156,42 +105,12 @@ class TestHashKernels:
         (event,) = events_of(session, RandomAccess)
         assert event.hot_fraction == pytest.approx(0.9)
 
-    def test_ht_delete(self, session):
-        table = HashTable(expected_keys=10)
-        K.ht_insert_keys(session, table, np.arange(10))
-        assert K.ht_delete(session, table, np.asarray([3, 4, 99])) == 2
-
     def test_prefetch_flag_propagates(self, session):
         session.knobs.ht_prefetch = True
         table = HashTable(expected_keys=10)
         K.ht_insert_keys(session, table, np.arange(10))
         (event,) = events_of(session, RandomAccess)
         assert event.prefetched is True
-
-
-class TestBitmapKernels:
-    def test_build_mask_and_probe(self, session):
-        bitmap = PositionalBitmap(100)
-        mask = np.zeros(100, dtype=bool)
-        mask[[5, 50]] = True
-        K.bitmap_build_mask(session, bitmap, mask, "bm")
-        hits = K.bitmap_probe(session, bitmap, np.asarray([5, 6, 50]), "bm")
-        assert hits.tolist() == [True, False, True]
-        assert events_of(session, SeqWrite)
-        assert events_of(session, RandomAccess)
-
-    def test_build_offsets(self, session):
-        bitmap = PositionalBitmap(10)
-        K.bitmap_build_offsets(session, bitmap, np.asarray([1, 2]), "bm")
-        assert bitmap.count() == 2
-
-    def test_compressed_probe_costs_extra_ops(self, session):
-        bitmap = PositionalBitmap(10_000)
-        bitmap.set_offsets(np.asarray([1]))
-        compressed = BlockCompressedBitmap(bitmap, block_bits=512)
-        K.bitmap_probe(session, compressed, np.asarray([1, 2]), "bm")
-        (event,) = events_of(session, RandomAccess)
-        assert event.op_cycles > 0
 
 
 class TestOverheadKernels:

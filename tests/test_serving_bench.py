@@ -9,6 +9,7 @@ from repro.bench.serving import (
     LoadgenResult,
     drive_load,
     effective_concurrency,
+    percentile,
     run_serving_bench,
 )
 from repro.server import QueryResponse
@@ -31,6 +32,20 @@ def tiny_report(tmp_path, **overrides):
     )
     kwargs.update(overrides)
     return run_serving_bench(**kwargs)
+
+
+class TestPercentile:
+    def test_empty(self):
+        assert percentile([], 0.5) == 0.0
+
+    def test_nearest_rank(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 0.5) == 3.0
+        assert percentile(values, 1.0) == 5.0
+
+    def test_single_sample(self):
+        assert percentile([7.0], 0.95) == 7.0
 
 
 class TestDriveLoad:

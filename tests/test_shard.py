@@ -40,7 +40,7 @@ from repro.errors import ExecutionError, ReproError
 from repro.plan.serde import plan_to_wire
 from repro.server import QueryRequest, QueryService
 from repro.server.protocol import ProtocolError
-from repro.tpch import logical_plan
+from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
 
 SHARDS = 2
 
@@ -263,6 +263,38 @@ class TestByteIdentity:
             result = sharded.execute(mb.q1(30), "swole")
             assert result.report.metrics.sharded
             assert repr(result.value) == repr(expected)
+
+
+class TestShardedSweep:
+    """Every query x strategy cell, sharded, on both backends: the
+    answer is ``repr``-identical to serial (no compiler needed)."""
+
+    @pytest.fixture(scope="class")
+    def swept_engine(self, cached_tpch_db):
+        # Workers of its own: the sweep fills their program caches with
+        # every cell, which the shared engine's tests do not expect.
+        with Engine(
+            cached_tpch_db,
+            machine=PAPER_MACHINE,
+            shards=SHARDS,
+            min_parallel_rows=1,
+        ) as engine:
+            yield engine
+
+    @pytest.mark.parametrize("name", PIPELINE_QUERIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_cell_matches_serial(
+        self, serial_engine, swept_engine, name, strategy
+    ):
+        plan = logical_plan(name)
+        for backend in ("vectorized", "instrumented"):
+            serial = serial_engine.execute(plan, strategy, backend=backend)
+            sharded = swept_engine.execute(plan, strategy, backend=backend)
+            cell = (name, strategy, backend)
+            assert repr(sharded.value) == repr(serial.value), cell
+            # Compiled scans long enough to fan out cross the pipe.
+            if name in ("Q1", "Q6") and strategy != "interpreter":
+                assert sharded.metrics.sharded, cell
 
 
 class TestThreadShardParity:
