@@ -14,7 +14,6 @@ from repro.codegen.lower import eager_aggregate
 from repro.core.eager_aggregation import groupjoin_pipeline
 from repro.datagen import microbench as mb
 from repro.engine.session import Session
-from repro.plan.ops import as_plan
 
 from conftest import BENCH_CONFIG, BENCH_SELS
 
@@ -42,7 +41,7 @@ def test_fig12_wall_time_eager(benchmark, micro_db, micro_machine):
     benchmark.group = "fig12"
     benchmark.pedantic(
         lambda: groupjoin_pipeline(
-            session, micro_db, eager_aggregate(as_plan(mb.q5(50)))
+            session, micro_db, eager_aggregate(mb.q5(50))
         ),
         rounds=3,
         iterations=1,
@@ -63,7 +62,7 @@ def _forced_eager_series(panel_s_rows):
     costs = []
     for sel in BENCH_SELS:
         session = Session(machine=machine)
-        groupjoin_pipeline(session, db, eager_aggregate(as_plan(mb.q5(sel))))
+        groupjoin_pipeline(session, db, eager_aggregate(mb.q5(sel)))
         costs.append(session.tracer.report.total_cycles)
     return costs
 

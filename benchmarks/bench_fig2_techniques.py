@@ -12,7 +12,6 @@ from repro.core import planner as P
 from repro.core.planner import technique_matrix
 from repro.datagen import microbench as mb
 from repro.plan import passes as PS
-from repro.plan.ops import from_query
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +22,7 @@ def machine(micro_machine):
 def plan_query(query, db, machine):
     """The SWOLE pass pipeline's decisions for a microbench query."""
     _, decisions, _ = PS.run_passes(
-        from_query(query), db, machine, "swole", None, encoding="auto"
+        query, db, machine, "swole", None, encoding="auto"
     )
     return decisions
 

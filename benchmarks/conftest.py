@@ -25,7 +25,6 @@ from repro.datagen import tpch as tpchgen
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import CompiledQuery
 from repro.engine.session import Session
-from repro.plan.ops import from_query
 from repro.plan.passes import run_passes
 
 #: Microbench scale for benchmark runs (paper: 100M rows).
@@ -37,11 +36,10 @@ BENCH_SELS = (1, 10, 25, 50, 75, 90, 99)
 BENCH_TPCH = tpchgen.TpchConfig(scale_factor=0.005)
 
 
-def staged_program(query, db, machine, strategy="swole", **forced):
+def staged_program(plan, db, machine, strategy="swole", **forced):
     """A forced-technique program through the public stages:
     ``run_passes`` -> write ``forced`` over the ``Decisions`` ->
     ``lower_plan`` -> ``physexec.execute_plan`` (decoded scans)."""
-    plan = from_query(query)
     bound, decisions, _ = run_passes(
         plan, db, machine, strategy, None, encoding="off"
     )

@@ -19,7 +19,6 @@ from repro import Engine, Session
 from repro.codegen.lower import lower_plan
 from repro.codegen.physexec import execute_plan
 from repro.datagen import microbench as mb
-from repro.plan.ops import from_query
 from repro.plan.passes import KEY_MASK, VALUE_MASK, run_passes
 
 
@@ -59,7 +58,7 @@ def main() -> None:
     # Forced techniques through the staged API (Fig. 4 top vs bottom):
     # the planner picks one of them at a given selectivity; an ablation
     # wants both.
-    grouped = from_query(mb.q2(13))
+    grouped = mb.q2(13)
     session = Session(machine=engine.machine)
     for mode in (VALUE_MASK, KEY_MASK):
         bound, decisions, _ = run_passes(

@@ -19,9 +19,9 @@ Operator-tree plans are the primary query API: build one fluently with
 ``repro.tpch.logical_plan``) and hand it to ``Engine.execute`` /
 ``Engine.explain`` — or to a remote query server, which carries the
 same plan over the wire as structural JSON plus its IR fingerprint
-(:mod:`repro.plan.serde`). A legacy microbench :class:`Query` is lifted
-to its operator tree at the engine's door; past it there is one query
-type and one compiler.
+(:mod:`repro.plan.serde`). The microbench queries (``mb.q1`` ..
+``mb.q5``) are operator trees too: there is one query type and one
+compiler.
 
 ``Engine.explain(query, strategy)`` renders the staged lowering pipeline
 (logical plan -> passes -> physical plan) for any query. For
@@ -31,7 +31,7 @@ forced-technique ablations the stages are public:
 ``repro.codegen.physexec.execute_plan``.
 """
 
-__version__ = "2.5.0"
+__version__ = "2.6.0"
 
 from .codegen import available_strategies
 from .engine import (
@@ -50,11 +50,8 @@ from .plan import (
     AggSpec,
     Col,
     Const,
-    JoinSpec,
     LogicalPlan,
     PlanBuilder,
-    Query,
-    from_query,
 )
 from .storage import Database
 
@@ -65,19 +62,16 @@ __all__ = [
     "Database",
     "Engine",
     "ExecutionKnobs",
-    "JoinSpec",
     "LogicalPlan",
     "MachineModel",
     "MorselExecutor",
     "PAPER_MACHINE",
     "PlanBuilder",
     "PlanCache",
-    "Query",
     "ReproError",
     "RunMetrics",
     "Session",
     "WorkerPool",
     "__version__",
     "available_strategies",
-    "from_query",
 ]

@@ -108,7 +108,7 @@ def _drive_phase(
 ) -> Dict[str, float]:
     """Run one closed-loop window; returns qps / ok / failed counts.
 
-    In-process ``Query`` objects never coalesce, so every request is a
+    In-process plan objects never coalesce, so every request is a
     real execution feeding the adaptive loop.
     """
     barrier = threading.Barrier(clients + 1)

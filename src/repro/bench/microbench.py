@@ -21,7 +21,7 @@ from ..datagen import microbench as mb
 from ..datagen.cache import load_dataset
 from ..engine.facade import Engine
 from ..engine.machine import PAPER_MACHINE, MachineModel
-from ..plan.logical import Query
+from ..plan.ops import LogicalPlan
 from ..storage.database import Database
 
 #: Selectivity sweep used by every figure (the paper plots 0-100 %).
@@ -88,7 +88,7 @@ def scaled_machine(config: mb.MicrobenchConfig) -> MachineModel:
 
 
 def run_strategies(
-    query: Query,
+    query: LogicalPlan,
     db: Database,
     machine: MachineModel,
     strategies: Sequence[str] = PAPER_SERIES,
@@ -117,7 +117,7 @@ def _sweep(
     title: str,
     db: Database,
     machine: MachineModel,
-    query_for: Callable[[int], Query],
+    query_for: Callable[[int], LogicalPlan],
     selectivities: Sequence[int],
     strategies: Sequence[str],
     workers: int = 1,

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from ..datagen import tpch as tpchgen
 from ..datagen.cache import load_dataset
-from ..engine import Engine
+from ..engine import Engine, ExecutionKnobs
 from ..engine.machine import PAPER_MACHINE
 from ..tpch import logical_plan
 
@@ -43,15 +43,15 @@ WORKLOAD = ("Q1", "Q6")
 def _build_engine(
     db, machine, *, workers: int = 1, shards: Optional[int] = None
 ) -> Engine:
-    # min_parallel_rows=1: the bench runs at reduced scale factors, and
-    # the question under test is executor scaling, not the fan-out
-    # floor heuristic (which would park small scans on one core).
+    # A fan-out floor of one row: the bench runs at reduced scale
+    # factors, and the question under test is executor scaling, not the
+    # fan-out floor heuristic (which would park small scans on one core).
     return Engine(
         db,
         machine=machine,
         workers=workers,
         shards=shards,
-        min_parallel_rows=1,
+        knobs=ExecutionKnobs(min_parallel_rows=1),
     )
 
 

@@ -17,7 +17,7 @@ from ..engine import kernels as K
 from ..engine.events import Branch, Compute, CondRead, SeqRead
 from ..engine.session import Session
 from ..plan.expressions import Expr, StrMatch, arith_ops
-from ..plan.logical import AggSpec
+from ..plan.ops import AggSpec
 
 
 def column_width(data: Dict[str, np.ndarray], name: str) -> int:

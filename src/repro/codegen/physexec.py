@@ -37,7 +37,7 @@ from ..engine.session import Session
 from ..errors import PlanError
 from ..plan import passes as PS
 from ..plan.expressions import compare_count
-from ..plan.logical import AggSpec
+from ..plan.ops import AggSpec
 from ..plan.physical import (
     BRANCH,
     BitmapBuild,

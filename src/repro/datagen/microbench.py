@@ -24,7 +24,8 @@ column     type    cardinality
 =========  ======  ==========================================
 
 Query factories (:func:`q1` .. :func:`q5`) build the Fig. 7b queries with
-their substitution parameters.
+their substitution parameters, as operator trees
+(:class:`~repro.plan.ops.LogicalPlan`) like every other query.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 
 from ..errors import DataGenError
 from ..plan.expressions import And, Col, Const
-from ..plan.logical import AggSpec, JoinSpec, Query
+from ..plan.builder import PlanBuilder
+from ..plan.ops import AggSpec, LogicalPlan
 from ..storage.column import Column, LogicalType
 from ..storage.database import Database
 from ..storage.table import Table
@@ -107,7 +109,7 @@ def _r_predicate(sel: int):
     return And([Col("r_x") < Const(sel), Col("r_y").eq(Const(1))])
 
 
-def q1(sel: int, op: str = "mul") -> Query:
+def q1(sel: int, op: str = "mul") -> LogicalPlan:
     """µQ1: ``select sum(r_a OP r_b) from R where r_x < SEL and r_y = 1``.
 
     ``op='mul'`` is the memory-bound configuration (Fig. 8a),
@@ -118,27 +120,27 @@ def q1(sel: int, op: str = "mul") -> Query:
     expr = (
         Col("r_a") * Col("r_b") if op == "mul" else Col("r_a") / Col("r_b")
     )
-    return Query(
-        table="R",
-        predicate=_r_predicate(sel),
-        aggregates=(AggSpec("sum", expr, name="sum"),),
-        name=f"uQ1[{op},{sel}]",
+    return (
+        PlanBuilder.scan("R")
+        .filter(_r_predicate(sel))
+        .group_agg(AggSpec("sum", expr, name="sum"))
+        .build(f"uQ1[{op},{sel}]")
     )
 
 
-def q2(sel: int) -> Query:
+def q2(sel: int) -> LogicalPlan:
     """µQ2: Q1's multiplication configuration grouped by ``r_c``
     (Fig. 9; the ``r_c`` cardinality comes from the generator config)."""
-    return Query(
-        table="R",
-        predicate=_r_predicate(sel),
-        aggregates=(AggSpec("sum", Col("r_a") * Col("r_b"), name="sum"),),
-        group_by="r_c",
-        name=f"uQ2[{sel}]",
+    return (
+        PlanBuilder.scan("R")
+        .filter(_r_predicate(sel))
+        .group_agg(AggSpec("sum", Col("r_a") * Col("r_b"), name="sum"),
+                   key="r_c")
+        .build(f"uQ2[{sel}]")
     )
 
 
-def q3(sel: int, col: str = "r_b") -> Query:
+def q3(sel: int, col: str = "r_b") -> LogicalPlan:
     """µQ3: ``select sum(r_x * COL) ...`` — the access-merging query.
 
     ``col='r_b'`` reuses one attribute (``r_x``, Fig. 10a);
@@ -146,46 +148,40 @@ def q3(sel: int, col: str = "r_b") -> Query:
     """
     if col not in ("r_b", "r_x"):
         raise DataGenError("Q3's COL parameter is 'r_b' or 'r_x'")
-    return Query(
-        table="R",
-        predicate=_r_predicate(sel),
-        aggregates=(AggSpec("sum", Col("r_x") * Col(col), name="sum"),),
-        name=f"uQ3[{col},{sel}]",
+    return (
+        PlanBuilder.scan("R")
+        .filter(_r_predicate(sel))
+        .group_agg(AggSpec("sum", Col("r_x") * Col(col), name="sum"))
+        .build(f"uQ3[{col},{sel}]")
     )
 
 
-def q4(sel1: int, sel2: int) -> Query:
+def _filtered_s(sel: int) -> PlanBuilder:
+    """``S where s_x < sel`` — the build side of µQ4 and µQ5."""
+    return PlanBuilder.scan("S").filter(Col("s_x") < Const(sel))
+
+
+def q4(sel1: int, sel2: int) -> LogicalPlan:
     """µQ4: the semijoin — ``R join S on r_fk = s_pk`` with predicates on
     both sides (Fig. 11). ``sel1`` filters the probe side (R), ``sel2``
     the build side (S)."""
-    return Query(
-        table="R",
-        predicate=Col("r_x") < Const(sel1),
-        aggregates=(AggSpec("sum", Col("r_a") * Col("r_b"), name="sum"),),
-        join=JoinSpec(
-            build_table="S",
-            fk_column="r_fk",
-            pk_column="s_pk",
-            build_predicate=Col("s_x") < Const(sel2),
-        ),
-        name=f"uQ4[{sel1},{sel2}]",
+    return (
+        PlanBuilder.scan("R")
+        .filter(Col("r_x") < Const(sel1))
+        .join(_filtered_s(sel2), fk_column="r_fk", pk_column="s_pk")
+        .group_agg(AggSpec("sum", Col("r_a") * Col("r_b"), name="sum"))
+        .build(f"uQ4[{sel1},{sel2}]")
     )
 
 
-def q5(sel: int) -> Query:
+def q5(sel: int) -> LogicalPlan:
     """µQ5: the groupjoin — group by the join key ``r_fk`` with a
     predicate on S only (Fig. 12; the paper's worst case for eager
     aggregation, which must aggregate every R tuple)."""
-    return Query(
-        table="R",
-        predicate=None,
-        aggregates=(AggSpec("sum", Col("r_a") * Col("r_b"), name="sum"),),
-        group_by="r_fk",
-        join=JoinSpec(
-            build_table="S",
-            fk_column="r_fk",
-            pk_column="s_pk",
-            build_predicate=Col("s_x") < Const(sel),
-        ),
-        name=f"uQ5[{sel}]",
+    return (
+        PlanBuilder.scan("R")
+        .join(_filtered_s(sel), fk_column="r_fk", pk_column="s_pk")
+        .group_agg(AggSpec("sum", Col("r_a") * Col("r_b"), name="sum"),
+                   key="r_fk")
+        .build(f"uQ5[{sel}]")
     )

@@ -3,12 +3,12 @@
 :class:`Engine` is the single entry point. It owns the plan cache
 (keyed compilation artifacts, LRU) and the morsel executor (parallel
 scans + run metrics). Every query-taking
-method accepts a :class:`~repro.plan.ops.LogicalPlan` operator tree
-(the primary API — build one with :class:`repro.PlanBuilder` or look a
-TPC-H plan up via ``repro.tpch.logical_plan``) or a legacy microbench
-:class:`~repro.plan.logical.Query`, which is lifted to its operator
-tree at the door (:func:`~repro.engine.plan_cache.normalize_query`):
-past that point there is one query type and one compiler,
+method accepts a :class:`~repro.plan.ops.LogicalPlan` operator tree —
+build one with :class:`repro.PlanBuilder`, look a TPC-H plan up via
+``repro.tpch.logical_plan``, or take a microbench query from
+``repro.datagen.microbench`` — checked and fingerprinted once at the
+door (:func:`~repro.engine.plan_cache.normalize_query`). There is one
+query type and one compiler,
 :func:`repro.codegen.pipeline.compile_pipeline`.
 
 Usage::
@@ -73,7 +73,10 @@ class Engine:
         LRU capacity of the compiled-program cache.
     knobs:
         Default :class:`ExecutionKnobs` for sessions this engine spawns
-        (copied: the engine never writes to the caller's object).
+        (copied: the engine never writes to the caller's object). Its
+        ``min_parallel_rows`` is the thread fan-out floor; left unset,
+        an adaptive engine seeds it from the host's measured
+        serial-vs-parallel crossover.
     backend:
         Default execution backend for this engine's compilations:
         ``"vectorized"`` (default — generated NumPy kernels over
@@ -112,13 +115,6 @@ class Engine:
         feedback snapshot (``feedback.json`` under ``REPRO_CACHE_DIR``,
         written by :meth:`save_feedback`), a fresh controller warm
         starts from it, so measured selectivities survive restarts.
-    min_parallel_rows:
-        Thread fan-out floor: scan length below which partitionable
-        programs run serial. ``None`` (default) defers to each compiled
-        program's declared floor (``VECTORIZED_MIN_PARALLEL_ROWS`` for
-        vectorized programs) — unless an adaptive engine has measured
-        the host's actual serial-vs-parallel crossover, which then
-        seeds new sessions automatically.
     shards:
         Default worker-*process* count (:mod:`repro.engine.shard`):
         each morsel's kernel runs in one of ``shards`` pre-forked
@@ -151,7 +147,6 @@ class Engine:
         backend: Optional[str] = None,
         encoding: str = "auto",
         adaptive=None,
-        min_parallel_rows: Optional[int] = None,
         shards: Optional[int] = None,
     ) -> None:
         if workers < 1:
@@ -170,8 +165,6 @@ class Engine:
         self.tile = tile
         self.encoding = encoding
         self.knobs = replace(knobs) if knobs is not None else ExecutionKnobs()
-        if min_parallel_rows is not None:
-            self.knobs.min_parallel_rows = min_parallel_rows
         self.backend = self._resolve_backend(
             "vectorized" if backend is None else backend
         )
@@ -287,8 +280,7 @@ class Engine:
         """Compile ``query`` (cache-aware) and return the program.
 
         ``query`` is a :class:`~repro.plan.ops.LogicalPlan` operator
-        tree or a legacy microbench :class:`~repro.plan.logical.Query`
-        (lifted to its tree at the door). ``strategy`` is one of
+        tree. ``strategy`` is one of
         :func:`repro.available_strategies`, or ``"auto"`` for the
         planner-driven SWOLE strategy. ``backend`` overrides the
         engine's default execution backend for this call.

@@ -21,49 +21,53 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Hashable, NamedTuple, Optional, Tuple
 
 from ..errors import PlanError, ReproError
-from ..plan.ops import LogicalPlan, as_plan, plan_fingerprint
+from ..plan.ops import LogicalPlan, plan_fingerprint
 from .costing import StatsOverride
 from .machine import PAPER_MACHINE, MachineModel
 from .program import CompiledQuery
 
 
-#: ``id(query) -> (query, plan, fingerprint)`` memo. The strong
-#: reference to the query pins its id so a recycled address can never
-#: alias a dead object; the identity check on lookup makes staleness
-#: impossible even if one does. Bounded: a serving workload cycles a
-#: small set of long-lived query objects, so the occasional full reset
-#: is free.
-_NORMALIZED_MEMO: Dict[int, Tuple[object, LogicalPlan, str]] = {}
+#: ``id(plan) -> (plan, fingerprint)`` memo. The strong reference to
+#: the plan pins its id so a recycled address can never alias a dead
+#: object; the identity check on lookup makes staleness impossible even
+#: if one does. Bounded: a serving workload cycles a small set of
+#: long-lived plans, so the occasional full reset is free.
+_NORMALIZED_MEMO: Dict[int, Tuple[LogicalPlan, str]] = {}
 _NORMALIZED_MEMO_CAP = 1024
 
 
 def normalize_query(query) -> Tuple[LogicalPlan, str]:
     """The engine's front door: ``(operator tree, "ir:" fingerprint)``.
 
-    :func:`~repro.plan.ops.as_plan` turns whatever the engine accepts
-    into the one query type (a legacy microbench ``Query`` is lifted
-    there, so the two spellings of one query share a plan-cache entry
-    *and* a compiler; anything else is a typed error), and the tree is
-    fingerprinted here — the only place past which nothing hashes a
-    plan again.
+    A :class:`~repro.plan.ops.LogicalPlan` is the one query type;
+    anything else is a typed :class:`~repro.errors.ReproError`. The
+    tree is fingerprinted here — the only place past which nothing
+    hashes a plan again.
 
-    Memoized per query *object*: the fingerprint is needed on every
+    Memoized per plan *object*: the fingerprint is needed on every
     ``Engine.execute`` for the compile spec, and walking the operator
     tree is a measurable per-request cost for sub-millisecond queries.
-    Query objects are immutable (frozen dataclasses), so identity
-    implies an unchanged plan and fingerprint.
+    Plans are immutable (frozen dataclasses), so identity implies an
+    unchanged fingerprint.
     """
     hit = _NORMALIZED_MEMO.get(id(query))
     if hit is not None and hit[0] is query:
-        return hit[1], hit[2]
-    plan = as_plan(query)
-    fingerprint = plan_fingerprint(plan)
+        return hit
+    if not isinstance(query, LogicalPlan):
+        if isinstance(query, str):
+            raise ReproError(
+                f"query name strings are no longer accepted (got {query!r}); "
+                f'pass the operator tree — repro.tpch.logical_plan("{query}") '
+                "for the TPC-H queries, or build one with repro.PlanBuilder"
+            )
+        raise ReproError(
+            f"cannot compile a {type(query).__name__}; pass a "
+            "LogicalPlan operator tree"
+        )
     if len(_NORMALIZED_MEMO) >= _NORMALIZED_MEMO_CAP:
         _NORMALIZED_MEMO.clear()
-    _NORMALIZED_MEMO[id(query)] = (query, plan, fingerprint)
-    if plan is not query:
-        _NORMALIZED_MEMO[id(plan)] = (plan, plan, fingerprint)
-    return plan, fingerprint
+    hit = _NORMALIZED_MEMO[id(query)] = (query, plan_fingerprint(query))
+    return hit
 
 
 def query_fingerprint(query) -> str:

@@ -4,46 +4,61 @@ Ground truth for the test suite: every code-generation strategy must
 produce exactly this answer. Deliberately written in the most obvious
 way possible (filter, join via membership, group with np.unique) so a
 reviewer can audit its correctness at a glance.
+
+It reads the operator tree directly and knows the node kinds the
+microbenchmark queries use: ``Scan``, ``Filter``, ``Join`` without
+carried columns, under a ``GroupByAgg`` root. Any other node is a
+:class:`~repro.errors.PlanError`, never a guess.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from ..plan.logical import Query
+from ..errors import PlanError
+from ..plan.ops import Filter, GroupByAgg, Join, LogicalPlan, PlanNode, Scan
 from ..storage.database import Database
 
 
-def evaluate(query: Query, db: Database) -> Dict[str, Any]:
-    """Evaluate ``query`` and return the normalised result dict."""
-    data = db.data(query.table)
-    n = int(next(iter(data.values())).shape[0])
-    mask = (
-        np.ones(n, dtype=bool)
-        if query.predicate is None
-        else np.asarray(query.predicate.evaluate(data), dtype=bool)
+def _stream(
+    node: PlanNode, db: Database
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """The base table's columns under ``node`` and its row mask."""
+    if isinstance(node, Scan):
+        data = db.data(node.table)
+        n = int(next(iter(data.values())).shape[0])
+        return data, np.ones(n, dtype=bool)
+    if isinstance(node, Filter):
+        data, mask = _stream(node.child, db)
+        keep = np.asarray(node.predicate.evaluate(data), dtype=bool)
+        return data, mask & keep
+    if isinstance(node, Join) and not node.carry:
+        data, mask = _stream(node.probe, db)
+        build, bmask = _stream(node.build, db)
+        valid_keys = build[node.pk_column][bmask]
+        return data, mask & np.isin(data[node.fk_column], valid_keys)
+    raise PlanError(
+        f"the reference evaluator does not know {node.describe()!r}"
     )
 
-    if query.join is not None:
-        join = query.join
-        build = db.data(join.build_table)
-        bn = int(next(iter(build.values())).shape[0])
-        bmask = (
-            np.ones(bn, dtype=bool)
-            if join.build_predicate is None
-            else np.asarray(join.build_predicate.evaluate(build), dtype=bool)
-        )
-        valid_keys = build[join.pk_column][bmask]
-        mask = mask & np.isin(data[join.fk_column], valid_keys)
 
+def evaluate(plan: LogicalPlan, db: Database) -> Dict[str, Any]:
+    """Evaluate ``plan`` and return the normalised result dict."""
+    root = plan.root
+    if not isinstance(root, GroupByAgg):
+        raise PlanError(
+            f"the reference evaluator needs a GroupByAgg root, "
+            f"got {root.describe()!r}"
+        )
+    data, mask = _stream(root.child, db)
     subset = {name: values[mask] for name, values in data.items()}
     k = int(mask.sum())
 
-    if query.group_by is None:
+    if root.key is None:
         result: Dict[str, Any] = {}
-        for agg in query.aggregates:
+        for agg in root.aggregates:
             if agg.func == "count":
                 result[agg.name] = k
             else:
@@ -51,10 +66,10 @@ def evaluate(query: Query, db: Database) -> Dict[str, Any]:
                 result[agg.name] = int(np.sum(values, dtype=np.int64)) if k else 0
         return result
 
-    keys = subset[query.group_by].astype(np.int64)
+    keys = np.asarray(root.key.evaluate(subset)).astype(np.int64)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
-    aggs = np.zeros((unique_keys.shape[0], len(query.aggregates)), dtype=np.int64)
-    for i, agg in enumerate(query.aggregates):
+    aggs = np.zeros((unique_keys.shape[0], len(root.aggregates)), dtype=np.int64)
+    for i, agg in enumerate(root.aggregates):
         if agg.func == "count":
             deltas = np.ones(keys.shape[0], dtype=np.int64)
         else:

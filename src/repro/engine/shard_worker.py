@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..codegen.pipeline import compile_pipeline
+from ..errors import PlanError
 from ..plan.serde import plan_from_wire
 from .machine import MachineModel
 from .plan_cache import CompileSpec
@@ -93,15 +94,26 @@ class _Worker:
         per-process analogue of the parent running setup once per
         query. Setup cycles are deliberately not reported: the parent
         accounts the serial phases itself.
+
+        The plan envelope must claim the spec's fingerprint *before*
+        the cache is consulted, so a cached program never answers a
+        task whose plan is not the one its spec names.
         """
         spec = CompileSpec.from_wire(msg.get("spec"), self.machine)
+        envelope = msg.get("plan")
+        if (
+            not isinstance(envelope, dict)
+            or envelope.get("fingerprint") != spec.fingerprint
+        ):
+            raise PlanError(
+                f"plan envelope does not carry the compile spec's "
+                f"fingerprint {spec.fingerprint}"
+            )
         hit = self.programs.get(spec)
         if hit is not None:
             self.programs.move_to_end(spec)
             return hit
-        compiled = compile_pipeline(
-            plan_from_wire(msg.get("plan")), self.db, spec
-        )
+        compiled = compile_pipeline(plan_from_wire(envelope), self.db, spec)
         ctx = None
         if compiled.parallel is not None and compiled.parallel.setup:
             ctx = compiled.parallel.setup(self._session(msg))
@@ -190,7 +202,10 @@ def main() -> int:
                     "id": msg.get("id"),
                     "error": f"unknown op {op!r}",
                 }
-        except Exception as exc:  # deterministic failure: report, go on
+        except Exception as exc:
+            # The worker's reply path: a deterministic failure becomes an
+            # error reply (the parent raises it as a typed
+            # ExecutionError) and the worker goes on serving.
             reply = {
                 "op": "error",
                 "id": msg.get("id"),

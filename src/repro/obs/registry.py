@@ -271,16 +271,22 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Everything, as one JSON-safe dict."""
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
             sources = dict(self._sources)
         source_snaps: Dict[str, Any] = {}
         for name, fn in sources.items():
             try:
                 source_snaps[name] = dict(fn())
             except Exception as exc:  # a broken source must not kill stats
-                source_snaps[name] = {"error": f"{type(exc).__name__}: {exc}"}
+                message = f"{type(exc).__name__}: {exc}"
+                self.counter("stats_source_errors_total", source=name).inc()
+                self.error_log.record("stats.source", f"{name}: {message}")
+                source_snaps[name] = {"error": message}
+        # Read after the sources ran, so a failure above is counted in
+        # the same snapshot that reports it.
+        with self._lock:
+            counters = dict(self._counters)
+            gauges = dict(self._gauges)
+            histograms = dict(self._histograms)
         return {
             "counters": {
                 _flat_name(k): c.value for k, c in sorted(counters.items())

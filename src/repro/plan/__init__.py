@@ -1,12 +1,10 @@
-"""Plan IR: expressions, legacy queries, operator trees, physical plans.
+"""Plan IR: expressions, operator trees, physical plans.
 
-Three layers, oldest first:
+Two layers:
 
-* :mod:`~repro.plan.logical` — the legacy single-join :class:`Query`
-  dataclass (still the microbench vocabulary);
 * :mod:`~repro.plan.ops` — the composable logical operator tree
-  (:class:`LogicalPlan`), the input of the staged lowering pipeline;
-  :func:`from_query` converts legacy queries onto it;
+  (:class:`LogicalPlan`), the one query type and the input of the
+  staged lowering pipeline; :class:`PlanBuilder` spells it fluently;
 * :mod:`~repro.plan.passes` / :mod:`~repro.plan.physical` — the strategy
   pass framework and the physical operator vocabulary it lowers to.
 """
@@ -28,8 +26,8 @@ from .expressions import (
     arith_ops,
     conjuncts,
 )
-from .logical import AggSpec, JoinSpec, Query
 from .ops import (
+    AggSpec,
     DisjunctJoin,
     ExistsJoin,
     Filter,
@@ -39,7 +37,6 @@ from .ops import (
     OuterGroupJoin,
     Project,
     Scan,
-    from_query,
     plan_fingerprint,
 )
 from .physical import PhysicalPlan, Pipeline
@@ -62,7 +59,6 @@ __all__ = [
     "GroupByAgg",
     "InSet",
     "Join",
-    "JoinSpec",
     "LogicalPlan",
     "Or",
     "OuterGroupJoin",
@@ -70,12 +66,10 @@ __all__ = [
     "Pipeline",
     "PlanBuilder",
     "Project",
-    "Query",
     "Scan",
     "StrMatch",
     "arith_ops",
     "conjuncts",
-    "from_query",
     "plan_fingerprint",
     "plan_from_dict",
     "plan_from_wire",

@@ -35,8 +35,8 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from ..errors import PlanError
 from .expressions import And, Col, Expr
-from .logical import AggSpec
 from .ops import (
+    AggSpec,
     DisjunctJoin,
     ExistsJoin,
     Filter,

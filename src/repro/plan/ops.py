@@ -1,11 +1,11 @@
 """Composable logical operator trees — the generic plan IR.
 
-The original :class:`~repro.plan.logical.Query` dataclass hard-codes one
-shape (scan -> filter -> aggregate, plus at most one FK join). This
-module generalises it to a small tree algebra so multi-join queries like
-TPC-H Q3 and carried-column index joins like Q14 compile through the
-same staged pipeline (logical plan -> strategy passes -> physical plan
--> kernel program) instead of being hand-coded per strategy:
+Every query — the paper's five microbenchmark queries and its TPC-H
+queries alike — is a tree over a small algebra, so scan-filter-aggregate
+queries, multi-join queries like TPC-H Q3 and carried-column index joins
+like Q14 compile through the same staged pipeline (logical plan ->
+strategy passes -> physical plan -> kernel program) instead of being
+hand-coded per strategy:
 
 * :class:`Scan` — a base table;
 * :class:`Filter` — a conjunctive predicate over its child's stream;
@@ -32,9 +32,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
-from ..errors import PlanError, ReproError
+from ..errors import PlanError
 from .expressions import Col, Expr, conjuncts
-from .logical import AggSpec, Query
+
+
+@dataclass(frozen=True)
+class AggSpec:
+    """One aggregate: ``func(expr)`` with an output name.
+
+    ``count`` ignores the expression (may be None).
+    """
+
+    func: str
+    expr: Optional[Expr] = None
+    name: str = "sum"
+
+    def __post_init__(self) -> None:
+        if self.func not in ("sum", "count"):
+            raise PlanError(f"unsupported aggregate function {self.func!r}")
+        if self.func == "sum" and self.expr is None:
+            raise PlanError("sum aggregate requires an expression")
 
 
 class PlanNode:
@@ -408,67 +425,8 @@ def plan_fingerprint(plan: Union[LogicalPlan, PlanNode]) -> str:
 
     Frozen dataclasses have deterministic ``repr``s, so hashing the repr
     is a faithful structural digest. This is the plan-cache key of
-    every query (legacy ``Query`` objects convert via
-    :func:`from_query` at the engine's door), so two spellings of the
-    same tree share one cache entry.
+    every query, so equal trees share one cache entry however they
+    were built.
     """
     digest = hashlib.sha256(repr(plan).encode()).hexdigest()[:16]
     return f"ir:{digest}"
-
-
-@lru_cache(maxsize=256)
-def from_query(query: Query) -> LogicalPlan:
-    """Convert a legacy single-join :class:`Query` to an operator tree.
-
-    The conversion is total: scalar/grouped aggregations, semijoins and
-    groupjoins (group key == FK column) all map onto the tree shapes the
-    staged pipeline understands.
-    """
-    node: PlanNode = Scan(query.table)
-    if query.predicate is not None:
-        node = Filter(node, query.predicate)
-    if query.join is not None:
-        join = query.join
-        build: PlanNode = Scan(join.build_table)
-        if join.build_predicate is not None:
-            build = Filter(build, join.build_predicate)
-        node = Join(
-            probe=node,
-            build=build,
-            fk_column=join.fk_column,
-            pk_column=join.pk_column,
-        )
-    key = Col(query.group_by) if query.group_by is not None else None
-    key_name = query.group_by if query.group_by is not None else "key"
-    root = GroupByAgg(
-        child=node,
-        aggregates=query.aggregates,
-        key=key,
-        key_name=key_name,
-    )
-    return LogicalPlan(name=query.name, root=root)
-
-
-def as_plan(query) -> LogicalPlan:
-    """Whatever the engine accepts as a query, as its operator tree.
-
-    A :class:`LogicalPlan` passes through; a legacy microbench
-    :class:`~repro.plan.logical.Query` is lifted with
-    :func:`from_query` — here and nowhere else, so nothing past the
-    engine's door (:func:`repro.engine.plan_cache.normalize_query`)
-    knows the legacy spelling. Anything else is a typed error.
-    """
-    if isinstance(query, LogicalPlan):
-        return query
-    if isinstance(query, Query):
-        return from_query(query)
-    if isinstance(query, str):
-        raise ReproError(
-            f"query name strings are no longer accepted (got {query!r}); "
-            f'pass the operator tree — repro.tpch.logical_plan("{query}") '
-            "for the TPC-H queries, or build one with repro.PlanBuilder"
-        )
-    raise ReproError(
-        f"cannot compile a {type(query).__name__}; pass a "
-        "LogicalPlan operator tree or a microbench Query"
-    )

@@ -346,7 +346,7 @@ def _bind_node(
 
 
 # ---------------------------------------------------------------------------
-# Statistics over the tree (prefix samples, like plan.logical.sample_stats)
+# Statistics over the tree (prefix samples)
 # ---------------------------------------------------------------------------
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .expressions import Expr, compare_count
-from .logical import AggSpec
+from .ops import AggSpec
 
 #: Access styles for non-terminal operators.
 BRANCH = "branch"  # tuple-at-a-time, conditional reads, branch events

@@ -35,8 +35,8 @@ from .expressions import (
     Or,
     StrMatch,
 )
-from .logical import AggSpec
 from .ops import (
+    AggSpec,
     DisjunctJoin,
     ExistsJoin,
     Filter,

@@ -74,8 +74,7 @@ class ServiceClient:
 
         ``query`` is a :class:`~repro.plan.ops.LogicalPlan` (sent as
         structural JSON plus its IR fingerprint) or a microbench spec
-        dict. Legacy logical ``Query`` objects are in-process only and
-        cannot cross the wire. ``backend`` pins the execution backend
+        dict. ``backend`` pins the execution backend
         (``"instrumented"`` / ``"vectorized"``) instead of the
         server's default.
         """

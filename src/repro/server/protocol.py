@@ -14,11 +14,10 @@ On the wire a request carries its query in one of two spellings:
   :class:`QueryRequest` serialises a
   :class:`~repro.plan.ops.LogicalPlan` this way automatically);
 * a microbenchmark spec (``{"micro": "q1", "args": {"sel": 30}}`` —
-  the constructors in :mod:`repro.datagen.microbench`).
+  the constructors in :mod:`repro.datagen.microbench`, which build a
+  ``LogicalPlan`` server-side).
 
-In-process requests may also hold what ``Engine.execute`` accepts
-directly: a ``LogicalPlan`` or a legacy
-:class:`~repro.plan.logical.Query` object.
+In-process requests may also hold a ``LogicalPlan`` directly.
 
 Besides queries, the wire carries one control operation: a **stats
 request** (``{"op": "stats"}``), answered with the server's full
@@ -89,9 +88,9 @@ def parse_query_spec(spec: Any) -> Any:
     ``{"plan": {...}}`` envelopes decode to a
     :class:`~repro.plan.ops.LogicalPlan` (fingerprint-verified);
     ``{"micro": name, "args": {...}}`` dicts call the named
-    microbenchmark constructor; ``LogicalPlan`` / legacy ``Query``
-    objects (in-process requests) pass through untouched. Anything
-    else — a bare query-name string included — is a
+    microbenchmark constructor (which returns a ``LogicalPlan``);
+    ``LogicalPlan`` objects (in-process requests) pass through
+    untouched. Anything else — a bare query-name string included — is a
     :class:`ProtocolError`.
     """
     if isinstance(spec, dict):
@@ -127,10 +126,9 @@ def parse_query_spec(spec: Any) -> Any:
             ) from exc
         except ReproError as exc:
             raise ProtocolError(str(exc)) from exc
-    from ..plan.logical import Query
     from ..plan.ops import LogicalPlan
 
-    if isinstance(spec, (LogicalPlan, Query)):
+    if isinstance(spec, LogicalPlan):
         return spec
     if isinstance(spec, str):
         raise ProtocolError(
@@ -190,9 +188,8 @@ class QueryRequest:
         elif not isinstance(query, dict):
             raise ProtocolError(
                 "only LogicalPlan trees and microbench spec dicts "
-                f"serialise, not a {type(query).__name__}; legacy "
-                "Query objects are in-process only and TPC-H queries "
-                "travel as repro.tpch.logical_plan(name)"
+                f"serialise, not a {type(query).__name__}; TPC-H "
+                "queries travel as repro.tpch.logical_plan(name)"
             )
         wire: dict = {"id": self.id, "query": query}
         if self.strategy != "auto":

@@ -36,7 +36,7 @@ The control loop enforces three serving policies:
   value with ``deadline_missed`` set, and if the leading execution does
   not produce a value the followers are re-queued rather than failed on
   its behalf. Only wire-form specs (JSON dicts) coalesce; in-process
-  plan and ``Query`` objects are served individually.
+  plan objects are served individually.
 
 Shutdown is graceful and idempotent: :meth:`drain` stops admission,
 rejects everything still queued with ``shutting_down``, and waits for
@@ -147,8 +147,8 @@ class PendingQuery:
     @cached_property
     def coalesce_key(self) -> Optional[Tuple]:
         """Identity under which requests may share one execution, or
-        ``None`` when the spec is not wire-form (an in-process plan or
-        ``Query`` object has no cheap, reliable equality).
+        ``None`` when the spec is not wire-form (an in-process plan
+        object has no cheap, reliable equality).
 
         An *execution* identity, derived from the bytes the client
         sent — never from the envelope's unverified ``fingerprint``
@@ -372,8 +372,8 @@ class QueryService:
         """Admit (or immediately reject) one request.
 
         ``request`` is a :class:`QueryRequest`, or a bare query (a
-        ``LogicalPlan``, a wire spec dict, a legacy ``Query``) which is
-        wrapped in a default request.
+        ``LogicalPlan`` or a wire spec dict) which is wrapped in a
+        default request.
         Always returns a :class:`PendingQuery`; rejections resolve
         before this method returns.
         """
@@ -629,11 +629,13 @@ class QueryService:
                 request, ERR_EXECUTION, str(exc), metrics=metrics
             )
         except Exception as exc:  # defensive: a response, never a hang
+            message = f"{type(exc).__name__}: {exc}"
+            self.registry.counter("service_unexpected_errors_total").inc()
+            self.registry.error_log.record(
+                "service.execute", message, id=request.id
+            )
             return error_response(
-                request,
-                ERR_EXECUTION,
-                f"{type(exc).__name__}: {exc}",
-                metrics=metrics,
+                request, ERR_EXECUTION, message, metrics=metrics
             )
         run_metrics = result.report.metrics
         if run_metrics is not None:

@@ -34,8 +34,8 @@ from ..plan.expressions import (
     DictPrefix,
     StrMatch,
 )
-from ..plan.logical import AggSpec
 from ..plan.ops import (
+    AggSpec,
     DisjunctJoin,
     ExistsJoin,
     Filter,

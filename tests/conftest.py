@@ -15,7 +15,7 @@ from repro.codegen.vectorize import compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch
 from repro.engine.machine import PAPER_MACHINE
-from repro.engine.plan_cache import normalize_query, plan_key
+from repro.engine.plan_cache import plan_key
 from repro.engine.pool import WorkerPool
 from repro.engine.program import CompiledQuery
 from repro.engine.session import Session
@@ -39,7 +39,7 @@ def drain(batch):
 
 
 def staged_program(
-    query, db, strategy="swole", *, machine=PAPER_MACHINE, **forced
+    plan, db, strategy="swole", *, machine=PAPER_MACHINE, **forced
 ) -> CompiledQuery:
     """An instrumented program built through the public stages, with
     ``forced`` fields written over the planner's ``Decisions`` before
@@ -47,7 +47,6 @@ def staged_program(
     ``merged_columns=``, ``groupjoin_mode=``; ``join_mode=`` sets one
     flavour on every spine join). Scans read decoded values so event
     array names and widths are the stored columns'."""
-    plan, _ = normalize_query(query)
     bound, decisions, _ = run_passes(
         plan, db, machine, strategy, None, encoding="off"
     )

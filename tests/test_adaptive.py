@@ -25,6 +25,7 @@ from repro.engine.facade import Engine
 from repro.codegen.pipeline import compile_pipeline
 from repro.engine.plan_cache import PlanCache, plan_key, query_fingerprint
 from repro.engine.program import results_equal
+from repro.engine.session import ExecutionKnobs
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
@@ -659,7 +660,10 @@ class TestMinParallelRows:
         # floor, so by default the scan runs serial; lowering the knob
         # turns the same program parallel.
         default = Engine(micro_db, workers=4)
-        floored = Engine(micro_db, workers=4, min_parallel_rows=4096)
+        floored = Engine(
+            micro_db, workers=4,
+            knobs=ExecutionKnobs(min_parallel_rows=4096),
+        )
         query = mb.q1(30)
         serial = default.execute(query, "swole")
         parallel = floored.execute(query, "swole")
@@ -683,7 +687,7 @@ class TestMinParallelRows:
         # An explicit engine knob always wins over the measurement.
         pinned = Engine(
             micro_db, workers=4, adaptive=True,
-            min_parallel_rows=1 << 20,
+            knobs=ExecutionKnobs(min_parallel_rows=1 << 20),
         )
         pinned.adaptive.store.record(
             "fp", "swole", "vectorized",

@@ -51,7 +51,7 @@ from repro.engine.program import results_equal
 from repro.plan import passes as PS
 from repro.plan.builder import PlanBuilder, scan
 from repro.plan.expressions import And, Col, Const, DictEq
-from repro.plan.logical import AggSpec
+from repro.plan.ops import AggSpec
 from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table

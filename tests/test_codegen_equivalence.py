@@ -4,8 +4,8 @@ Every code-generation strategy — interpreter, data-centric, hybrid,
 SWOLE (with whatever techniques its planner picked) — on both execution
 backends must return exactly the reference interpreter's answer on every
 query shape, across selectivities and on adversarial
-hypothesis-generated data. The queries are legacy microbench ``Query``
-objects, so every cell also crosses the engine's front-door lift.
+hypothesis-generated data. The reference walks the same operator
+trees the engine compiles, so every cell checks one tree two ways.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.engine.facade import BACKENDS
 from repro.engine.program import results_equal
 from repro.obs import MetricsRegistry
 from repro.plan.expressions import Col, Const
-from repro.plan.logical import AggSpec, Query
+from repro.plan import AggSpec, PlanBuilder
 from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -87,25 +87,24 @@ def test_q5_groupjoin(micro_db, sel):
 
 
 def test_count_aggregate(micro_db):
-    query = Query(
-        table="R",
-        predicate=Col("r_x") < Const(20),
-        aggregates=(
+    query = (
+        PlanBuilder.scan("R")
+        .filter(Col("r_x") < Const(20))
+        .group_agg(
             AggSpec("sum", Col("r_a"), name="total"),
             AggSpec("count", name="n"),
-        ),
-        name="count-query",
+        )
+        .build("count-query")
     )
     _assert_matches_reference(query, micro_db)
 
 
 def test_grouped_count(micro_db):
-    query = Query(
-        table="R",
-        predicate=Col("r_x") < Const(70),
-        aggregates=(AggSpec("count", name="n"),),
-        group_by="r_c",
-        name="grouped-count",
+    query = (
+        PlanBuilder.scan("R")
+        .filter(Col("r_x") < Const(70))
+        .group_agg(AggSpec("count", name="n"), key="r_c")
+        .build("grouped-count")
     )
     _assert_matches_reference(query, micro_db)
 

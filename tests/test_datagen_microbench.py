@@ -5,6 +5,8 @@ import pytest
 
 from repro.datagen import microbench as mb
 from repro.errors import DataGenError
+from repro.plan.expressions import Col
+from repro.plan.ops import is_groupjoin, spine_joins
 
 
 class TestConfig:
@@ -85,13 +87,16 @@ class TestQueryFactories:
             mb.q3(50, "r_a")
 
     def test_q4_is_semijoin(self):
-        assert mb.q4(10, 20).is_semijoin
+        root = mb.q4(10, 20).root
+        (join,) = spine_joins(root.child)
+        assert join.is_semijoin and not is_groupjoin(root)
 
     def test_q5_is_groupjoin(self):
-        assert mb.q5(10).is_groupjoin
+        assert is_groupjoin(mb.q5(10).root)
 
     def test_q2_groups_by_c(self):
-        assert mb.q2(10).group_by == "r_c"
+        root = mb.q2(10).root
+        assert root.key == Col("r_c") and root.key_name == "r_c"
 
     def test_names_carry_parameters(self):
         assert "div" in mb.q1(10, "div").name

@@ -13,9 +13,10 @@ from repro.engine import Session, reference
 from repro.engine.events import RandomAccess
 from repro.engine.hashtable import NULL_KEY
 from repro.engine.program import results_equal
+from repro.errors import PlanError
+from repro.plan import AggSpec, PlanBuilder
 from repro.plan import passes as PS
 from repro.plan.expressions import Col, Const
-from repro.plan.logical import AggSpec, Query
 
 from .conftest import staged_program
 
@@ -136,8 +137,10 @@ class TestEmitters:
 
 class TestReferenceEngine:
     def test_scalar_no_predicate(self, micro_db):
-        query = Query(
-            table="R", aggregates=(AggSpec("sum", Col("r_a"), name="s"),)
+        query = (
+            PlanBuilder.scan("R")
+            .group_agg(AggSpec("sum", Col("r_a"), name="s"))
+            .build("query")
         )
         out = reference.evaluate(query, micro_db)
         assert out["s"] == int(
@@ -145,13 +148,14 @@ class TestReferenceEngine:
         )
 
     def test_empty_selection(self, micro_db):
-        query = Query(
-            table="R",
-            predicate=Col("r_x") < Const(0),
-            aggregates=(
+        query = (
+            PlanBuilder.scan("R")
+            .filter(Col("r_x") < Const(0))
+            .group_agg(
                 AggSpec("sum", Col("r_a"), name="s"),
                 AggSpec("count", name="n"),
-            ),
+            )
+            .build("query")
         )
         out = reference.evaluate(query, micro_db)
         assert out == {"s": 0, "n": 0}
@@ -164,6 +168,28 @@ class TestReferenceEngine:
         everything = reference.evaluate(mb.q4(100, 100), micro_db)
         filtered = reference.evaluate(mb.q4(100, 10), micro_db)
         assert filtered["sum"] <= everything["sum"]
+
+    def test_unknown_node_is_a_plan_error(self, micro_db):
+        # The oracle evaluates the node kinds it knows and refuses the
+        # rest rather than guessing at their semantics.
+        plan = (
+            PlanBuilder.scan("S")
+            .exists_join("R", pk_column="s_pk", fk_column="r_fk")
+            .group_agg(AggSpec("count", name="n"))
+            .build("s-referenced-by-r")
+        )
+        with pytest.raises(PlanError, match="ExistsJoin"):
+            reference.evaluate(plan, micro_db)
+
+    def test_carrying_join_is_a_plan_error(self, micro_db):
+        plan = (
+            PlanBuilder.scan("R")
+            .join("S", fk_column="r_fk", pk_column="s_pk", carry=("s_x",))
+            .group_agg(AggSpec("sum", Col("s_x"), name="s"))
+            .build("carried")
+        )
+        with pytest.raises(PlanError, match="carry"):
+            reference.evaluate(plan, micro_db)
 
 
 class TestRofStrategy:

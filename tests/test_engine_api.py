@@ -1,6 +1,7 @@
 """The Engine facade, session knobs, and deprecated entry points."""
 
 import dataclasses
+import inspect
 import warnings
 
 import pytest
@@ -11,8 +12,22 @@ from repro.engine import Engine, ExecutionKnobs, Session
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
 from repro.errors import PlanError, ReproError
-from repro.plan.ops import from_query
+from repro.plan import AggSpec, Col, Const, PlanBuilder
 from repro.tpch import logical_plan
+
+
+def hand_built_q5(sel):
+    """µQ5 spelled out with the builder, independent of ``mb.q5``."""
+    return (
+        PlanBuilder.scan("R")
+        .join(
+            PlanBuilder.scan("S").filter(Col("s_x") < Const(sel)),
+            fk_column="r_fk",
+            pk_column="s_pk",
+        )
+        .group_agg(AggSpec("sum", Col("r_a") * Col("r_b")), key="r_fk")
+        .build(f"uQ5[{sel}]")
+    )
 
 
 @pytest.fixture()
@@ -54,9 +69,8 @@ class TestEngineCompile:
 
     @pytest.mark.parametrize("backend", ("instrumented", "vectorized"))
     def test_unknown_strategy_is_one_error_type(self, engine, backend):
-        # Whichever spelling the query used, the one compiler rejects it.
-        query = mb.q1(30)
-        for spelling in (query, from_query(query)):
+        # Whichever builder made the tree, the one compiler rejects it.
+        for spelling in (mb.q5(30), hand_built_q5(30)):
             with pytest.raises(PlanError, match="unknown strategy 'rof'"):
                 engine.compile(spelling, "rof", backend=backend)
 
@@ -69,18 +83,17 @@ class TestEngineCompile:
 
 
 class TestOneCompiler:
-    """A legacy ``Query`` and its ``from_query`` tree are one query past
-    the door: one plan-cache entry, one compiler, one cycle count —
+    """The microbench factory's tree and the same tree built by hand are
+    one query: one plan-cache entry, one compiler, one cycle count —
     whichever spelling arrives first."""
 
-    @pytest.mark.parametrize("legacy_first", (True, False))
+    @pytest.mark.parametrize("factory_first", (True, False))
     def test_both_spellings_share_entry_and_cycles(
-        self, micro_db, legacy_first
+        self, micro_db, factory_first
     ):
         engine = Engine(micro_db, backend="instrumented")
-        legacy = mb.q5(50)
-        spellings = [legacy, from_query(legacy)]
-        if not legacy_first:
+        spellings = [mb.q5(50), hand_built_q5(50)]
+        if not factory_first:
             spellings.reverse()
         first = engine.execute(spellings[0], "hybrid")
         second = engine.execute(spellings[1], "hybrid")
@@ -95,9 +108,9 @@ class TestOneCompiler:
             engine = Engine(micro_db, backend="instrumented")
             return engine.execute(spelling, "hybrid").metrics.total_cycles
 
-        assert cycles(mb.q5(50)) == cycles(from_query(mb.q5(50)))
+        assert cycles(mb.q5(50)) == cycles(hand_built_q5(50))
 
-    def test_legacy_spelling_explains_through_the_stages(self, micro_db):
+    def test_microbench_plan_explains_through_the_stages(self, micro_db):
         engine = Engine(micro_db, backend="instrumented")
         text = engine.explain(mb.q1(30))
         assert text.startswith("== Logical plan ==")
@@ -149,11 +162,8 @@ class TestEngineExecute:
         # One knobs object configuring two engines: the first engine's
         # keyword defaults must not reach the second through it.
         knobs = ExecutionKnobs(morsel_rows=4096)
-        first = Engine(
-            micro_db, knobs=knobs, backend="instrumented",
-            min_parallel_rows=7,
-        )
-        assert first.knobs.min_parallel_rows == 7
+        first = Engine(micro_db, knobs=knobs, backend="instrumented")
+        first.knobs.min_parallel_rows = 7
         assert knobs == ExecutionKnobs(morsel_rows=4096)
         second = Engine(micro_db, knobs=knobs)
         assert second.knobs == knobs and second.knobs is not knobs
@@ -182,6 +192,15 @@ class TestSessionApi:
         # Engine defaults (backend, shards) are Engine attributes.
         assert [f.name for f in dataclasses.fields(ExecutionKnobs)] == [
             "ht_prefetch", "morsel_rows", "min_parallel_rows",
+        ]
+
+    def test_engine_has_one_spelling_per_setting(self):
+        # The fan-out floor is a knob (``knobs=ExecutionKnobs(
+        # min_parallel_rows=...)``), not a second Engine parameter.
+        assert list(inspect.signature(Engine).parameters) == [
+            "db", "machine", "workers", "tile", "plan_cache_size",
+            "knobs", "registry", "backend", "encoding", "adaptive",
+            "shards",
         ]
 
     def test_clone_isolates_knobs(self):

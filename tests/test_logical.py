@@ -1,5 +1,6 @@
-"""Tests for the legacy ``Query`` vocabulary (repro.plan.logical) and
-the statistics the passes sample for its operator trees."""
+"""Tests for aggregate specs, the aggregation root's checks, the
+microbench query shapes, and the statistics the passes sample for
+their operator trees."""
 
 import pytest
 
@@ -7,14 +8,20 @@ from repro.datagen import microbench as mb
 from repro.errors import PlanError
 from repro.engine.machine import PAPER_MACHINE
 from repro.plan.expressions import Col
-from repro.plan.logical import AggSpec, Query
-from repro.plan.ops import as_plan
+from repro.plan.builder import PlanBuilder
+from repro.plan.ops import (
+    AggSpec,
+    GroupByAgg,
+    Scan,
+    is_groupjoin,
+    spine_joins,
+)
 from repro.plan.passes import run_passes
 
 
-def sampled_stats(query, db):
-    """The statistics the pass pipeline priced ``query`` with."""
-    _, decisions, _ = run_passes(as_plan(query), db, PAPER_MACHINE, "swole")
+def sampled_stats(plan, db):
+    """The statistics the pass pipeline priced ``plan`` with."""
+    _, decisions, _ = run_passes(plan, db, PAPER_MACHINE, "swole")
     return decisions.estimated_stats
 
 
@@ -34,12 +41,12 @@ class TestAggSpec:
 class TestQuery:
     def test_requires_aggregates(self):
         with pytest.raises(PlanError):
-            Query(table="R", aggregates=())
+            GroupByAgg(Scan("R"), aggregates=())
 
     def test_duplicate_output_names_rejected(self):
         with pytest.raises(PlanError):
-            Query(
-                table="R",
+            GroupByAgg(
+                Scan("R"),
                 aggregates=(
                     AggSpec("sum", Col("a"), name="s"),
                     AggSpec("count", name="s"),
@@ -47,14 +54,16 @@ class TestQuery:
             )
 
     def test_groupjoin_detection(self):
-        query = mb.q5(50)
-        assert query.is_groupjoin
-        assert not query.is_semijoin
+        # µQ5 groups by its join's FK column: a groupjoin.
+        root = mb.q5(50).root
+        assert is_groupjoin(root)
 
     def test_semijoin_detection(self):
-        query = mb.q4(10, 20)
-        assert query.is_semijoin
-        assert not query.is_groupjoin
+        # µQ4 carries nothing from S and groups by nothing: a semijoin.
+        root = mb.q4(10, 20).root
+        (join,) = spine_joins(root.child)
+        assert join.is_semijoin
+        assert not is_groupjoin(root)
 
 
 class TestSampleStats:
@@ -62,7 +71,7 @@ class TestSampleStats:
         query = mb.q1(30)
         stats = sampled_stats(query, micro_db)
         data = micro_db.data("R")
-        truth = float(query.predicate.evaluate(data).mean())
+        truth = float(query.root.child.predicate.evaluate(data).mean())
         assert stats["local_selectivity"] == pytest.approx(truth, abs=0.03)
 
     def test_group_cardinality_estimate(self, micro_db, micro_config):
@@ -76,8 +85,9 @@ class TestSampleStats:
         assert stats["match_fraction"] == pytest.approx(0.4, abs=0.05)
 
     def test_no_predicate_is_full_selectivity(self, micro_db):
-        query = Query(
-            table="R",
-            aggregates=(AggSpec("sum", Col("r_a"), name="sum"),),
+        query = (
+            PlanBuilder.scan("R")
+            .group_agg(AggSpec("sum", Col("r_a"), name="sum"))
+            .build("query")
         )
         assert sampled_stats(query, micro_db)["local_selectivity"] == 1.0

@@ -37,7 +37,7 @@ from repro.datagen import microbench as mb
 from repro.obs import MetricsRegistry
 from repro.plan.builder import PlanBuilder
 from repro.plan.expressions import Case, Col, Const
-from repro.plan.logical import AggSpec
+from repro.plan.ops import AggSpec
 from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table

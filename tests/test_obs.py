@@ -106,6 +106,18 @@ class TestSources:
         assert snap["counters"]["ok_total"] == 1
         assert "ZeroDivisionError" in snap["sources"]["flaky"]["error"]
 
+    def test_broken_source_is_counted_and_logged(self):
+        reg = MetricsRegistry()
+        reg.register_source("flaky", lambda: 1 / 0)
+        snap = reg.snapshot()
+        # The snapshot that reports the failure already counts it.
+        assert snap["counters"]["stats_source_errors_total{source=flaky}"] == 1
+        (entry,) = snap["errors"]["entries"]
+        assert entry["source"] == "stats.source"
+        assert entry["message"].startswith("flaky: ZeroDivisionError")
+        reg.snapshot()
+        assert reg.counter("stats_source_errors_total", source="flaky").value == 2
+
     def test_snapshot_is_json_safe(self):
         reg = MetricsRegistry()
         reg.counter("c_total", strategy="swole").inc()

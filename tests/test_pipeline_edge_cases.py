@@ -17,7 +17,7 @@ from repro.engine import Engine, ExecutionKnobs, Session, plan_key
 from repro.engine.program import results_equal
 from repro.plan.builder import PlanBuilder, scan
 from repro.plan.expressions import And, Col, Const, DictEq
-from repro.plan.logical import AggSpec
+from repro.plan.ops import AggSpec
 from repro.tpch import STRATEGIES, logical_plan
 
 #: A predicate no row satisfies (all stored columns are non-negative).

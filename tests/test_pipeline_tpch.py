@@ -15,7 +15,7 @@ import repro
 from repro.datagen import microbench as mb
 from repro.engine import Engine, ExecutionKnobs, Session, plan_key
 from repro.engine.program import results_equal
-from repro.plan.ops import from_query, plan_fingerprint
+from repro.plan.ops import plan_fingerprint
 from repro.tpch import (
     PIPELINE_QUERIES,
     STRATEGIES,
@@ -215,9 +215,9 @@ class TestEngineIntegration:
 
 
 class TestMicroQueriesThroughPipeline:
-    """from_query lifts legacy microbench queries onto the operator
-    tree; the pipeline must give the reference engine's answer there
-    too, on both backends."""
+    """The microbench queries are operator trees like TPC-H's; the
+    pipeline must give the reference engine's answer on them too, on
+    both backends."""
 
     @staticmethod
     def _assert_matches_reference(query, db, strategy):
@@ -226,9 +226,8 @@ class TestMicroQueriesThroughPipeline:
 
         expected = reference.evaluate(query, db)
         for backend in ("instrumented", "vectorized"):
-            plan = from_query(query)
             pipe = compile_pipeline(
-                plan, db, plan_key(plan, strategy, backend=backend)
+                query, db, plan_key(query, strategy, backend=backend)
             )
             value = pipe.run(Session()).value
             assert set(value) == set(expected), backend

@@ -11,8 +11,8 @@ from repro.engine.program import results_equal
 from repro.errors import PlanError, ReproError
 from repro.plan.builder import scan
 from repro.plan.expressions import And, Col
-from repro.plan.logical import AggSpec
 from repro.plan.ops import (
+    AggSpec,
     ExistsJoin,
     Filter,
     GroupByAgg,
@@ -146,17 +146,18 @@ class TestValidation:
 
 
 class TestEngineIntegration:
-    def test_builder_plan_shares_cache_slot_with_legacy_query(self):
-        # The builder spelling of uQ1 is structurally identical to the
-        # legacy Query lifted through from_query, so both key the plan
-        # cache by the same IR fingerprint.
+    def test_builder_plan_shares_cache_slot_with_microbench_factory(self):
+        # uQ1 spelled out by hand is structurally identical to the
+        # microbench factory's tree, so both key the plan cache by the
+        # same IR fingerprint.
         query = mb.q1(30)
         built = (
             PlanBuilder.scan("R")
-            .filter(query.predicate)
-            .group_agg(*query.aggregates)
+            .filter(query.root.child.predicate)
+            .group_agg(*query.root.aggregates)
             .build(query.name)
         )
+        assert built == query
         assert plan_fingerprint(built) == query_fingerprint(query)
 
     def test_builder_plan_executes_identically(self, micro_db):

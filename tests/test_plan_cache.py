@@ -47,11 +47,26 @@ class TestKeys:
             with pytest.raises(ReproError, match="logical_plan"):
                 query_fingerprint(name)
 
-    def test_legacy_query_shares_ir_fingerprint(self):
-        from repro.plan.ops import from_query, plan_fingerprint
-
-        q = mb.q1(30)
-        assert query_fingerprint(q) == plan_fingerprint(from_query(q))
+    def test_microbench_fingerprints_are_pinned(self):
+        # The microbench trees (and so their plan-cache slots, explain
+        # text and cycles) are pinned by fingerprint: a change here is
+        # a change to the queries the paper's figures measure.
+        assert {
+            q.name: query_fingerprint(q)
+            for q in (
+                mb.q1(30, "mul"), mb.q1(30, "div"), mb.q2(30),
+                mb.q3(30, "r_b"), mb.q3(30, "r_x"), mb.q4(50, 50),
+                mb.q5(50),
+            )
+        } == {
+            "uQ1[mul,30]": "ir:c8eee831e19d89df",
+            "uQ1[div,30]": "ir:06d973a923da2a9e",
+            "uQ2[30]": "ir:96b273e7afc93918",
+            "uQ3[r_b,30]": "ir:aee2df3b0fe92083",
+            "uQ3[r_x,30]": "ir:3e2544b18e2d4ff2",
+            "uQ4[50,50]": "ir:ab6462356574a25e",
+            "uQ5[50]": "ir:3678b42124ee13ed",
+        }
 
     def test_plan_key_separates_what_compilation_reads(self):
         base = plan_key(mb.q1(30), "swole", PAPER_MACHINE, 1024)
@@ -141,7 +156,7 @@ class TestSpecCarried:
         import repro.engine.plan_cache as plan_cache_mod
         import repro.plan.ops as ops_mod
 
-        plan = ops_mod.from_query(mb.q1(30))
+        plan = mb.q1(30)
         spec = plan_key(plan, "swole")
 
         def rehash(_plan):

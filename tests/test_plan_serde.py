@@ -18,8 +18,7 @@ from repro.plan.expressions import (
     Or,
     StrMatch,
 )
-from repro.plan.logical import AggSpec
-from repro.plan.ops import LogicalPlan, plan_fingerprint
+from repro.plan.ops import AggSpec, LogicalPlan, plan_fingerprint
 from repro.plan.serde import (
     expr_from_dict,
     expr_to_dict,

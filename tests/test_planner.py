@@ -8,7 +8,6 @@ from repro.core.planner import technique_matrix
 from repro.datagen import microbench as mb
 from repro.engine.machine import PAPER_MACHINE
 from repro.plan import passes as PS
-from repro.plan.ops import from_query
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +24,7 @@ MACHINE = PAPER_MACHINE.scaled(mb.PAPER_R_ROWS / 50_000)
 def plan_query(query, db):
     """(decisions, {pass name: {candidate: estimated cycles}})."""
     _, decisions, notes = PS.run_passes(
-        from_query(query), db, MACHINE, "swole", None, encoding="auto"
+        query, db, MACHINE, "swole", None, encoding="auto"
     )
     estimates = {
         note.pass_name: dict(note.estimates)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datagen import microbench as mb
-from repro.plan.logical import Query
+from repro.plan.ops import LogicalPlan
+from repro.plan.serde import plan_to_wire
 from repro.server import (
     ERR_DEADLINE,
     ERR_QUEUE_FULL,
@@ -36,7 +37,7 @@ class TestQuerySpec:
     def test_micro_spec_builds_the_query(self):
         spec = {"micro": "q1", "args": {"sel": 30, "op": "mul"}}
         built = parse_query_spec(spec)
-        assert isinstance(built, Query)
+        assert isinstance(built, LogicalPlan)
         assert built == mb.q1(30, "mul")
 
     def test_micro_spec_defaults_args(self):
@@ -133,9 +134,9 @@ class TestRequestWire:
         spec = {"micro": "q2", "args": {"sel": 30}}
         assert QueryRequest(query=spec).id != QueryRequest(query=spec).id
 
-    def test_logical_query_does_not_serialise(self):
-        with pytest.raises(ProtocolError, match=r"in-process only"):
-            QueryRequest(query=mb.q1(30)).to_wire()
+    def test_microbench_plan_serialises(self):
+        wire = QueryRequest(query=mb.q1(30)).to_wire()
+        assert wire["query"] == plan_to_wire(mb.q1(30))
 
     def test_name_string_does_not_serialise(self):
         with pytest.raises(ProtocolError, match=r"logical_plan\(name\)"):

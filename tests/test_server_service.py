@@ -14,6 +14,7 @@ import pytest
 from repro.datagen import microbench as mb
 from repro.engine import Engine
 from repro.errors import ReproError
+from repro.obs import MetricsRegistry
 from repro.server import (
     ERR_CANCELLED,
     ERR_DEADLINE,
@@ -122,9 +123,8 @@ class TestHappyPath:
     def test_plan_envelope_served(self, micro_db):
         # An operator tree submitted as its wire form (structural JSON +
         # IR fingerprint) answers identically to the in-process plan.
-        from repro.plan import PlanBuilder, plan_to_wire
+        from repro.plan import AggSpec, PlanBuilder, plan_to_wire
         from repro.plan.expressions import Col
-        from repro.plan.logical import AggSpec
         from repro.server.protocol import encode_value
 
         plan = (
@@ -161,6 +161,28 @@ class TestHappyPath:
         assert response.error_code == ERR_EXECUTION
         assert "injected" in response.error.message
         assert service.stats.failed == 1
+
+    def test_unexpected_engine_exception_is_recorded(self):
+        # A non-ReproError escaping the engine is a bug, not a query
+        # error: the request still gets execution_failed, and the
+        # registry's error log and counter keep the evidence.
+        class CrashingEngine(StubEngine):
+            def execute(self, query, *args, **kwargs):
+                raise RuntimeError("engine bug")
+
+        registry = MetricsRegistry()
+        with QueryService(
+            CrashingEngine(), concurrency=1, registry=registry
+        ) as service:
+            response = service.execute(spec("crash"))
+        assert response.error_code == ERR_EXECUTION
+        assert response.error.message == "RuntimeError: engine bug"
+        snap = registry.snapshot()
+        assert snap["counters"]["service_unexpected_errors_total"] == 1
+        (entry,) = snap["errors"]["entries"]
+        assert entry["source"] == "service.execute"
+        assert entry["message"] == "RuntimeError: engine bug"
+        assert entry["id"] == response.id
 
     def test_bad_query_spec_is_structured(self):
         with QueryService(StubEngine(), concurrency=1) as service:
@@ -433,7 +455,7 @@ class TestCoalescing:
         finally:
             gate.set()
             service.shutdown()
-        # Equal-by-construction Query objects still execute separately:
+        # Equal-by-construction plan objects still execute separately:
         # only wire-form specs have cheap, reliable equality.
         assert len(stub.calls) == 3
         assert service.stats.coalesced == 0

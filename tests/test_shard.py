@@ -23,7 +23,7 @@ import pytest
 from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.datagen.cache import load_dataset
-from repro.engine import Engine
+from repro.engine import Engine, ExecutionKnobs
 from repro.engine.costing import CostReport, StatsOverride
 from repro.engine.events import Branch, CondRead, RandomAccess, StatSample
 from repro.engine.machine import PAPER_MACHINE
@@ -36,13 +36,16 @@ from repro.engine.shard import (
     report_from_wire,
     report_to_wire,
 )
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError, PlanError, ReproError
 from repro.plan.serde import plan_to_wire
 from repro.server import QueryRequest, QueryService
 from repro.server.protocol import ProtocolError
 from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
 
 SHARDS = 2
+#: A fan-out floor of one row keeps the tiny test datasets parallel;
+#: the floor itself is tested separately (TestFallback).
+NO_FLOOR = ExecutionKnobs(min_parallel_rows=1)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +61,7 @@ def serial_engine(cached_tpch_db):
         cached_tpch_db,
         machine=PAPER_MACHINE,
         workers=1,
-        min_parallel_rows=1,
+        knobs=NO_FLOOR,
     )
     yield engine
     engine.shutdown()
@@ -66,14 +69,12 @@ def serial_engine(cached_tpch_db):
 
 @pytest.fixture(scope="module")
 def sharded_engine(cached_tpch_db):
-    # min_parallel_rows=1 keeps the tiny test dataset above the fan-out
-    # floor; the floor itself is tested separately (TestFallback).
     engine = Engine(
         cached_tpch_db,
         machine=PAPER_MACHINE,
         workers=SHARDS,
         shards=SHARDS,
-        min_parallel_rows=1,
+        knobs=NO_FLOOR,
     )
     engine.start_shards()
     yield engine
@@ -219,7 +220,7 @@ class TestByteIdentity:
             machine=PAPER_MACHINE,
             workers=SHARDS,
             shards=SHARDS,
-            min_parallel_rows=1,
+            knobs=NO_FLOOR,
             encoding="off",
         ) as decoded_engine:
             decoded = decoded_engine.execute(plan, "swole")
@@ -248,17 +249,17 @@ class TestByteIdentity:
         assert codes.dtype == np.dtype(col.encoding.dtype)
         assert np.array_equal(codes.astype(np.int64), col.values)
 
-    def test_legacy_query_is_canonicalized_and_matches(self):
-        # A legacy Query object goes through from_query() so parent and
-        # workers compile the identical operator tree.
+    def test_microbench_plan_matches_serial(self):
+        # The microbench factories build operator trees like TPC-H's, so
+        # parent and workers compile the identical tree from the wire.
         db = load_dataset(
             "microbench",
             mb.MicrobenchConfig(num_rows=20_000, s_rows=200, c_cardinality=16),
         )
-        with Engine(db, workers=1, min_parallel_rows=1) as serial:
+        with Engine(db, workers=1, knobs=NO_FLOOR) as serial:
             expected = serial.execute(mb.q1(30), "swole").value
         with Engine(
-            db, workers=SHARDS, shards=SHARDS, min_parallel_rows=1
+            db, workers=SHARDS, shards=SHARDS, knobs=NO_FLOOR
         ) as sharded:
             result = sharded.execute(mb.q1(30), "swole")
             assert result.report.metrics.sharded
@@ -277,7 +278,7 @@ class TestShardedSweep:
             cached_tpch_db,
             machine=PAPER_MACHINE,
             shards=SHARDS,
-            min_parallel_rows=1,
+            knobs=NO_FLOOR,
         ) as engine:
             yield engine
 
@@ -313,7 +314,7 @@ class TestThreadShardParity:
             shards=SHARDS,
             backend="instrumented",
             adaptive=True,
-            min_parallel_rows=1,
+            knobs=NO_FLOOR,
         )
         seen = []
         engine.adaptive.observe = (
@@ -360,7 +361,7 @@ class TestThreadShardParity:
     def test_shard_count_does_not_split_the_plan_cache(self, cached_tpch_db):
         # One program whatever runs its morsels: in-process then
         # sharded is one miss, one hit, one cache entry.
-        with Engine(cached_tpch_db, min_parallel_rows=1) as engine:
+        with Engine(cached_tpch_db, knobs=NO_FLOOR) as engine:
             plan = logical_plan("Q6")
             first = engine.execute(plan, "swole", shards=0)
             second = engine.execute(plan, "swole", shards=SHARDS)
@@ -438,7 +439,7 @@ class TestWorkerProgramCache:
         override = StatsOverride(selectivity=0.9)
         with Engine(
             cached_tpch_db, adaptive=True, shards=SHARDS,
-            min_parallel_rows=1,
+            knobs=NO_FLOOR,
         ) as engine:
             expected = repr(engine.execute(plan, "swole", shards=0).value)
             fingerprint = plan_key(plan, "swole").fingerprint
@@ -466,6 +467,32 @@ class TestWorkerProgramCache:
         # Deterministic task errors leave the worker serving.
         assert handle.request(good)["op"] == "result"
 
+    def test_cached_spec_never_serves_a_mismatched_envelope(self, worker):
+        # The envelope is checked against the spec before the program
+        # cache is: once Q6 is warm under its spec, neither a malformed
+        # envelope nor another plan's envelope may reuse that program.
+        worker, compiles = worker
+        spec = plan_key(logical_plan("Q6"), "swole")
+        good = self.task(spec)
+        assert worker.task(good)["op"] == "result"
+        malformed = {**good, "plan": {"v": 1}}
+        other = {**good, "plan": plan_to_wire(logical_plan("Q1"))}
+        for msg in (malformed, other):
+            with pytest.raises(PlanError, match=spec.fingerprint):
+                worker.task(msg)
+        assert compiles == [spec]
+        assert worker.task(good)["op"] == "result"
+
+    def test_mismatched_envelope_is_a_task_error(self, sharded_engine):
+        handle = sharded_engine.start_shards().worker(0)
+        good = self.task(plan_key(logical_plan("Q6"), "swole"))
+        assert handle.request(good)["op"] == "result"
+        for plan in ({"v": 1}, plan_to_wire(logical_plan("Q1"))):
+            reply = handle.request({**good, "plan": plan})
+            assert reply["op"] == "error"
+            assert reply["error"].startswith("PlanError: ")
+        assert handle.request(good)["op"] == "result"
+
 
 class TestFallback:
     def test_small_scan_falls_back_to_in_process(self, cached_tpch_db):
@@ -482,7 +509,7 @@ class TestFallback:
         assert not result.report.metrics.sharded
 
     def test_per_request_shards_on_plain_engine(self, cached_tpch_db):
-        with Engine(cached_tpch_db, min_parallel_rows=1) as engine:
+        with Engine(cached_tpch_db, knobs=NO_FLOOR) as engine:
             result = engine.execute(
                 logical_plan("Q6"), "swole", shards=SHARDS
             )
@@ -683,7 +710,7 @@ class TestOnePool:
 class TestLifecycle:
     def test_snapshot_shape_and_idempotent_stop(self, cached_tpch_db):
         engine = Engine(
-            cached_tpch_db, shards=SHARDS, min_parallel_rows=1
+            cached_tpch_db, shards=SHARDS, knobs=NO_FLOOR
         )
         group = engine.start_shards()
         engine.execute(logical_plan("Q6"), "swole")

@@ -16,7 +16,8 @@ from repro.engine import Session, reference
 from repro.engine.events import CondRead, RandomAccess, SeqRead
 from repro.engine.hashtable import NULL_KEY
 from repro.plan import passes as PS
-from repro.plan.ops import as_plan
+from repro.plan.builder import PlanBuilder
+from repro.plan.ops import AggSpec
 
 from .conftest import staged_program
 
@@ -133,12 +134,12 @@ class TestPositionalBitmapSemijoin:
 
 def eager_groupjoin(session, db, query):
     """§III-E forced on ``query``, the op built straight from its tree."""
-    return groupjoin_pipeline(session, db, eager_aggregate(as_plan(query)))
+    return groupjoin_pipeline(session, db, eager_aggregate(query))
 
 
 class TestEagerAggregation:
     def test_op_is_built_from_the_tree(self):
-        op = eager_aggregate(as_plan(mb.q5(40)))
+        op = eager_aggregate(mb.q5(40))
         assert op.describe() == (
             "EagerAggregate key=r_fk (cleanup scan over S)"
         )
@@ -167,20 +168,17 @@ class TestEagerAggregation:
     def test_with_probe_side_predicate(self, micro_db):
         """EA composes with key masking when the probe side filters."""
         from repro.plan.expressions import Col, Const
-        from repro.plan.logical import AggSpec, JoinSpec, Query
 
-        query = Query(
-            table="R",
-            predicate=Col("r_x") < Const(40),
-            aggregates=(AggSpec("sum", Col("r_a"), name="sum"),),
-            group_by="r_fk",
-            join=JoinSpec(
-                build_table="S",
+        query = (
+            PlanBuilder.scan("R")
+            .filter(Col("r_x") < Const(40))
+            .join(
+                PlanBuilder.scan("S").filter(Col("s_x") < Const(60)),
                 fk_column="r_fk",
                 pk_column="s_pk",
-                build_predicate=Col("s_x") < Const(60),
-            ),
-            name="ea-with-pred",
+            )
+            .group_agg(AggSpec("sum", Col("r_a"), name="sum"), key="r_fk")
+            .build("ea-with-pred")
         )
         session = Session()
         value = eager_groupjoin(session, micro_db, query)
