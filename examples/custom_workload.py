@@ -93,9 +93,9 @@ def main() -> None:
         f"({hybrid.seconds / result.seconds:.2f}x)"
     )
     print(
-        f"parallel: {result.metrics.workers} workers, "
-        f"{result.metrics.morsels} morsels, "
-        f"{result.metrics.speedup:.2f}x simulated critical-path speedup"
+        f"served: {served.metrics.workers} workers, "
+        f"{served.metrics.morsels} morsels, "
+        f"{served.metrics.wall_seconds * 1e3:.1f} ms wall"
     )
 
 

@@ -2,15 +2,13 @@
 
 Interactively reproduces the paper's microbenchmark curves — pick a
 figure and watch where the strategies cross over and what the SWOLE
-planner decides at each point. Pass ``--workers N`` to run the
-partitionable scans morsel-parallel (the reported seconds become the
-simulated critical path) and ``--plan-cache cold`` to recompile at
-every sweep point instead of reusing the engine's plan cache.
+planner decides at each point. Pass ``--plan-cache cold`` to recompile
+at every sweep point instead of reusing the engine's plan cache.
 
 Run:  python examples/selectivity_explorer.py fig8 mul
       python examples/selectivity_explorer.py fig9 100000
       python examples/selectivity_explorer.py fig11 probe 90
-      python examples/selectivity_explorer.py fig12 1000000 --workers 4
+      python examples/selectivity_explorer.py fig12 1000000 --plan-cache cold
 """
 
 import sys
@@ -23,17 +21,12 @@ CONFIG = mb.MicrobenchConfig(num_rows=1_000_000, s_rows=10_000)
 
 def main() -> None:
     args = sys.argv[1:]
-    workers = 1
     plan_cache = "warm"
-    if "--workers" in args:
-        at = args.index("--workers")
-        workers = int(args[at + 1])
-        del args[at : at + 2]
     if "--plan-cache" in args:
         at = args.index("--plan-cache")
         plan_cache = args[at + 1]
         del args[at : at + 2]
-    par = dict(workers=workers, plan_cache=plan_cache)
+    par = dict(plan_cache=plan_cache)
 
     figure = args[0] if args else "fig8"
     if figure == "fig8":

@@ -5,9 +5,9 @@ strategy, prints the Figure 6 table (with the paper's reported SWOLE
 speedups alongside), and then zooms into Q4 — the paper's biggest win —
 showing where each strategy's cycles go. Everything runs through one
 :class:`repro.Engine`, so the eight queries compile once into its plan
-cache and the single-table scans (Q1, Q6) can run morsel-parallel.
+cache.
 
-Run:  python examples/tpch_demo.py [scale_factor] [workers]
+Run:  python examples/tpch_demo.py [scale_factor]
 """
 
 import sys
@@ -21,7 +21,6 @@ from repro.tpch import logical_plan
 
 def main() -> None:
     sf = float(sys.argv[1]) if len(sys.argv) > 1 else 0.01
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     config = tpchgen.TpchConfig(scale_factor=sf)
     print(f"generating TPC-H SF {sf} ...")
     db = tpchgen.generate(config)
@@ -29,7 +28,7 @@ def main() -> None:
         print(f"  {name:<10s} {db.table(name).num_rows:>10,d} rows")
     print()
 
-    report = run_fig6(config, db=db, workers=workers)
+    report = run_fig6(config, db=db)
     print(report.format_table())
     print()
 

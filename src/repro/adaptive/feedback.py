@@ -103,9 +103,8 @@ def observation_from_run(report, metrics) -> Observation:
         elif isinstance(event, StatSample):
             # Zero-cost instrumented telemetry. Join probes report
             # (probes, hits) per join site; terminal aggregations
-            # report their distinct group count (morsel partials each
-            # report their own — the max is the best single-run
-            # estimate, exact for serial runs).
+            # report their distinct group count (an instrumented run is
+            # one serial pass, so the max is exact).
             if event.kind == "join_match":
                 n, hits = join_sites.get(event.site, (0.0, 0.0))
                 join_sites[event.site] = (n + event.n, hits + event.value)

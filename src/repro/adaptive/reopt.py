@@ -13,7 +13,7 @@ it
    the measured selectivity (rounded, so repeated re-optimizations of
    the same workload produce byte-identical plans),
 2. drops that fingerprint's plans from the cache — every strategy /
-   machine / tile / backend cell — via the targeted
+   machine / backend / encoding cell — via the targeted
    :meth:`~repro.engine.plan_cache.PlanCache.invalidate`, and
 3. ticks ``adaptive_recompiles_total`` and sets the per-fingerprint
    drift gauge.

@@ -1,11 +1,11 @@
 """Command-line figure regenerator: ``python -m repro.bench <figure>``.
 
 Figures: fig2, fig6, fig8, fig9, fig10, fig11, fig12, all.
-Use ``--rows`` / ``--sf`` to trade fidelity for speed, ``--workers`` to
-run partitionable scans morsel-parallel (seconds become the simulated
-critical path), and ``--plan-cache cold`` to force recompilation between
-sweep points. ``--quick`` runs a small smoke suite: one fig8 panel plus
-a parallel-scan and plan-cache demonstration.
+Use ``--rows`` / ``--sf`` to trade fidelity for speed and
+``--plan-cache cold`` to force recompilation between sweep points.
+Figures report the simulated seconds of one serial pass. ``--quick``
+runs a small smoke suite: one fig8 panel plus a wall-clock morsel
+executor and plan-cache demonstration.
 
 ``--serve-bench`` runs the query-service load generator instead
 (closed-loop client fleet against an admission-controlled
@@ -36,14 +36,10 @@ def _print(block: str) -> None:
 
 
 def run_figure(
-    name: str,
-    rows: int,
-    sf: float,
-    workers: int = 1,
-    plan_cache: str = "warm",
+    name: str, rows: int, sf: float, plan_cache: str = "warm"
 ) -> None:
     config = mb.MicrobenchConfig(num_rows=rows)
-    par = dict(workers=workers, plan_cache=plan_cache)
+    par = dict(plan_cache=plan_cache)
     if name == "fig2":
         from ..core.planner import technique_matrix
 
@@ -94,10 +90,15 @@ def run_figure(
     raise SystemExit(f"unknown figure {name!r}")
 
 
-def run_quick(workers: int, backend: str = "vectorized") -> None:
-    """CI smoke run: tiny fig8 panel + executor and plan-cache demos."""
-    from ..engine import Engine
+def run_quick() -> None:
+    """CI smoke run: tiny fig8 panel + executor and plan-cache demos.
 
+    The morsel demo runs on the vectorized backend at 4 workers and
+    reports wall time: simulated cycles are one serial pass.
+    """
+    from ..engine import Engine, ExecutionKnobs
+
+    workers = 4
     config = mb.MicrobenchConfig(num_rows=50_000, s_rows=500, c_cardinality=32)
     _print(
         micro.fig8(
@@ -107,7 +108,14 @@ def run_quick(workers: int, backend: str = "vectorized") -> None:
 
     db = load_dataset("microbench", config)
     machine = micro.scaled_machine(config)
-    engine = Engine(db, machine=machine, workers=workers, backend=backend)
+    # A pinned morsel size fans the small demo scan out past the
+    # vectorized backend's fan-out floor.
+    engine = Engine(
+        db,
+        machine=machine,
+        workers=workers,
+        knobs=ExecutionKnobs(morsel_rows=4096),
+    )
     query = mb.q1(50)
 
     serial = engine.execute(query, "swole", workers=1)
@@ -126,8 +134,6 @@ def run_quick(workers: int, backend: str = "vectorized") -> None:
         f"{stats.misses} compilation(s) for "
         f"{stats.hits + stats.misses} executions)"
     )
-    speedup = parallel.metrics.speedup
-    print(f"simulated parallel speedup: {speedup:.2f}x at {workers} workers")
 
 
 def main() -> None:
@@ -155,13 +161,6 @@ def main() -> None:
         help="TPC-H scale factor (paper: 10; caches scale to match)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker threads for partitionable scans (simulated critical "
-        "path is reported when > 1)",
-    )
-    parser.add_argument(
         "--plan-cache",
         choices=("warm", "cold"),
         default="warm",
@@ -172,9 +171,9 @@ def main() -> None:
         "--backend",
         choices=("instrumented", "vectorized"),
         default="vectorized",
-        help="execution backend for --quick/--serve-bench "
-        "(figures always use the instrumented backend: their y-axis is "
-        "the paper's simulated seconds)",
+        help="execution backend for --serve-bench (figures always use "
+        "the instrumented backend: their y-axis is the paper's simulated "
+        "seconds; --quick's morsel demo runs vectorized)",
     )
     parser.add_argument(
         "--quick",
@@ -275,8 +274,6 @@ def main() -> None:
         "BENCH_serving.json / BENCH_adaptive.json / BENCH_shard.json)",
     )
     args = parser.parse_args()
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     if args.rounds is not None and args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if sum((args.serve_bench, args.adapt_bench, args.shard_bench)) > 1:
@@ -371,7 +368,7 @@ def main() -> None:
             )
         return
     if args.quick:
-        run_quick(max(args.workers, 4), backend=args.backend)
+        run_quick()
         return
     figures = args.figures
     if not figures:
@@ -380,7 +377,7 @@ def main() -> None:
         figures = ["fig2", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12"]
     rows = args.rows if args.rows is not None else 1_000_000
     for figure in figures:
-        run_figure(figure, rows, args.sf, args.workers, args.plan_cache)
+        run_figure(figure, rows, args.sf, args.plan_cache)
 
 
 if __name__ == "__main__":

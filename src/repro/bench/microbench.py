@@ -40,9 +40,6 @@ class SweepResult:
     x_values: List[int] = field(default_factory=list)
     series: Dict[str, List[float]] = field(default_factory=dict)
     decisions: Dict[int, str] = field(default_factory=dict)
-    #: Worker count the sweep ran with (seconds are the simulated
-    #: critical path when > 1).
-    workers: int = 1
     #: Plan-cache counters of the sweep's engine (hits/misses/...).
     cache_stats: Dict[str, float] = field(default_factory=dict)
 
@@ -53,13 +50,10 @@ class SweepResult:
 
     def format_table(self) -> str:
         names = list(self.series)
-        title = self.title
-        if self.workers > 1:
-            title += f" [{self.workers} workers]"
         header = f"{self.x_label:>6s} " + " ".join(
             f"{name:>12s}" for name in names
         )
-        lines = [title, header]
+        lines = [self.title, header]
         for i, x in enumerate(self.x_values):
             row = f"{x:>6d} " + " ".join(
                 f"{self.series[name][i]:>12.4f}" for name in names
@@ -92,25 +86,20 @@ def run_strategies(
     db: Database,
     machine: MachineModel,
     strategies: Sequence[str] = PAPER_SERIES,
-    workers: int = 1,
     engine: Optional[Engine] = None,
 ) -> Dict[str, float]:
     """Run ``query`` under each strategy; simulated seconds by name.
 
-    With ``workers > 1`` the reported seconds are the simulated parallel
-    critical path of the morsel schedule. Pass a shared ``engine`` to
-    amortise compilation through its plan cache across calls.
+    Pass a shared ``engine`` to amortise compilation through its plan
+    cache across calls.
     """
     if engine is None:
         # Simulated-cycle figures are the instrumented backend's job.
-        engine = Engine(
-            db, machine=machine, workers=workers, backend="instrumented"
-        )
-    out: Dict[str, float] = {}
-    for strategy in strategies:
-        result = engine.execute(query, strategy, workers=workers)
-        out[strategy] = result.metrics.parallel_seconds
-    return out
+        engine = Engine(db, machine=machine, backend="instrumented")
+    return {
+        strategy: engine.execute(query, strategy).seconds
+        for strategy in strategies
+    }
 
 
 def _sweep(
@@ -120,20 +109,15 @@ def _sweep(
     query_for: Callable[[int], LogicalPlan],
     selectivities: Sequence[int],
     strategies: Sequence[str],
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
-    engine = Engine(
-        db, machine=machine, workers=workers, backend="instrumented"
-    )
-    result = SweepResult(title=title, x_label="sel%", workers=workers)
+    engine = Engine(db, machine=machine, backend="instrumented")
+    result = SweepResult(title=title, x_label="sel%")
     for sel in selectivities:
         if plan_cache == "cold":
             engine.invalidate()
         query = query_for(sel)
-        seconds = run_strategies(
-            query, db, machine, strategies, workers=workers, engine=engine
-        )
+        seconds = run_strategies(query, db, machine, strategies, engine=engine)
         for strategy, value in seconds.items():
             result.add(sel, strategy, value)
         # The planner's technique choice, read off the SWOLE program
@@ -152,7 +136,6 @@ def fig8(
     selectivities: Sequence[int] = DEFAULT_SELECTIVITIES,
     db: Optional[Database] = None,
     strategies: Sequence[str] = PAPER_SERIES,
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
     """Figure 8: µQ1 value masking, ``op`` in {'mul' (8a), 'div' (8b)}."""
@@ -166,7 +149,6 @@ def fig8(
         lambda sel: mb.q1(sel, op),
         selectivities,
         strategies,
-        workers=workers,
         plan_cache=plan_cache,
     )
 
@@ -176,7 +158,6 @@ def fig9(
     config: Optional[mb.MicrobenchConfig] = None,
     selectivities: Sequence[int] = DEFAULT_SELECTIVITIES,
     strategies: Sequence[str] = PAPER_SERIES,
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
     """Figure 9: µQ2 key masking at a group-by cardinality.
@@ -205,7 +186,6 @@ def fig9(
         mb.q2,
         selectivities,
         strategies,
-        workers=workers,
         plan_cache=plan_cache,
     )
 
@@ -216,7 +196,6 @@ def fig10(
     selectivities: Sequence[int] = DEFAULT_SELECTIVITIES,
     db: Optional[Database] = None,
     strategies: Sequence[str] = PAPER_SERIES,
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
     """Figure 10: µQ3 access merging, ``col`` in {'r_b' (10a), 'r_x' (10b)}."""
@@ -230,7 +209,6 @@ def fig10(
         lambda sel: mb.q3(sel, col),
         selectivities,
         strategies,
-        workers=workers,
         plan_cache=plan_cache,
     )
 
@@ -241,7 +219,6 @@ def fig11(
     config: Optional[mb.MicrobenchConfig] = None,
     selectivities: Sequence[int] = DEFAULT_SELECTIVITIES,
     strategies: Sequence[str] = PAPER_SERIES,
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
     """Figure 11: µQ4 positional bitmaps. ``fixed_side`` is 'probe' or
@@ -274,7 +251,6 @@ def fig11(
         query_for,
         selectivities,
         strategies,
-        workers=workers,
         plan_cache=plan_cache,
     )
 
@@ -284,7 +260,6 @@ def fig12(
     config: Optional[mb.MicrobenchConfig] = None,
     selectivities: Sequence[int] = DEFAULT_SELECTIVITIES,
     strategies: Sequence[str] = PAPER_SERIES,
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> SweepResult:
     """Figure 12: µQ5 eager aggregation, |S| in {1K (12a), 1M (12b)} at
@@ -310,6 +285,5 @@ def fig12(
         mb.q5,
         selectivities,
         strategies,
-        workers=workers,
         plan_cache=plan_cache,
     )

@@ -58,7 +58,6 @@ class TpchReport:
 
     scale_factor: float
     rows: List[TpchRow] = field(default_factory=list)
-    workers: int = 1
     cache_stats: Dict[str, float] = field(default_factory=dict)
 
     def format_table(self) -> str:
@@ -67,10 +66,8 @@ class TpchReport:
             + " ".join(f"{name:>12s}" for name in FIG6_SERIES)
             + f" {'hy/dc':>7s} {'sw/hy':>7s} {'paper':>7s}"
         )
-        suffix = f", {self.workers} workers" if self.workers > 1 else ""
         lines = [
-            f"Fig 6: TPC-H (SF {self.scale_factor}, simulated "
-            f"seconds{suffix})",
+            f"Fig 6: TPC-H (SF {self.scale_factor}, simulated seconds)",
             header,
         ]
         for row in self.rows:
@@ -99,29 +96,24 @@ def run_fig6(
     queries: Optional[Sequence[str]] = None,
     strategies: Sequence[str] = FIG6_SERIES,
     db: Optional[Database] = None,
-    workers: int = 1,
     plan_cache: str = "warm",
 ) -> TpchReport:
     """Run the Figure 6 experiment and return the report.
 
-    With ``workers > 1`` the single-table scans (Q1, Q6) run
-    morsel-parallel and their seconds are the simulated critical path;
     ``plan_cache="cold"`` drops compiled plans between queries.
     """
     if db is None:
         db = load_dataset("tpch", config)
     machine = PAPER_MACHINE.scaled(config.machine_scale)
     # Figure 6 reports simulated seconds: instrumented backend only.
-    engine = Engine(
-        db, machine=machine, workers=workers, backend="instrumented"
-    )
-    report = TpchReport(scale_factor=config.scale_factor, workers=workers)
+    engine = Engine(db, machine=machine, backend="instrumented")
+    report = TpchReport(scale_factor=config.scale_factor)
     for name in queries or query_names():
         if plan_cache == "cold":
             engine.invalidate()
         plan = logical_plan(name)
         seconds = {
-            strategy: engine.execute(plan, strategy).metrics.parallel_seconds
+            strategy: engine.execute(plan, strategy).seconds
             for strategy in strategies
         }
         report.rows.append(TpchRow(query=name, seconds=seconds))

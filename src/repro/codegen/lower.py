@@ -470,41 +470,4 @@ def _lut_entries(db: Database, table: str, expr: Expr) -> int:
     return 0
 
 
-#: Final-pipeline ops safe to run over a row-range morsel: they only
-#: *read* shared build state (hash tables, bitmaps, carried columns) and
-#: slice FK-index offsets to their row range. Excluded on purpose:
-#: GroupJoinAgg and OuterGroupJoinAgg mutate the shared build hash
-#: table, IndexGather predates morsel state threading (Q14 stays serial,
-#: as seeded), and GroupDistribution/EagerAggregate are whole-table
-#: passes by construction.
-_SPLITTABLE_OPS = (
-    FilterStage,
-    ScalarAgg,
-    GroupAgg,
-    HashSemiProbe,
-    BitmapSemiProbe,
-    ExistsBitmapProbe,
-    HashJoinCarryProbe,
-    CarriedGather,
-    DisjunctIndexProbe,
-    DisjunctBitmapProbe,
-)
-
-
-def parallelizable(plan: PhysicalPlan) -> bool:
-    """Whether the plan's final pipeline is a partitionable scan.
-
-    Build pipelines (hash tables, bitmaps, carried columns) run once in
-    the executor's setup hook; the final pipeline splits into row-range
-    morsels when every op is splittable. Interpreted plans stay serial,
-    matching the Volcano baseline.
-    """
-    if plan.interpreted:
-        return False
-    return all(
-        isinstance(op, _SPLITTABLE_OPS)
-        for op in plan.pipelines[-1].ops
-    )
-
-
-__all__ = ["lower_plan", "parallelizable"]
+__all__ = ["lower_plan"]

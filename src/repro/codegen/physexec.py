@@ -89,7 +89,6 @@ class _Ctx:
         "selvec_charged",
         "already_read",
         "carried",
-        "lo",
         "loop_charged",
         "encoded",
         "decoded",
@@ -100,7 +99,6 @@ class _Ctx:
         view: Dict[str, np.ndarray],
         table: str,
         merged: bool,
-        lo: int = 0,
         encodings: tuple = (),
     ) -> None:
         self.view = view
@@ -117,9 +115,6 @@ class _Ctx:
         # Columns already materialized: decode is priced once per
         # pipeline, then the wide array is reused.
         self.decoded: set = set()
-        # Row offset of this view within the full table (nonzero for a
-        # morsel's row-range slice) — FK-index offsets are sliced to it.
-        self.lo = lo
         # The per-tuple loop overhead is charged once per pipeline, by
         # whichever op drives the scalar loop (branching filter or the
         # first full-stream hash probe).
@@ -178,9 +173,8 @@ def _indices(session: Session, ctx: _Ctx) -> np.ndarray:
 
 
 def _fk_offsets(db: Database, ctx: _Ctx, fk_column: str) -> np.ndarray:
-    """FK-index offsets for this view's row range (morsel-sliced)."""
-    offsets = db.fk_index(ctx.table, fk_column).offsets
-    return offsets[ctx.lo : ctx.lo + ctx.n]
+    """FK-index offsets of the scanned table's rows."""
+    return db.fk_index(ctx.table, fk_column).offsets
 
 
 def _base_cols(
@@ -921,7 +915,7 @@ def _op_exists_bitmap_probe(
         SeqRead(n=max(ctx.n // 8, 1), width=1, array="bitmap")
     )
     session.tracer.emit(Compute(n=ctx.n, op="and", simd=True, width=1))
-    bit = built["exists"][ctx.lo : ctx.lo + ctx.n]
+    bit = built["exists"]
     hits = ~bit if op.anti else bit
     session.tracer.emit(
         StatSample(
@@ -1231,8 +1225,7 @@ def run_pipeline(
     """Run one pipeline over ``view``; returns the terminal op's result
     (None for build pipelines)."""
     if len(pipe.ops) == 1 and isinstance(pipe.ops[0], EagerAggregate):
-        # The eager kernels manage their own kernel/overlap scopes (they
-        # are also the morsel-splittable parallel path).
+        # The eager kernels manage their own kernel/overlap scopes.
         return eager_aggregation.groupjoin_pipeline(
             session, db, pipe.ops[0]
         )
@@ -1258,35 +1251,6 @@ def run_pipeline(
         return _run_ops(session, db, pipe, state, ctx)
 
 
-def run_partial(
-    session: Session,
-    db: Database,
-    pipe: Pipeline,
-    view: Dict[str, np.ndarray],
-    state: Optional[Dict[str, Dict[str, Any]]] = None,
-    lo: int = 0,
-) -> Optional[Dict[str, Any]]:
-    """Run a partitionable pipeline over one morsel's row-range view.
-
-    The morsel driver supplies its own kernel scope per morsel, so only
-    the overlap window is opened here (mirroring the hand-coded
-    strategies' parallel bodies). ``state`` carries hash tables and
-    bitmaps built once in the setup phase; ``lo`` is the morsel's row
-    offset so FK-index slices line up with the view.
-    """
-    ctx = _Ctx(
-        view,
-        pipe.table,
-        merged=bool(pipe.merged),
-        lo=lo,
-        encodings=pipe.encodings,
-    )
-    with session.tracer.overlap():
-        return _run_ops(
-            session, db, pipe, state if state is not None else {}, ctx
-        )
-
-
 def execute_plan(
     plan: PhysicalPlan, db: Database, session: Session
 ) -> Dict[str, Any]:
@@ -1307,4 +1271,4 @@ def execute_plan(
     return result
 
 
-__all__ = ["execute_plan", "run_partial", "run_pipeline"]
+__all__ = ["execute_plan", "run_pipeline"]

@@ -80,15 +80,14 @@ from ..plan.physical import (
     SemiHashBuild,
 )
 from ..storage.database import Database
-from .lower import parallelizable
 from .npexec import RUNTIME_ENV, VectorizedProgram
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
 
 
 class VectorizeError(PlanError):
-    """A physical shape the vectorized backend cannot lower (the
-    caller falls back to the instrumented backend)."""
+    """A physical shape the vectorized backend cannot lower: a broken
+    planner invariant, since every physical op has a handler."""
 
 
 class _Env:
@@ -732,22 +731,44 @@ _HANDLERS = {
 }
 
 
-def splittable(physical: PhysicalPlan) -> bool:
-    """Whether the final pipeline's kernel may run over row ranges.
+#: Final-pipeline ops safe to run over a row-range morsel: they only
+#: *read* shared build state (hash tables, bitmaps, carried columns) and
+#: slice FK-index offsets to their row range. Excluded on purpose:
+#: GroupJoinAgg and OuterGroupJoinAgg mutate the shared build hash
+#: table, IndexGather predates morsel state threading (Q14 stays serial,
+#: as seeded), and GroupDistribution is a whole-table pass by
+#: construction (a lone EagerAggregate splits; see :func:`splittable`).
+_SPLITTABLE_OPS = (
+    FilterStage,
+    ScalarAgg,
+    GroupAgg,
+    HashSemiProbe,
+    BitmapSemiProbe,
+    ExistsBitmapProbe,
+    HashJoinCarryProbe,
+    CarriedGather,
+    DisjunctIndexProbe,
+    DisjunctBitmapProbe,
+)
 
-    On top of the morsel-splittable plans the vectorized kernels split
-    eager aggregation: partials are plain grouped dicts (no hash-table
-    state), and the victim-key cleanup runs once as the program's
-    finalize step.
+
+def splittable(physical: PhysicalPlan) -> bool:
+    """Whether the final pipeline's kernel may run over row ranges —
+    the one morsel predicate.
+
+    Build pipelines run once in the program's setup; the final pipeline
+    splits when every op is in :data:`_SPLITTABLE_OPS`, or when it is a
+    lone eager aggregation: partials are plain grouped dicts (no
+    hash-table state), and the victim-key cleanup runs once as the
+    program's finalize step. Interpreted plans stay serial, matching
+    the Volcano baseline.
     """
-    if parallelizable(physical):
-        return True
+    if physical.interpreted:
+        return False
     final_ops = physical.pipelines[-1].ops
-    return (
-        not physical.interpreted
-        and len(final_ops) == 1
-        and isinstance(final_ops[0], EagerAggregate)
-    )
+    if len(final_ops) == 1 and isinstance(final_ops[0], EagerAggregate):
+        return True
+    return all(isinstance(op, _SPLITTABLE_OPS) for op in final_ops)
 
 
 def compile_physical(

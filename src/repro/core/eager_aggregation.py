@@ -10,12 +10,7 @@ the access pattern.
 
 If the probe side has its own predicate, its keys are *key-masked* into
 the throwaway entry, composing §III-B with §III-E.
-
-The pipeline splits into :func:`eager_partial` (the unconditional
-aggregation, runnable over one morsel of the probe table) and
-:func:`cleanup_merged` (the build-side deletion scan applied to the
-merged partial states) so the morsel executor can parallelise step 1;
-:func:`groupjoin_pipeline` chains them over the full table.
+:func:`groupjoin_pipeline` prices both scans as one serial pass.
 """
 
 from __future__ import annotations
@@ -41,19 +36,23 @@ from ..plan.physical import EagerAggregate
 from ..storage.database import Database
 
 
-def eager_partial(
+def groupjoin_pipeline(
     session: Session,
     db: Database,
     op: EagerAggregate,
-    view: Dict[str, np.ndarray],
 ) -> Dict[str, Any]:
-    """Unconditional aggregation of (a morsel of) the probe table.
+    """Groupjoin rewritten as eager aggregation + cleanup deletions.
 
-    Returns the raw hash-table state — every key including the
-    ``NULL_KEY`` throwaway, with the trailing count column — so partial
-    states merge additively before :func:`cleanup_merged`.
+    Step 1 aggregates the whole probe table unconditionally, keeping
+    the ``NULL_KEY`` throwaway and a trailing count column; step 2 scans
+    the build table, deletes the keys whose build row fails the build
+    predicate, drops the throwaway entry and groups that saw no
+    unmasked tuple, and strips the count column.
     """
+    view = db.data(op.table)
     n = table_rows(view)
+    num_aggs = len(op.aggregates) + 1
+    build_rows = db.table(op.build_table).num_rows
     with session.tracer.kernel(f"eager aggregate {op.table}"), \
             session.tracer.overlap():
         emit_seq_reads(session, view, [op.fk_column])
@@ -61,8 +60,6 @@ def eager_partial(
         if op.probe_conjuncts:
             mask = prepass_predicate(session, view, op.probe_conjuncts)
             keys = K.mask_keys(session, keys, mask, op.fk_column)
-        build_rows = db.table(op.build_table).num_rows
-        num_aggs = len(op.aggregates) + 1
         table = HashTable(expected_keys=build_rows + 1, num_aggs=num_aggs)
         cols = agg_exprs_columns(op.aggregates)
         emit_seq_reads(session, view, cols)
@@ -89,30 +86,13 @@ def eager_partial(
             np.ones(n, dtype=np.int64),
         )
     result_keys, aggs = table.items()
-    return {"keys": result_keys, "aggs": aggs}
-
-
-def cleanup_merged(
-    session: Session,
-    db: Database,
-    op: EagerAggregate,
-    merged: Dict[str, Any],
-) -> Dict[str, Any]:
-    """Build-side cleanup scan over a merged eager-aggregation state.
-
-    Deletes the keys whose build row fails the build predicate, drops the
-    throwaway entry and groups that saw no unmasked tuple, and strips the
-    bookkeeping count column.
-    """
-    num_aggs = len(op.aggregates) + 1
-    result_keys = np.asarray(merged["keys"], dtype=np.int64)
-    aggs = np.atleast_2d(np.asarray(merged["aggs"]))
+    result_keys = np.asarray(result_keys, dtype=np.int64)
+    aggs = np.atleast_2d(np.asarray(aggs))
     if result_keys.size == 0:
         aggs = aggs.reshape(0, num_aggs)
 
     build_data = db.data(op.build_table)
     bn = table_rows(build_data)
-    build_rows = db.table(op.build_table).num_rows
     with session.tracer.kernel(f"cleanup scan {op.build_table}"), \
             session.tracer.overlap():
         if op.build_conjuncts:
@@ -150,14 +130,3 @@ def cleanup_merged(
     return grouped_result(
         result_keys[keep], aggs[keep, : len(op.aggregates)]
     )
-
-
-def groupjoin_pipeline(
-    session: Session,
-    db: Database,
-    op: EagerAggregate,
-) -> Dict[str, Any]:
-    """Groupjoin rewritten as eager aggregation + cleanup deletions."""
-    data = db.data(op.table)
-    merged = eager_partial(session, db, op, data)
-    return cleanup_merged(session, db, op, merged)

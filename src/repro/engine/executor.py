@@ -7,18 +7,14 @@ kernels release the GIL in the hot loops, so scan morsels genuinely
 overlap on multicore hosts, and a plan whose ``partial`` is remote
 (:func:`repro.engine.shard.remote_plan`) runs its morsels in shard
 worker processes while the same threads wait on their pipes.
-Everything around the pool — fan-out floor, setup/finalize costing, the
-deterministic merge (:func:`repro.engine.program.merge_partials`), the
-simulated schedule and the run metrics — happens here, once, so a
-4-worker or 4-shard run is bit-identical to a serial run and measured
-the same way.
+Everything around the pool — fan-out floor, setup and finalize, the
+deterministic merge (:func:`repro.engine.program.merge_partials`) and
+the run metrics — happens here, once, so a 4-worker or 4-shard run
+gives the same answer as a serial run and is measured the same way.
 
-Costing extends to parallel time: each morsel's simulated cycles are
-measured on its own tracer, then scheduled greedily onto the simulated
-machine's cores (:func:`repro.engine.metrics.greedy_schedule`). The
-schedule — not real thread timing — defines the run's critical path, so
-simulated parallel seconds are reproducible on any host, including
-single-core CI runners.
+Only vectorized programs declare a parallel plan, and their kernels
+emit no priced events: simulated cycles come from the instrumented
+backend's one serial pass, and parallel time is wall time.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from ..errors import ExecutionError
 from ..obs import MetricsRegistry, span
 from .cancellation import CancelToken
 from .costing import CostReport
-from .metrics import RunMetrics, event_counts, greedy_schedule, merge_reports
+from .metrics import RunMetrics, WorkerStats, event_counts
 from .pool import MorselBatch, WorkerPool
 from .program import CompiledQuery, QueryResult, merge_partials
 from .session import Session
@@ -41,7 +37,7 @@ from .session import Session
 MIN_MORSEL_ROWS = 4096
 
 #: Target morsels per worker when the session does not pin a size —
-#: enough slack for the greedy schedule to balance skewed morsels.
+#: enough slack for the shared cursor to balance skewed morsels.
 MORSELS_PER_WORKER = 8
 
 
@@ -101,7 +97,7 @@ class MorselExecutor:
         cancel: Optional[CancelToken] = None,
     ) -> QueryResult:
         if session is None:
-            session = Session(workers=self.workers)
+            session = Session()
         plan = compiled.parallel
         label = f"{compiled.strategy}:{compiled.name}"
         if cancel is not None:
@@ -142,7 +138,6 @@ class MorselExecutor:
                 parallel=False,
                 machine=session.machine,
                 total_cycles=result.report.total_cycles,
-                critical_path_cycles=result.report.total_cycles,
                 event_counts=event_counts(result.report),
             )
             return result
@@ -165,51 +160,22 @@ class MorselExecutor:
         started: float,
         cancel: Optional[CancelToken] = None,
     ) -> QueryResult:
-        session.reset()
-
-        serial_reports: List[CostReport] = []
-        ctx = None
-        if plan.setup is not None:
-            setup_session = session.clone()
-            with setup_session.tracer.kernel(f"{label}:setup"):
-                ctx = plan.setup(setup_session)
-            serial_reports.append(setup_session.tracer.report)
-
+        ctx = plan.setup() if plan.setup is not None else None
         morsel_rows = pick_morsel_rows(
             plan.n_rows, self.workers, session.knobs.morsel_rows
         )
         morsels = split_morsels(plan.n_rows, morsel_rows)
         with self._span("morsel_execute"):
-            values, morsel_reports, wall_by_worker = self.pool.run_batch(
-                MorselBatch(
-                    session, plan, ctx, morsels, label, self.workers, cancel
-                )
+            values, wall_by_worker = self.pool.run_batch(
+                MorselBatch(plan, ctx, morsels, label, self.workers, cancel)
             )
 
         with self._span("merge"):
             merged = merge_partials(values)
             if plan.finalize is not None:
-                final_session = session.clone()
-                with final_session.tracer.kernel(f"{label}:finalize"):
-                    merged = plan.finalize(final_session, merged, ctx)
-                serial_reports.append(final_session.tracer.report)
+                merged = plan.finalize(merged, ctx)
 
-        report = merge_reports(
-            session.machine, serial_reports + morsel_reports
-        )
-        serial_cycles = sum(r.total_cycles for r in serial_reports)
-        worker_stats, assignment = greedy_schedule(
-            [r.total_cycles for r in morsel_reports], self.workers
-        )
-        for morsel_report, worker_id in zip(morsel_reports, assignment):
-            kernels = worker_stats[worker_id].by_kernel
-            for kernel, cycles in morsel_report.by_kernel.items():
-                kernels[kernel] = kernels.get(kernel, 0.0) + cycles
-        for stats in worker_stats:
-            stats.wall_seconds = wall_by_worker.get(stats.worker_id, 0.0)
-        critical = serial_cycles + max(
-            (s.sim_cycles for s in worker_stats), default=0.0
-        )
+        report = CostReport(machine=session.machine)
         report.metrics = RunMetrics(
             wall_seconds=time.perf_counter() - started,
             workers=self.workers,
@@ -219,10 +185,9 @@ class MorselExecutor:
             parallel=True,
             sharded=plan.sharded,
             machine=session.machine,
-            total_cycles=report.total_cycles,
-            critical_path_cycles=critical,
-            serial_cycles=serial_cycles,
-            event_counts=event_counts(report),
-            worker_stats=worker_stats,
+            worker_stats=[
+                WorkerStats(worker_id, wall_by_worker.get(worker_id, 0.0))
+                for worker_id in range(self.workers)
+            ],
         )
         return QueryResult(value=merged, report=report)

@@ -65,10 +65,9 @@ class Engine:
         Default worker-thread count for partitionable programs. Morsels
         run on a persistent :class:`~repro.engine.pool.WorkerPool` the
         engine owns: threads start lazily on the first parallel query
-        and are reused across queries.
-    tile:
-        Vector/tile size threaded into sessions (it sizes run-time
-        intermediates; no compilation depends on it).
+        and are reused across queries. Only vectorized programs fan
+        out; an instrumented run is one serial pass whatever the
+        count.
     plan_cache_size:
         LRU capacity of the compiled-program cache.
     knobs:
@@ -120,8 +119,8 @@ class Engine:
         each morsel's kernel runs in one of ``shards`` pre-forked
         workers mapping the same on-disk columns by dataset
         fingerprint, while the pool's threads wait on their pipes —
-        same cursor, merge, schedule and metrics — so sharded results
-        stay byte-identical to serial. Requires a database loaded
+        same cursor, merge and metrics — so sharded results stay
+        byte-identical to serial. Requires a database loaded
         through the dataset cache (it carries the fingerprint workers
         map by); raises :class:`~repro.errors.ReproError` otherwise.
         Workers fork lazily on the first sharded query — call
@@ -134,13 +133,16 @@ class Engine:
     that are never explicitly closed. :meth:`shutdown` is idempotent.
     """
 
+    #: The paper's 1024-row vector size. No compilation depends on it:
+    #: :func:`~repro.engine.plan_cache.plan_key` takes and ignores it.
+    tile = 1024
+
     def __init__(
         self,
         db,
         *,
         machine: MachineModel = PAPER_MACHINE,
         workers: int = 1,
-        tile: int = 1024,
         plan_cache_size: int = 64,
         knobs: Optional[ExecutionKnobs] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -162,7 +164,6 @@ class Engine:
         self.db = db
         self.machine = machine
         self.workers = workers
-        self.tile = tile
         self.encoding = encoding
         self.knobs = replace(knobs) if knobs is not None else ExecutionKnobs()
         self.backend = self._resolve_backend(
@@ -235,7 +236,6 @@ class Engine:
                     shards,
                     self.db,
                     machine=self.machine,
-                    tile=self.tile,
                     registry=self.registry,
                 )
                 self.registry.register_source("shards", group.snapshot)
@@ -251,7 +251,7 @@ class Engine:
 
     # -- sessions --------------------------------------------------------
 
-    def session(self, *, workers: Optional[int] = None) -> Session:
+    def session(self) -> Session:
         """A fresh session configured like this engine.
 
         An adaptive engine whose feedback store has measured this
@@ -264,12 +264,7 @@ class Engine:
             measured = self.adaptive.min_parallel_rows()
             if measured is not None:
                 knobs.min_parallel_rows = measured
-        return Session(
-            machine=self.machine,
-            tile=self.tile,
-            workers=workers if workers is not None else self.workers,
-            knobs=knobs,
-        )
+        return Session(machine=self.machine, knobs=knobs)
 
     # -- compilation -----------------------------------------------------
 
@@ -351,9 +346,6 @@ class Engine:
             compiled.notes["explain"], "", "== Backend ==",
             compiled.notes["backend"],
         ]
-        fallback = compiled.notes.get("backend_fallback")
-        if fallback:
-            lines.append(f"(fallback from vectorized: {fallback})")
         # ``== Feedback ==``: estimated vs observed cycles and
         # selectivity, the measured-best arm, and any active override.
         # Empty until the adaptive loop has observed the fingerprint,
@@ -383,17 +375,18 @@ class Engine:
     ) -> QueryResult:
         """Compile (or fetch from the plan cache) and run ``query``.
 
-        Partitionable programs run morsel-parallel on ``workers``
-        threads (default: the engine's worker count); results are
-        bit-identical to a serial run. The returned result carries
+        Partitionable (vectorized) programs run morsel-parallel on
+        ``workers`` threads (default: the engine's worker count);
+        answers are byte-identical to a serial run. The returned result
+        carries
         :class:`~repro.engine.metrics.RunMetrics` on ``report.metrics``,
         including whether the plan came from the cache.
 
         ``shards`` overrides the engine's default shard-process count
         for this call (``0`` forces in-process execution). When the
         effective count is ``>= 1``, each morsel's kernel runs in a
-        shard worker process instead of on its pool thread; results and
-        measurements are identical either way.
+        shard worker process instead of on its pool thread; answers are
+        identical either way.
 
         ``deadline`` gives the run a relative budget in seconds;
         ``cancel`` threads an existing
@@ -427,10 +420,10 @@ class Engine:
         compiled, was_hit = self._compile_cached(query, spec)
         n_workers = workers if workers is not None else self.workers
         if session is None:
-            session = self.session(workers=n_workers)
+            session = self.session()
         # Threads or processes is only where a morsel's kernel runs;
-        # one pool drains the cursor, and the executor scatters, merges,
-        # schedules and measures either way.
+        # one pool drains the cursor, and the executor scatters, merges
+        # and measures either way.
         program, lanes = compiled, n_workers
         if n_shards >= 1:
             group = self._ensure_shard_group(n_shards)
@@ -441,17 +434,14 @@ class Engine:
         ).execute(program, session, cancel=cancel)
         metrics = result.report.metrics
         metrics.plan_cache = "hit" if was_hit else "miss"
-        # Label telemetry by the backend the program actually runs on
-        # (a vectorized request can fall back to instrumented).
-        effective = compiled.notes.get("backend", "instrumented")
-        self._record_run(fingerprint, resolved, effective, metrics)
+        self._record_run(fingerprint, resolved, spec.backend, metrics)
         if self.adaptive is not None:
             from ..adaptive import observation_from_run
 
             self.adaptive.observe(
                 fingerprint,
                 resolved,
-                effective,
+                spec.backend,
                 observation_from_run(result.report, metrics),
                 estimated_stats=compiled.notes.get("estimated_stats"),
             )

@@ -72,11 +72,10 @@ def seq_write(
 ) -> np.ndarray:
     """Account a sequential write of ``values`` (e.g. a masked key array).
 
-    ``resident`` marks tile-sized intermediates that stay in cache.
+    ``resident`` marks a tile-sized intermediate that stays in cache:
+    one 1024-row tile, the paper's vector size (Menon et al.).
     """
-    array_bytes = (
-        session.intermediate_bytes(_width(values)) if resident else 0
-    )
+    array_bytes = 1024 * _width(values) if resident else 0
     session.tracer.emit(
         SeqWrite(
             n=values.shape[0],

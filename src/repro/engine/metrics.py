@@ -2,21 +2,16 @@
 
 The simulator substrate prices *work* (event cycles); this module adds
 the run-level bookkeeping a serving engine needs: real wall time, morsel
-and worker accounting, cache-simulator event counts, and the *parallel*
-simulated time — the critical path through a deterministic greedy
-schedule of morsel costs onto the simulated machine's cores.
-
-The schedule is computed from per-morsel simulated cycles rather than
-from real thread timings, so parallel simulated seconds are bit-stable
-across runs regardless of how the host OS interleaved the worker
-threads.
+and worker accounting and cache-simulator event counts. Simulated
+cycles come from one serial pass (the instrumented backend never fans
+out), so a run has one set of them; parallel time is measured on the
+wall clock only.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .costing import CostReport
 from .machine import MachineModel
@@ -24,13 +19,10 @@ from .machine import MachineModel
 
 @dataclass
 class WorkerStats:
-    """What one (simulated) worker executed during a parallel run."""
+    """Real busy time of one pool worker during a parallel run."""
 
     worker_id: int
-    morsels: int = 0
-    sim_cycles: float = 0.0
     wall_seconds: float = 0.0
-    by_kernel: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -56,14 +48,8 @@ class RunMetrics:
     #: True when the morsels ran on shard worker *processes*
     #: (:mod:`repro.engine.shard`); ``workers`` then counts shards.
     sharded: bool = False
-    #: Total simulated work (sum over all workers/morsels), in cycles.
+    #: Simulated work of the run's one serial pass, in cycles.
     total_cycles: float = 0.0
-    #: Critical-path simulated cycles: serial setup/finalize plus the
-    #: longest simulated worker after greedy morsel scheduling.
-    critical_path_cycles: float = 0.0
-    #: The non-partitionable portion of the critical path (setup and
-    #: finalize phases); 0 for pure scans and serial runs.
-    serial_cycles: float = 0.0
     #: Cache-simulator event counts by event kind (SeqRead, CondRead...).
     event_counts: Dict[str, int] = field(default_factory=dict)
     worker_stats: List[WorkerStats] = field(default_factory=list)
@@ -79,21 +65,9 @@ class RunMetrics:
     service_seconds: float = 0.0
 
     @property
-    def parallel_seconds(self) -> float:
-        """Simulated wall time of the parallel schedule."""
-        return self.machine.cycles_to_seconds(self.critical_path_cycles)
-
-    @property
     def total_seconds(self) -> float:
-        """Simulated time of the same work run serially."""
+        """Simulated time of the run's work."""
         return self.machine.cycles_to_seconds(self.total_cycles)
-
-    @property
-    def speedup(self) -> float:
-        """Simulated speedup of the schedule over serial execution."""
-        if self.critical_path_cycles <= 0:
-            return 1.0
-        return self.total_cycles / self.critical_path_cycles
 
     def describe(self) -> str:
         shape = (
@@ -107,9 +81,7 @@ class RunMetrics:
         )
         lines = [
             f"run: {shape}, wall {self.wall_seconds * 1e3:.1f} ms",
-            f"simulated: {self.total_seconds:.4f} s total work, "
-            f"{self.parallel_seconds:.4f} s critical path "
-            f"({self.speedup:.2f}x)",
+            f"simulated: {self.total_seconds:.4f} s",
         ]
         if self.plan_cache is not None:
             lines.append(f"plan cache: {self.plan_cache}")
@@ -134,51 +106,3 @@ def event_counts(report: CostReport) -> Dict[str, int]:
         kind = type(event).__name__
         counts[kind] = counts.get(kind, 0) + 1
     return counts
-
-
-def merge_reports(
-    machine: MachineModel, reports: Sequence[CostReport]
-) -> CostReport:
-    """Sum several per-worker/per-morsel reports into one.
-
-    Merges the per-report aggregates (already summed once, at emit
-    time) instead of re-adding every event — this runs once per query
-    on the serving path, and per-event re-aggregation dominated short
-    queries.
-    """
-    merged = CostReport(machine=machine)
-    by_kernel = merged.by_kernel
-    by_kind = merged.by_kind
-    total = 0.0
-    for report in reports:
-        total += report.total_cycles
-        for kernel, cycles in report.by_kernel.items():
-            by_kernel[kernel] = by_kernel.get(kernel, 0.0) + cycles
-        for kind, cycles in report.by_kind.items():
-            by_kind[kind] = by_kind.get(kind, 0.0) + cycles
-        merged.events.extend(report.events)
-    merged.total_cycles = total
-    return merged
-
-
-def greedy_schedule(
-    morsel_cycles: Sequence[float], workers: int
-) -> Tuple[List[WorkerStats], List[int]]:
-    """Deterministically assign morsel costs to simulated workers.
-
-    Morsels are dispatched in order to the least-loaded worker — the
-    steady state a work-stealing morsel dispatcher converges to — so the
-    simulated critical path does not depend on real thread interleaving.
-    Returns the per-worker stats and the worker id chosen per morsel.
-    """
-    stats = [WorkerStats(worker_id=i) for i in range(max(workers, 1))]
-    heap = [(0.0, i) for i in range(len(stats))]
-    heapq.heapify(heap)
-    assignment: List[int] = []
-    for cycles in morsel_cycles:
-        load, i = heapq.heappop(heap)
-        stats[i].morsels += 1
-        stats[i].sim_cycles += cycles
-        assignment.append(i)
-        heapq.heappush(heap, (load + cycles, i))
-    return stats, assignment

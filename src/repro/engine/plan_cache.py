@@ -90,8 +90,8 @@ class CompileSpec(NamedTuple):
     strategy:
         The resolved strategy — never ``"auto"``.
     backend:
-        The backend as *requested* (``notes["backend"]`` is the one the
-        program runs on, after any fallback).
+        The execution backend, ``"instrumented"`` or ``"vectorized"``
+        (also ``notes["backend"]``).
     machine:
         The machine model the passes price against. Not on the wire: a
         shard worker supplies the one it was initialised with.

@@ -9,11 +9,8 @@ way the plan cache amortizes compilation:
 
 * worker threads start lazily on the first parallel batch and then
   block on a condition variable until the next batch arrives;
-* each worker keeps one reusable :class:`~repro.engine.session.Session`
-  clone across batches — between morsels only its tracer is *reset in
-  place* (fresh report, same tracer/accountant objects) and its knobs
-  are re-synced from the submitting session so per-program toggles
-  (e.g. ``ht_prefetch``) never leak;
+* a worker carries no per-query state: a morsel is a plain
+  ``partial(ctx, lo, hi)`` call, priced by no tracer;
 * a batch carries a cooperative cancel flag: the first morsel failure
   stops the remaining workers from pulling further morsels instead of
   letting them drain the cursor;
@@ -21,10 +18,9 @@ way the plan cache amortizes compilation:
   lazily-registered ``atexit`` hook tears the threads down at
   interpreter exit.
 
-Determinism is unaffected by pooling: partial values and per-morsel
-cost reports are stored by morsel *index*, and the simulated schedule
-is computed from those reports — never from real thread timing — so a
-pooled run is bit-identical to a serial run.
+Determinism is unaffected by pooling: partial values are stored by
+morsel *index* and merged in that order, never in thread-timing order,
+so a pooled run gives the same answer as a serial run.
 
 :class:`MorselBatch` is the only morsel cursor there is: claim order,
 deadline/cancel stop and lowest-index failure are decided here for
@@ -39,21 +35,18 @@ from __future__ import annotations
 import atexit
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError
 from .cancellation import CancelToken
-from .costing import CostReport
-from .session import Session
 
 
 class MorselBatch:
     """One parallel run: a shared morsel cursor plus its result slots.
 
-    Workers call :meth:`drain` with their own session; morsel indices
-    are claimed under the batch lock, values and cost reports land in
-    index-addressed slots (order never depends on thread timing), and
+    Workers call :meth:`drain`; morsel indices are claimed under the
+    batch lock, values land in index-addressed slots (order never
+    depends on thread timing), and
     the first failure flips :attr:`cancelled` so other workers stop
     claiming work.
 
@@ -68,7 +61,6 @@ class MorselBatch:
 
     def __init__(
         self,
-        template: Session,
         plan,
         ctx: Any,
         morsels: List[Tuple[int, int]],
@@ -78,7 +70,6 @@ class MorselBatch:
     ) -> None:
         if not morsels:
             raise ExecutionError("a morsel batch needs at least one morsel")
-        self.template = template
         self.plan = plan
         self.ctx = ctx
         self.morsels = morsels
@@ -88,7 +79,6 @@ class MorselBatch:
         self.workers = workers
         self.cancel = cancel
         self.values: List[Optional[Dict[str, Any]]] = [None] * len(morsels)
-        self.reports: List[Optional[CostReport]] = [None] * len(morsels)
         self.wall_by_worker: Dict[int, float] = {}
         self.errors: List[Tuple[int, BaseException]] = []
         self.cancelled = False
@@ -135,9 +125,9 @@ class MorselBatch:
 
     # -- running ---------------------------------------------------------
 
-    def drain(self, session: Session, worker_id: int) -> None:
-        """Run morsels on ``session`` until the cursor is exhausted or
-        the batch is cancelled. Records per-worker busy seconds."""
+    def drain(self, worker_id: int) -> None:
+        """Run morsels until the cursor is exhausted or the batch is
+        cancelled. Records per-worker busy seconds."""
         busy = 0.0
         while True:
             index = self._claim()
@@ -145,21 +135,11 @@ class MorselBatch:
                 break
             begin = time.perf_counter()
             lo, hi = self.morsels[index]
-            # Re-sync knobs from the template so toggles a program made
-            # on this worker's session during the previous morsel (e.g.
-            # ht_prefetch) never leak into the next one; reset the
-            # tracer in place rather than reallocating it.
-            session.knobs = replace(self.template.knobs)
-            session.reset()
             failed = None
             try:
-                with session.tracer.kernel(f"{self.label}:morsel"):
-                    value = self.plan.partial(session, self.ctx, lo, hi)
+                self.values[index] = self.plan.partial(self.ctx, lo, hi)
             except BaseException as exc:  # re-raised by raise_failure()
                 failed = (index, exc)
-            else:
-                self.values[index] = value
-                self.reports[index] = session.tracer.report
             busy += time.perf_counter() - begin
             self._finish(failed)
             if failed is not None:
@@ -187,14 +167,12 @@ class MorselBatch:
             f"{exc!r}"
         ) from exc
 
-    def result(
-        self,
-    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
-        """Completed values/reports in morsel order, plus wall times."""
+    def result(self) -> Tuple[List[Dict[str, Any]], Dict[int, float]]:
+        """Completed values in morsel order, plus busy seconds per
+        worker."""
         self.raise_failure()
         return (
             [v for v in self.values if v is not None],
-            [r for r in self.reports if r is not None],
             dict(self.wall_by_worker),
         )
 
@@ -292,10 +270,9 @@ class WorkerPool:
 
     def run_batch(
         self, batch: MorselBatch
-    ) -> Tuple[List[Dict[str, Any]], List[CostReport], Dict[int, float]]:
+    ) -> Tuple[List[Dict[str, Any]], Dict[int, float]]:
         """Drain ``batch`` on the pool's threads and return its
-        morsel-ordered values, cost reports and busy seconds per
-        worker."""
+        morsel-ordered values and busy seconds per worker."""
         self.ensure_started(batch.workers)
         with self._submit_lock:
             begin = time.perf_counter()
@@ -340,7 +317,6 @@ class WorkerPool:
     # -- workers ---------------------------------------------------------
 
     def _worker_loop(self, worker_id: int) -> None:
-        session: Optional[Session] = None
         while True:
             with self._cond:
                 while not self._closed and not self._has_work(worker_id):
@@ -348,8 +324,7 @@ class WorkerPool:
                 if self._closed:
                     return
                 batch = self._batch
-            session = self._session_for(session, batch.template)
-            batch.drain(session, worker_id)
+            batch.drain(worker_id)
 
     def _has_work(self, worker_id: int) -> bool:
         batch = self._batch
@@ -358,16 +333,3 @@ class WorkerPool:
             and worker_id < batch.workers
             and batch.claimable()
         )
-
-    @staticmethod
-    def _session_for(cached: Optional[Session], template: Session) -> Session:
-        """Reuse the worker's session when its configuration still
-        matches; knobs are re-synced per morsel by the batch."""
-        if (
-            cached is not None
-            and cached.machine == template.machine
-            and cached.tile == template.tile
-        ):
-            return cached
-        return template.clone()
-

@@ -6,11 +6,12 @@ shown by the examples and compared against the paper's Figures 1/3/4/5)
 plus an executable kernel composition. Running the program produces both
 the real query answer and the simulated-cost report.
 
-Strategies whose pipelines can scan the base table in independent
-row ranges additionally declare a :class:`ParallelPlan`, which the
-morsel executor (:mod:`repro.engine.executor`) uses to fan the scan out
-across worker threads (or, through them, shard worker processes) and
-merge the partial states back together.
+Vectorized programs whose final pipeline can scan the base table in
+independent row ranges additionally declare a :class:`ParallelPlan`,
+which the morsel executor (:mod:`repro.engine.executor`) uses to fan
+the scan out across worker threads (or, through them, shard worker
+processes) and merge the partial states back together. Instrumented
+programs declare none: the paper's clock is one serial pass.
 """
 
 from __future__ import annotations
@@ -23,21 +24,22 @@ import numpy as np
 from .costing import CostReport
 from .session import Session
 
-#: Runs one morsel: ``partial(session, ctx, lo, hi) -> partial value``.
-PartialFn = Callable[[Session, Any, int, int], Dict[str, Any]]
+#: Runs one morsel: ``partial(ctx, lo, hi) -> partial value``.
+PartialFn = Callable[[Any, int, int], Dict[str, Any]]
 
 
 @dataclass
 class ParallelPlan:
-    """A strategy's declaration that its pipeline is partitionable.
+    """A program's declaration that its final pipeline is partitionable.
 
     The executor splits ``[0, n_rows)`` of the scan table into morsels,
     runs ``partial`` per morsel on worker threads (NumPy releases the
-    GIL in the hot kernels), and merges the partial values. ``setup``
+    GIL in the hot kernels), and merges the partial values. ``setup()``
     runs once before the fan-out (hash-table builds, bitmap builds) and
     its result is passed to every ``partial`` as read-only shared state;
-    ``finalize`` runs once on the merged value (e.g. eager aggregation's
-    cleanup scan).
+    ``finalize(merged, ctx)`` runs once on the merged value (e.g. eager
+    aggregation's cleanup). None of them takes a session: morsels are
+    priced by no tracer.
 
     ``min_parallel_rows`` (0 = the executor's default) lets a backend
     raise the scan size below which fanning out is a loss: the
@@ -53,9 +55,9 @@ class ParallelPlan:
     table: str
     n_rows: int
     partial: PartialFn
-    setup: Optional[Callable[[Session], Any]] = None
+    setup: Optional[Callable[[], Any]] = None
     finalize: Optional[
-        Callable[[Session, Dict[str, Any], Any], Dict[str, Any]]
+        Callable[[Dict[str, Any], Any], Dict[str, Any]]
     ] = None
     min_parallel_rows: int = 0
     sharded: bool = False

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .costing import Tracer
 from .machine import PAPER_MACHINE, MachineModel
@@ -24,11 +24,11 @@ class ExecutionKnobs:
         Scan length below which partitionable programs run serial
         anyway (the thread fan-out floor). ``None`` defers to the
         compiled program's own declared floor (the vectorized backend
-        declares ``VECTORIZED_MIN_PARALLEL_ROWS``; the instrumented one
-        declares no floor). Set explicitly — or let an adaptive engine
-        seed it from the feedback store's measured serial-vs-parallel
-        crossover — to override the built-in constant per host. A
-        pinned ``morsel_rows`` disables the floor entirely, as before.
+        declares ``VECTORIZED_MIN_PARALLEL_ROWS``). Set explicitly — or
+        let an adaptive engine seed it from the feedback store's
+        measured serial-vs-parallel crossover — to override the
+        built-in constant per host. A pinned ``morsel_rows`` disables
+        the floor entirely, as before.
     """
 
     ht_prefetch: bool = False
@@ -47,12 +47,6 @@ class Session:
         The simulated machine (defaults to the paper's Xeon). Use
         ``machine.scaled(f)`` when the data was shrunk by ``f`` relative
         to the paper's scale.
-    tile:
-        Vector/tile size for strategies that stage intermediates. The
-        paper uses 1024, following Menon et al. and Kersten et al.
-    workers:
-        Worker threads the morsel executor may use for programs that
-        declare a partitionable pipeline (1 = serial execution).
     knobs:
         Execution switches (:class:`ExecutionKnobs`); a fresh default
         instance when omitted.
@@ -62,13 +56,9 @@ class Session:
         self,
         *,
         machine: MachineModel = PAPER_MACHINE,
-        tile: int = 1024,
-        workers: int = 1,
         knobs: ExecutionKnobs | None = None,
     ) -> None:
         self.machine = machine
-        self.tile = tile
-        self.workers = workers
         self.knobs = knobs if knobs is not None else ExecutionKnobs()
         self.tracer = Tracer(machine)
 
@@ -76,26 +66,7 @@ class Session:
         """Discard accumulated cost state; returns self.
 
         The tracer is reset *in place* (fresh report, same tracer and
-        accountant objects) so pooled workers can reuse one session
-        across many morsels without per-morsel allocation.
+        accountant objects), so one session serves many runs.
         """
         self.tracer.reset()
         return self
-
-    def clone(self) -> "Session":
-        """An independent session with the same configuration.
-
-        Used by the morsel executor to give each worker its own tracer;
-        knobs are copied so per-program toggles never leak across
-        workers.
-        """
-        return Session(
-            machine=self.machine,
-            tile=self.tile,
-            workers=1,
-            knobs=replace(self.knobs),
-        )
-
-    def intermediate_bytes(self, width: int) -> int:
-        """Footprint of a tile-sized intermediate array (cache resident)."""
-        return self.tile * width

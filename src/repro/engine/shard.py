@@ -18,8 +18,8 @@ thread run (its threads only wait on pipes here), under the same
 :class:`~repro.engine.executor.MorselExecutor`:
 
 * each morsel becomes one **task** on the pickle-free line-JSON
-  protocol — plan envelope + compile-spec wire form + row range +
-  run-time knobs, never data, never pickled code;
+  protocol — plan envelope + compile-spec wire form + row range, never
+  data, never pickled code;
 * workers compile the plan themselves (codegen is deterministic — the
   CI matrix pins golden sources across processes), run the program's
   ``partial`` over their row range, and ship the raw partial state
@@ -39,11 +39,9 @@ never retried — it fails the batch like any raising partial), and
 ``stop()`` drains gracefully — ``shutdown`` op, stdin close, then
 SIGTERM, then SIGKILL.
 
-Measurement is not forked either: a reply carries the morsel's
-:class:`~repro.engine.costing.CostReport` — its priced event stream —
-which the remote partial replays into the pool thread's own tracer, so
-a sharded run's report is the same object a thread run builds, and
-:func:`repro.adaptive.feedback.observation_from_run` reads both.
+A reply carries the partial only. Only vectorized programs fan out,
+and their kernels price nothing, so there is no cost report to ship:
+the paper's clock is the instrumented backend's serial pass.
 """
 
 from __future__ import annotations
@@ -59,15 +57,13 @@ from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
 from queue import SimpleQueue
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionError, ReproError
 from ..obs import MetricsRegistry, observe_span
 from ..plan.serde import plan_to_wire
-from . import events as event_types
-from .costing import CostReport
 from .machine import MachineModel
 from .program import CompiledQuery
 
@@ -142,37 +138,6 @@ def decode_partial(wire: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-# -- cost-report codec ---------------------------------------------------
-#
-# A report accumulates only through ``CostReport.add``, so its priced
-# event stream *is* the report: events are flat frozen dataclasses of
-# ints/floats/strs/bools and JSON floats round-trip exactly, so
-# replaying the stream through ``add`` on the parent rebuilds
-# ``total_cycles`` / ``by_kernel`` / ``by_kind`` bit for bit.
-
-
-def report_to_wire(report: CostReport) -> List[list]:
-    """A morsel's cost report as ``[kernel, kind, *field values,
-    cycles]`` rows in dataclass field order (empty on the vectorized
-    backend, which emits no events)."""
-    return [
-        [kernel, type(event).__name__, *event.__dict__.values(), cycles]
-        for kernel, event, cycles in report.events
-    ]
-
-
-def _replay(report: CostReport, wire: List[list]) -> CostReport:
-    """Add :func:`report_to_wire` rows to ``report``, in order."""
-    for kernel, kind, *fields, cycles in wire:
-        report.add(kernel, getattr(event_types, kind)(*fields), cycles)
-    return report
-
-
-def report_from_wire(machine: MachineModel, wire: List[list]) -> CostReport:
-    """Inverse of :func:`report_to_wire`."""
-    return _replay(CostReport(machine=machine), wire)
-
-
 # -- worker handle -------------------------------------------------------
 
 
@@ -195,11 +160,6 @@ class ShardWorkerHandle:
             src_root if not existing
             else src_root + os.pathsep + existing
         )
-        # Pin hash randomisation unless the parent already did: the
-        # instrumented cost model has mild str-hash-order sensitivity
-        # (Q5's string-keyed joins), and a retried morsel must reprice
-        # identically on the respawned worker.
-        env.setdefault("PYTHONHASHSEED", "0")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.engine.shard_worker"],
             stdin=subprocess.PIPE,
@@ -318,7 +278,6 @@ class ShardGroup:
         db,
         *,
         machine: MachineModel,
-        tile: int,
         registry: MetricsRegistry,
     ) -> None:
         if shards < 1:
@@ -326,7 +285,6 @@ class ShardGroup:
         self.shards = shards
         self.fingerprint, self.cache_dir = dataset_provenance(db)
         self.machine = machine
-        self.tile = tile
         self.registry = registry
         self._handles: Dict[int, ShardWorkerHandle] = {}
         self._lock = threading.Lock()
@@ -349,7 +307,6 @@ class ShardGroup:
             "fingerprint": self.fingerprint,
             "cache_dir": self.cache_dir,
             "machine": asdict(self.machine),
-            "tile": self.tile,
         }
 
     def start(self) -> "ShardGroup":
@@ -490,9 +447,9 @@ def remote_plan(group: ShardGroup, compiled: CompiledQuery):
     its ``partial`` run on ``group``'s workers (``None`` when the
     program declares no parallel plan and so runs serial in-process).
 
-    Only ``partial`` changes: ``setup`` and ``finalize`` still run,
-    costed, in the parent — setup state (``ctx``) is not shipped, each
-    worker builds its own once per program, uncosted — and the cursor,
+    Only ``partial`` changes: ``setup`` and ``finalize`` still run in
+    the parent — setup state (``ctx``) is not shipped, each worker
+    builds its own once per program — and the cursor,
     deadline/cancel stop and failure policy stay
     :class:`~repro.engine.pool.MorselBatch`'s.
     """
@@ -514,16 +471,8 @@ def remote_plan(group: ShardGroup, compiled: CompiledQuery):
             "spec": notes["spec"].to_wire(),
         }
 
-    def partial(session, ctx, lo: int, hi: int) -> Dict[str, Any]:
-        reply = group.run_task(
-            {
-                **template(),
-                "lo": lo,
-                "hi": hi,
-                "ht_prefetch": bool(session.knobs.ht_prefetch),
-            }
-        )
-        _replay(session.tracer.report, reply["report"])
+    def partial(ctx, lo: int, hi: int) -> Dict[str, Any]:
+        reply = group.run_task({**template(), "lo": lo, "hi": hi})
         return decode_partial(reply["value"])
 
     return replace(compiled.parallel, partial=partial, sharded=True)

@@ -12,9 +12,7 @@ parent for crash forensics):
     ``fatal``.
 ``task``
     Runs one morsel ``[lo, hi)`` of a compiled program's ``partial``
-    and replies with the bit-exact encoded partial state and the
-    morsel's cost report (its priced event stream — empty on the
-    vectorized backend).
+    and replies with the bit-exact encoded partial state.
 ``shutdown``
     Exit 0. SIGTERM does the same, but drains a task already in flight
     first (graceful drain); a second SIGTERM exits immediately.
@@ -43,8 +41,7 @@ from ..errors import PlanError
 from ..plan.serde import plan_from_wire
 from .machine import MachineModel
 from .plan_cache import CompileSpec
-from .session import Session
-from .shard import encode_partial, report_to_wire
+from .shard import encode_partial
 
 #: Compiled programs kept per worker (LRU, keyed by the task's
 #: :class:`CompileSpec`); a serving worker sees a small working set.
@@ -56,7 +53,6 @@ class _Worker:
         self.shard_id = -1
         self.db = None
         self.machine: Optional[MachineModel] = None
-        self.tile = 1024
         self.programs: "OrderedDict[CompileSpec, Tuple]" = OrderedDict()
         self.busy = False
         self.stop_requested = False
@@ -68,7 +64,6 @@ class _Worker:
 
         self.shard_id = int(msg["shard_id"])
         self.machine = MachineModel(**msg["machine"])
-        self.tile = int(msg.get("tile", 1024))
         cache = DatasetCache(cache_dir=Path(msg["cache_dir"]))
         db = cache.load_fingerprint(msg["fingerprint"])
         if db is None:
@@ -89,11 +84,9 @@ class _Worker:
         """The (compiled, ctx) pair for a task message, cached.
 
         ``ctx`` is the program's setup state (hash tables and the
-        like), built once per program on a throwaway session — every
-        morsel of every request against this program reuses it, the
-        per-process analogue of the parent running setup once per
-        query. Setup cycles are deliberately not reported: the parent
-        accounts the serial phases itself.
+        like), built once per program — every morsel of every request
+        against this program reuses it, the per-process analogue of the
+        parent running setup once per query.
 
         The plan envelope must claim the spec's fingerprint *before*
         the cache is consulted, so a cached program never answers a
@@ -116,16 +109,11 @@ class _Worker:
         compiled = compile_pipeline(plan_from_wire(envelope), self.db, spec)
         ctx = None
         if compiled.parallel is not None and compiled.parallel.setup:
-            ctx = compiled.parallel.setup(self._session(msg))
+            ctx = compiled.parallel.setup()
         self.programs[spec] = (compiled, ctx)
         while len(self.programs) > _PROGRAM_CACHE_CAP:
             self.programs.popitem(last=False)
         return compiled, ctx
-
-    def _session(self, msg: Dict[str, Any]) -> Session:
-        session = Session(machine=self.machine, tile=self.tile)
-        session.knobs.ht_prefetch = bool(msg.get("ht_prefetch", False))
-        return session
 
     # -- ops -------------------------------------------------------------
 
@@ -137,21 +125,13 @@ class _Worker:
                 f"{compiled.strategy}:{compiled.name} declares no "
                 f"parallel plan; the parent should not have sharded it"
             )
-        session = self._session(msg)
-        lo, hi = int(msg["lo"]), int(msg["hi"])
-        label = f"{compiled.strategy}:{compiled.name}"
         started = time.perf_counter()
-        # The kernel label matches the thread path's morsel label so
-        # by_kernel breakdowns agree between sharded and thread runs.
-        with session.tracer.kernel(f"{label}:morsel"):
-            value = plan.partial(session, ctx, lo, hi)
-        wall = time.perf_counter() - started
+        value = plan.partial(ctx, int(msg["lo"]), int(msg["hi"]))
         return {
             "op": "result",
             "id": msg.get("id"),
             "value": encode_partial(value),
-            "report": report_to_wire(session.tracer.report),
-            "wall": wall,
+            "wall": time.perf_counter() - started,
         }
 
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List
 import numpy as np
 
 from ..engine import kernels as K
-from ..engine.program import CompiledQuery, ParallelPlan
+from ..engine.program import CompiledQuery
 from ..engine.session import Session
 from ..errors import CodegenError
 from ..storage.database import Database
@@ -86,31 +86,8 @@ def make(
     strategy: str,
     source: str,
     fn: Callable[[Session], Dict],
-    parallel: ParallelPlan = None,
 ) -> CompiledQuery:
-    return CompiledQuery(
-        name=name, strategy=strategy, source=source, _fn=fn, parallel=parallel
-    )
-
-
-def scan_plan(
-    cols: Dict[str, np.ndarray],
-    run_view: Callable[[Session, Dict[str, np.ndarray]], Dict],
-    table: str = "lineitem",
-) -> ParallelPlan:
-    """Parallel plan for a single-table scan query.
-
-    ``run_view`` is the query's pipeline body parameterised by the
-    scanned columns; each morsel runs it over a row-range slice and the
-    executor merges the partial aggregates.
-    """
-    n_rows = int(next(iter(cols.values())).shape[0])
-
-    def partial(session: Session, ctx, lo: int, hi: int) -> Dict:
-        view = {name: values[lo:hi] for name, values in cols.items()}
-        return run_view(session, view)
-
-    return ParallelPlan(table=table, n_rows=n_rows, partial=partial)
+    return CompiledQuery(name=name, strategy=strategy, source=source, _fn=fn)
 
 
 def reference_result(name: str, db: Database) -> Dict[str, Any]:

@@ -139,9 +139,9 @@ def _aggregate_into(
 
 
 def datacentric(db: Database):
-    cols = _columns(db)
+    view = _columns(db)
 
-    def _run(session: Session, view: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    def run(session: Session) -> Dict[str, Any]:
         with session.tracer.overlap():
             n = int(view["shipdate"].shape[0])
             K.seq_read(session, view["shipdate"], "l_shipdate")
@@ -160,18 +160,13 @@ def datacentric(db: Database):
             _aggregate_into(session, table, keys, _deltas(sub), simd=False)
             return base.grouped(*table.items())
 
-    def run(session: Session) -> Dict[str, Any]:
-        return _run(session, cols)
-
-    return base.make(
-        NAME, "datacentric", _SOURCE_DC, run, parallel=base.scan_plan(cols, _run)
-    )
+    return base.make(NAME, "datacentric", _SOURCE_DC, run)
 
 
 def hybrid(db: Database):
-    cols = _columns(db)
+    view = _columns(db)
 
-    def _run(session: Session, view: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    def run(session: Session) -> Dict[str, Any]:
         with session.tracer.overlap():
             mask = K.compare(session, view["shipdate"], "<=", CUTOFF, "l_shipdate")
             idx = K.selection_vector(session, mask)
@@ -183,18 +178,13 @@ def hybrid(db: Database):
             _aggregate_into(session, table, keys, _deltas(sub), simd=False)
             return base.grouped(*table.items())
 
-    def run(session: Session) -> Dict[str, Any]:
-        return _run(session, cols)
-
-    return base.make(
-        NAME, "hybrid", _SOURCE_HY, run, parallel=base.scan_plan(cols, _run)
-    )
+    return base.make(NAME, "hybrid", _SOURCE_HY, run)
 
 
 def swole(db: Database):
-    cols = _columns(db)
+    view = _columns(db)
 
-    def _run(session: Session, view: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    def run(session: Session) -> Dict[str, Any]:
         with session.tracer.overlap():
             n = int(view["shipdate"].shape[0])
             mask = K.compare(session, view["shipdate"], "<=", CUTOFF, "l_shipdate")
@@ -215,9 +205,4 @@ def swole(db: Database):
             keep = result_keys != NULL_KEY
             return base.grouped(result_keys[keep], aggs[keep])
 
-    def run(session: Session) -> Dict[str, Any]:
-        return _run(session, cols)
-
-    return base.make(
-        NAME, "swole", _SOURCE_SW, run, parallel=base.scan_plan(cols, _run)
-    )
+    return base.make(NAME, "swole", _SOURCE_SW, run)

@@ -102,9 +102,9 @@ _CONJUNCTS = (
 
 
 def datacentric(db: Database):
-    cols = _columns(db)
+    view = _columns(db)
 
-    def _run(session: Session, view: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    def run(session: Session) -> Dict[str, Any]:
         with session.tracer.overlap():
             n = int(view["shipdate"].shape[0])
             remaining = np.ones(n, dtype=bool)
@@ -141,18 +141,13 @@ def datacentric(db: Database):
             )
             return {"revenue": revenue}
 
-    def run(session: Session) -> Dict[str, Any]:
-        return _run(session, cols)
-
-    return base.make(
-        NAME, "datacentric", _SOURCE_DC, run, parallel=base.scan_plan(cols, _run)
-    )
+    return base.make(NAME, "datacentric", _SOURCE_DC, run)
 
 
 def hybrid(db: Database):
-    cols = _columns(db)
+    view = _columns(db)
 
-    def _run(session: Session, view: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    def run(session: Session) -> Dict[str, Any]:
         with session.tracer.overlap():
             n = int(view["shipdate"].shape[0])
             for col, _, n_cmps in _CONJUNCTS:
@@ -178,18 +173,13 @@ def hybrid(db: Database):
             )
             return {"revenue": revenue}
 
-    def run(session: Session) -> Dict[str, Any]:
-        return _run(session, cols)
-
-    return base.make(
-        NAME, "hybrid", _SOURCE_HY, run, parallel=base.scan_plan(cols, _run)
-    )
+    return base.make(NAME, "hybrid", _SOURCE_HY, run)
 
 
 def swole(db: Database):
-    cols = _columns(db)
+    view = _columns(db)
 
-    def _run(session: Session, view: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    def run(session: Session) -> Dict[str, Any]:
         with session.tracer.overlap():
             n = int(view["shipdate"].shape[0])
             # prepass; l_discount is read here once (merged with the agg)
@@ -216,9 +206,4 @@ def swole(db: Database):
             revenue = int((view["price"].astype(np.int64) * tmp).sum())
             return {"revenue": revenue}
 
-    def run(session: Session) -> Dict[str, Any]:
-        return _run(session, cols)
-
-    return base.make(
-        NAME, "swole", _SOURCE_SW, run, parallel=base.scan_plan(cols, _run)
-    )
+    return base.make(NAME, "swole", _SOURCE_SW, run)

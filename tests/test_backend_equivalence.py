@@ -40,14 +40,14 @@ from hypothesis import strategies as st
 
 from repro.codegen import npexec
 from repro.codegen.lower import lower_plan
-from repro.codegen.pipeline import compile_pipeline
 from repro.codegen.vectorize import VectorizeError, compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.datagen.cache import load_dataset
-from repro.engine import Engine, ExecutionKnobs, plan_key
+from repro.engine import Engine, ExecutionKnobs
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
+from repro.errors import PlanError
 from repro.plan import passes as PS
 from repro.plan.builder import PlanBuilder, scan
 from repro.plan.expressions import And, Col, Const, DictEq
@@ -837,19 +837,35 @@ class TestEngineSeams:
                 logical_plan("Q1"), "swole", backend="instrumented"
             )
 
-    def test_vectorize_failure_falls_back(self, tpch_db, monkeypatch):
-        import repro.codegen.pipeline as pipeline_mod
+    def test_every_physical_op_has_a_vectorize_handler(self):
+        # Nothing for a fallback to catch: the emitter lowers every op
+        # class lowering can produce.
+        import repro.plan.physical as physical_mod
+        from repro.codegen.vectorize import _HANDLERS
+
+        ops = {
+            cls
+            for cls in vars(physical_mod).values()
+            if isinstance(cls, type)
+            and issubclass(cls, physical_mod.PhysicalOp)
+            and cls is not physical_mod.PhysicalOp
+        }
+        assert ops and ops == set(_HANDLERS)
+
+    def test_vectorize_failure_is_a_plan_error(self, tpch_db, monkeypatch):
+        # A raising emitter is a broken planner invariant: it surfaces
+        # at the engine as the PlanError it subclasses, never as a
+        # silent switch to the instrumented backend.
+        from repro.codegen.vectorize import _HANDLERS
+        from repro.plan.physical import FilterStage
 
         def boom(*_args, **_kwargs):
             raise VectorizeError("synthetic: op not vectorizable")
 
-        monkeypatch.setattr(pipeline_mod, "compile_physical", boom)
-        plan = logical_plan("Q6")
-        compiled = compile_pipeline(
-            plan, tpch_db, plan_key(plan, "swole", backend="vectorized")
-        )
-        assert compiled.notes["backend"] == "instrumented"
-        assert "synthetic" in compiled.notes["backend_fallback"]
+        monkeypatch.setitem(_HANDLERS, FilterStage, boom)
+        with Engine(db=tpch_db) as engine:
+            with pytest.raises(PlanError, match="synthetic"):
+                engine.compile(logical_plan("Q6"), "swole")
 
     def test_notes_carry_the_kernel_source_and_block_rows(self, tpch_db):
         vectorized = compile_named(

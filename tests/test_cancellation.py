@@ -18,7 +18,6 @@ from repro.datagen import microbench as mb
 from repro.datagen.cache import load_dataset
 from repro.engine import CancelToken, Engine, ExecutionKnobs, MorselBatch
 from repro.engine.program import results_equal
-from repro.engine.session import Session
 from repro.errors import QueryCancelled, QueryTimeout, ReproError
 
 from .conftest import drain
@@ -31,7 +30,7 @@ class SlowPlan:
         self.sleep = sleep
         self.ran = 0
 
-    def partial(self, session, ctx, lo, hi):
+    def partial(self, ctx, lo, hi):
         time.sleep(self.sleep)
         self.ran += 1
         return {"rows": hi - lo}
@@ -41,9 +40,7 @@ def slow_batch(token, n_morsels=50, workers=2, sleep=0.02):
     plan = SlowPlan(sleep=sleep)
     morsels = [(i * 10, (i + 1) * 10) for i in range(n_morsels)]
     return (
-        MorselBatch(
-            Session(), plan, None, morsels, "slow", workers, cancel=token
-        ),
+        MorselBatch(plan, None, morsels, "slow", workers, cancel=token),
         plan,
     )
 
@@ -150,8 +147,8 @@ class TestMorselCursorStops:
 
         original = plan.partial
 
-        def cancelling(session, ctx, lo, hi):
-            value = original(session, ctx, lo, hi)
+        def cancelling(ctx, lo, hi):
+            value = original(ctx, lo, hi)
             if plan.ran >= 3:
                 token.cancel()
             return value

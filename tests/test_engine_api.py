@@ -198,29 +198,27 @@ class TestSessionApi:
         # The fan-out floor is a knob (``knobs=ExecutionKnobs(
         # min_parallel_rows=...)``), not a second Engine parameter.
         assert list(inspect.signature(Engine).parameters) == [
-            "db", "machine", "workers", "tile", "plan_cache_size",
+            "db", "machine", "workers", "plan_cache_size",
             "knobs", "registry", "backend", "encoding", "adaptive",
             "shards",
         ]
 
-    def test_clone_isolates_knobs(self):
-        session = Session(knobs=ExecutionKnobs(ht_prefetch=False))
-        clone = session.clone()
-        clone.knobs.ht_prefetch = True
-        assert session.knobs.ht_prefetch is False
-
     def test_rof_prefetch_does_not_leak(self, engine):
-        # ROF-style prefetching is a per-session knob: worker clones of
-        # a prefetching session inherit it, the engine-level default
+        # ROF-style prefetching is a per-session knob: the run that
+        # carries it prices prefetched probes, the engine-level default
         # knobs must come out untouched.
-        session = engine.session(workers=4)
+        session = engine.session()
         session.knobs.ht_prefetch = True
         session.knobs.morsel_rows = 4096
         result = engine.execute(
             mb.q4(50, 50), "hybrid", workers=4, session=session,
             backend="instrumented",
         )
-        assert result.metrics.morsels > 1
+        assert not result.metrics.parallel  # the paper's clock is serial
+        assert any(
+            getattr(event, "prefetched", False)
+            for _, event, _ in result.report.events
+        )
         assert engine.knobs.ht_prefetch is False
 
 

@@ -156,7 +156,8 @@ class TestEmptyDisjunctBitmap:
 
 
 class TestMorselParallelByteIdentity:
-    """Parallel and serial runs agree bit for bit on every new-op plan.
+    """Parallel and serial runs give the same answers on every new-op
+    plan.
 
     Q4 exercises ExistsBitmapProbe/HashSemiProbe, Q5 the carried-column
     join chain (HashJoinCarryProbe, CarriedGather), Q19 the disjunctive

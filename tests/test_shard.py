@@ -24,8 +24,7 @@ from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.datagen.cache import load_dataset
 from repro.engine import Engine, ExecutionKnobs
-from repro.engine.costing import CostReport, StatsOverride
-from repro.engine.events import Branch, CondRead, RandomAccess, StatSample
+from repro.engine.costing import StatsOverride
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.plan_cache import plan_key
 from repro.engine.shard import (
@@ -33,8 +32,6 @@ from repro.engine.shard import (
     ShardWorkerHandle,
     decode_partial,
     encode_partial,
-    report_from_wire,
-    report_to_wire,
 )
 from repro.errors import ExecutionError, PlanError, ReproError
 from repro.plan.serde import plan_to_wire
@@ -128,34 +125,6 @@ class TestWireCodec:
         back = self.roundtrip(value)
         assert back["x"].tobytes() == value["x"].tobytes()
 
-    def test_cost_report_roundtrip_rebuilds_totals(self):
-        # The reply ships the morsel's priced event stream; replaying
-        # it through CostReport.add must rebuild every aggregate.
-        report = CostReport(machine=PAPER_MACHINE)
-        report.add(
-            "swole:Q:morsel",
-            CondRead(n_range=10, n_selected=3, width=4, array="a"),
-            0.1 + 0.2,
-        )
-        report.add(
-            "swole:Q:morsel",
-            RandomAccess(n=7, struct_bytes=4096, op_cycles=2.75, prefetched=True),
-            1e-300,
-        )
-        report.add("swole:Q:probe", Branch(n=5, taken_fraction=0.1, site="s"), 3.0)
-        report.add(
-            "swole:Q:probe",
-            StatSample(kind="join_match", n=5, value=2.0, site="j"),
-            0.0,
-        )
-        back = report_from_wire(
-            PAPER_MACHINE, json.loads(json.dumps(report_to_wire(report)))
-        )
-        assert back.events == report.events
-        assert back.total_cycles.hex() == report.total_cycles.hex()
-        assert back.by_kernel == report.by_kernel
-        assert back.by_kind == report.by_kind
-
     def test_override_wire_roundtrip(self):
         # The override rides inside the compile spec's wire form, unset
         # fields omitted (the round trip itself: test_plan_cache).
@@ -196,14 +165,16 @@ class TestByteIdentity:
     def test_instrumented_backend_matches_serial(
         self, serial_engine, sharded_engine
     ):
+        # The paper's clock is one serial pass: a sharded engine runs
+        # an instrumented program in-process, priced exactly as serial.
         plan = logical_plan("Q1")
         serial = serial_engine.execute(plan, "swole", backend="instrumented")
         sharded = sharded_engine.execute(
             plan, "swole", backend="instrumented"
         )
-        assert sharded.report.metrics.sharded
+        assert not sharded.report.metrics.parallel
         assert repr(sharded.value) == repr(serial.value)
-        assert sharded.report.total_cycles > 0
+        assert sharded.report.total_cycles == serial.report.total_cycles > 0
 
     @pytest.mark.parametrize("name", ["Q1", "Q6"])
     def test_encoded_scans_match_decoded_across_shards(
@@ -293,26 +264,33 @@ class TestShardedSweep:
             sharded = swept_engine.execute(plan, strategy, backend=backend)
             cell = (name, strategy, backend)
             assert repr(sharded.value) == repr(serial.value), cell
-            # Compiled scans long enough to fan out cross the pipe.
-            if name in ("Q1", "Q6") and strategy != "interpreter":
+            if backend == "instrumented":
+                # The paper's clock never fans out.
+                assert not sharded.metrics.parallel, cell
+                assert (
+                    sharded.metrics.total_cycles
+                    == serial.metrics.total_cycles
+                ), cell
+            elif name in ("Q1", "Q6") and strategy != "interpreter":
+                # Compiled scans long enough to fan out cross the pipe.
                 assert sharded.metrics.sharded, cell
 
 
 class TestThreadShardParity:
     """Threads and shard processes are two runners under one executor:
     a sharded run must be *measured* exactly as a thread run is — same
-    event stream, so the same Observation reaches the adaptive loop."""
+    morsels, same answer, so the same Observation reaches the adaptive
+    loop."""
 
     @pytest.fixture(scope="class")
     def observed(self, cached_tpch_db):
-        """An instrumented, adaptive engine whose ``observe`` only
-        records, so the loop never recompiles between the two runs."""
+        """An adaptive engine whose ``observe`` only records, so the
+        loop never recompiles between the two runs."""
         engine = Engine(
             cached_tpch_db,
             machine=PAPER_MACHINE,
             workers=SHARDS,
             shards=SHARDS,
-            backend="instrumented",
             adaptive=True,
             knobs=NO_FLOOR,
         )
@@ -338,25 +316,18 @@ class TestThreadShardParity:
         t, s = threads.report.metrics, shards.report.metrics
         assert t.parallel and not t.sharded
         assert s.parallel and s.sharded
+        for stat in (
+            "workers", "morsels", "morsel_rows", "scan_rows",
+            "event_counts", "total_cycles",
+        ):
+            assert getattr(s, stat) == getattr(t, stat), stat
         on_threads, on_shards = seen
         for stat in (
-            "selectivity", "match_fraction", "group_cardinality",
-            "random_accesses", "ht_bytes", "events",
+            "scan_rows", "parallel", "selectivity", "match_fraction",
+            "group_cardinality", "random_accesses", "ht_bytes", "events",
         ):
             assert getattr(on_shards, stat) == getattr(on_threads, stat), stat
-        assert on_shards.events > 0
-        assert s.event_counts == t.event_counts
         assert repr(shards.value) == repr(threads.value)
-        if (name, strategy) == ("Q5", "hybrid"):
-            # Its morsels probe one shared hash table, and a lookup is
-            # priced by that table's *lifetime* mean probe length
-            # (kernels._ht_op_cycles): cycles depend on which probes
-            # came first, between two thread runs as much as between
-            # tiers, so only the event stream is comparable here.
-            return
-        assert s.total_cycles == t.total_cycles
-        assert s.critical_path_cycles == t.critical_path_cycles
-        assert shards.report.by_kernel == threads.report.by_kernel
 
     def test_shard_count_does_not_split_the_plan_cache(self, cached_tpch_db):
         # One program whatever runs its morsels: in-process then
@@ -377,7 +348,8 @@ class TestThreadShardParity:
 
 
 class TestWorkerProgramCache:
-    """The task's compile spec is the worker's program-cache key."""
+    """The task's compile spec is the worker's program-cache key (only
+    vectorized programs have morsels to ship)."""
 
     @pytest.fixture()
     def worker(self, cached_tpch_db, monkeypatch):
@@ -418,7 +390,7 @@ class TestWorkerProgramCache:
         self, worker
     ):
         worker, compiles = worker
-        spec = plan_key(logical_plan("Q6"), "swole")
+        spec = plan_key(logical_plan("Q6"), "swole", backend="vectorized")
         worker.task(self.task(spec))
         worker.task(self.task(spec, lo=64, hi=128))
         assert compiles == [spec]
@@ -457,7 +429,7 @@ class TestWorkerProgramCache:
         self, sharded_engine
     ):
         handle = sharded_engine.start_shards().worker(0)
-        good = self.task(plan_key(logical_plan("Q6"), "swole"))
+        good = self.task(plan_key(logical_plan("Q6"), "swole", backend="vectorized"))
         bad_spec = handle.request({**good, "spec": {"strategy": "swole"}})
         bad_plan = handle.request({**good, "plan": {"v": 1}})
         for reply in (bad_spec, bad_plan):
@@ -472,7 +444,7 @@ class TestWorkerProgramCache:
         # cache is: once Q6 is warm under its spec, neither a malformed
         # envelope nor another plan's envelope may reuse that program.
         worker, compiles = worker
-        spec = plan_key(logical_plan("Q6"), "swole")
+        spec = plan_key(logical_plan("Q6"), "swole", backend="vectorized")
         good = self.task(spec)
         assert worker.task(good)["op"] == "result"
         malformed = {**good, "plan": {"v": 1}}
@@ -485,7 +457,7 @@ class TestWorkerProgramCache:
 
     def test_mismatched_envelope_is_a_task_error(self, sharded_engine):
         handle = sharded_engine.start_shards().worker(0)
-        good = self.task(plan_key(logical_plan("Q6"), "swole"))
+        good = self.task(plan_key(logical_plan("Q6"), "swole", backend="vectorized"))
         assert handle.request(good)["op"] == "result"
         for plan in ({"v": 1}, plan_to_wire(logical_plan("Q1"))):
             reply = handle.request({**good, "plan": plan})

@@ -4,7 +4,7 @@ The pool's contract: threads start lazily and are reused across
 queries (no per-query spawn), ``shutdown()`` is idempotent and the
 context manager tears threads down, a batch's first morsel failure
 cancels the remaining morsels and re-raises naming the morsel, and
-pooled results are bit-identical to a serial run.
+pooled runs give the same answers as a serial run.
 """
 
 import threading
@@ -14,7 +14,7 @@ import pytest
 from repro.datagen import microbench as mb
 from repro.engine import Engine, MorselBatch, WorkerPool
 from repro.engine.program import results_equal
-from repro.engine.session import ExecutionKnobs, Session
+from repro.engine.session import ExecutionKnobs
 from repro.errors import ExecutionError
 
 from .conftest import drain
@@ -34,30 +34,22 @@ def pool_thread_ids():
     }
 
 
-class RecordingPlan:
-    """A fake parallel plan: records per-morsel knob state, can fail."""
+class FailingPlan:
+    """A fake parallel plan: counts rows, can fail at chosen morsels."""
 
     def __init__(self, fail_at=()):
         self.fail_at = set(fail_at)
-        self.seen_prefetch = {}
-        self.lock = threading.Lock()
 
-    def partial(self, session, ctx, lo, hi):
-        with self.lock:
-            self.seen_prefetch[(lo, hi)] = session.knobs.ht_prefetch
+    def partial(self, ctx, lo, hi):
         if lo in self.fail_at:
             raise ValueError(f"injected failure at {lo}")
-        # Flip a knob mid-morsel, as ROF does with ht_prefetch; the
-        # batch must re-sync from the template before the next morsel.
-        session.knobs.ht_prefetch = True
         return {"rows": hi - lo}
 
 
-def make_batch(n_morsels=8, workers=2, fail_at=(), knobs=None):
-    template = Session(knobs=knobs)
-    plan = RecordingPlan(fail_at=fail_at)
+def make_batch(n_morsels=8, workers=2, fail_at=()):
+    plan = FailingPlan(fail_at=fail_at)
     morsels = [(i * 100, (i + 1) * 100) for i in range(n_morsels)]
-    return MorselBatch(template, plan, None, morsels, "test", workers), plan
+    return MorselBatch(plan, None, morsels, "test", workers)
 
 
 class TestPoolLifecycle:
@@ -168,8 +160,8 @@ class TestLifecycleRaces:
             assert not t.is_alive(), "lifecycle hammer deadlocked"
         assert not errors
         # whatever state the race ended in, the pool still works...
-        batch, _ = make_batch(n_morsels=4, workers=2)
-        values, reports, _ = pool.run_batch(batch)
+        batch = make_batch(n_morsels=4, workers=2)
+        values, _ = pool.run_batch(batch)
         assert len(values) == 4
         # ...and shuts down cleanly.
         pool.shutdown()
@@ -178,7 +170,7 @@ class TestLifecycleRaces:
 
 class TestCancellation:
     def test_failure_cancels_and_names_morsel(self):
-        batch, _ = make_batch(n_morsels=16, workers=1, fail_at={300})
+        batch = make_batch(n_morsels=16, workers=1, fail_at={300})
         with pytest.raises(ExecutionError, match=r"morsel 3 .*test"):
             drain(batch)
         assert batch.cancelled
@@ -186,40 +178,25 @@ class TestCancellation:
         assert batch.values[-1] is None
 
     def test_failure_preserves_cause(self):
-        batch, _ = make_batch(n_morsels=4, workers=2, fail_at={0})
+        batch = make_batch(n_morsels=4, workers=2, fail_at={0})
         with pytest.raises(ExecutionError) as info:
             drain(batch)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_pool_survives_a_failed_batch(self):
         with WorkerPool(workers=2) as pool:
-            batch, _ = make_batch(n_morsels=8, workers=2, fail_at={400})
+            batch = make_batch(n_morsels=8, workers=2, fail_at={400})
             with pytest.raises(ExecutionError):
                 pool.run_batch(batch)
-            ok, _ = make_batch(n_morsels=8, workers=2)
-            values, reports, _ = pool.run_batch(ok)
-            assert len(values) == len(reports) == 8
-
-
-class TestKnobIsolation:
-    def test_knobs_resync_between_morsels(self):
-        # the plan flips ht_prefetch every morsel; each morsel must
-        # still observe the template's value
-        with WorkerPool(workers=2) as pool:
-            batch, plan = make_batch(n_morsels=8, workers=2)
-            pool.run_batch(batch)
-            assert plan.seen_prefetch
-            assert not any(plan.seen_prefetch.values())
-
-    def test_template_knobs_propagate(self):
-        knobs = ExecutionKnobs(ht_prefetch=True)
-        batch, plan = make_batch(n_morsels=4, workers=2, knobs=knobs)
-        drain(batch)
-        assert all(plan.seen_prefetch.values())
+            ok = make_batch(n_morsels=8, workers=2)
+            values, busy = pool.run_batch(ok)
+            assert len(values) == 8
+            assert set(busy) <= {0, 1}
 
 
 class TestDeterminism:
     def test_pooled_matches_serial_bit_for_bit(self, micro_db):
+        # The same answer, bit for bit; only vectorized programs fan out.
         knobs = ExecutionKnobs(morsel_rows=4096)
         with Engine(db=micro_db, workers=4, knobs=knobs) as engine:
             for query in (mb.q1(30, "div"), mb.q2(40), mb.q4(50, 50)):
