@@ -31,7 +31,7 @@ forced-technique ablations the stages are public:
 ``repro.codegen.physexec.execute_plan``.
 """
 
-__version__ = "2.7.0"
+__version__ = "2.8.0"
 
 from .codegen import available_strategies
 from .engine import (

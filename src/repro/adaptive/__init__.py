@@ -189,7 +189,10 @@ class AdaptiveController:
             state = json.loads(path.read_text())
         except (OSError, ValueError):
             return 0
-        if state.get("version") != FEEDBACK_SNAPSHOT_VERSION:
+        if (
+            not isinstance(state, dict)
+            or state.get("version") != FEEDBACK_SNAPSHOT_VERSION
+        ):
             return 0
         feedback = state.get("feedback")
         if not isinstance(feedback, dict):

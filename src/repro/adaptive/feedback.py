@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..engine.events import Branch, CondRead, RandomAccess, StatSample
 from ..errors import ReproError
@@ -247,6 +247,12 @@ class FingerprintSummary:
         return summary
 
 
+def _items(section: Any):
+    """A snapshot section's items; a section that is not a mapping
+    restores as empty."""
+    return section.items() if isinstance(section, dict) else ()
+
+
 class FeedbackStore:
     """Thread-safe, bounded store of per-fingerprint EWMA summaries.
 
@@ -259,7 +265,7 @@ class FeedbackStore:
     serial-vs-parallel wall-clock ledger bucketed by scan size, from
     which :meth:`crossover_rows` derives the measured thread fan-out
     floor (the adaptive replacement for the hard-coded
-    ``VECTORIZED_MIN_PARALLEL_ROWS`` constant).
+    ``repro.engine.executor.MIN_PARALLEL_ROWS`` constant).
     """
 
     def __init__(
@@ -445,37 +451,41 @@ class FeedbackStore:
         replace any same-fingerprint state already in the store; the
         eviction order treats them as the oldest entries, and restoring
         past capacity keeps only the last ``max_fingerprints``. A
-        malformed state raises nothing fatal — unparseable summaries
-        are skipped, so a partially-corrupt snapshot degrades to a cold
-        start rather than a crash.
+        malformed state raises nothing fatal — whatever does not parse
+        (a summary, a fan-out bucket, the ``recorded`` count, a section
+        of the wrong shape) is skipped, so a partially-corrupt snapshot
+        degrades to a cold start rather than a crash.
         """
         restored = 0
         with self._lock:
-            self._recorded = max(
-                self._recorded, int(state.get("recorded", 0))
-            )
-            for fingerprint, raw in state.get("summaries", {}).items():
+            try:
+                self._recorded = max(
+                    self._recorded, int(state.get("recorded", 0))
+                )
+            except (TypeError, ValueError):
+                pass
+            for fingerprint, raw in _items(state.get("summaries")):
                 try:
                     summary = FingerprintSummary.from_snapshot(raw)
-                except (TypeError, ValueError, KeyError):
+                except (TypeError, ValueError, KeyError, AttributeError):
                     continue
                 self._summaries[fingerprint] = summary
                 self._summaries.move_to_end(fingerprint)
                 restored += 1
                 while len(self._summaries) > self.max_fingerprints:
                     self._summaries.popitem(last=False)
-            for size, by_mode in state.get("fanout", {}).items():
+            for size, by_mode in _items(state.get("fanout")):
                 try:
                     bucket = max(int(size), 1).bit_length() - 1
                 except (TypeError, ValueError):
                     continue
                 modes = self._fanout.setdefault(bucket, {})
-                for mode_name, raw in by_mode.items():
+                for mode_name, raw in _items(by_mode):
                     try:
                         modes[mode_name == "parallel"] = (
                             Ewma.from_snapshot(raw)
                         )
-                    except (TypeError, ValueError):
+                    except (TypeError, ValueError, AttributeError):
                         continue
         return restored
 

@@ -57,12 +57,12 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import queue
 import shutil
 import subprocess
 import tempfile
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -673,8 +673,9 @@ class NativeBuilder:
     """The process's one builder: source -> ``.so`` -> loaded kernel.
 
     Programs arrive through :meth:`submit` once they have earned a
-    build and are served by one daemon thread (started on the first
-    submit), so at most one compiler runs at a time. ``estimate`` is
+    build and are served by a one-thread executor (its thread starts on
+    the first submit), so at most one compiler runs at a time; queued
+    builds finish before the interpreter exits. ``estimate`` is
     the ski-rental threshold: :data:`BUILD_SEED_SECONDS` until a build
     has been observed, then the mean of the observed ones.
 
@@ -697,8 +698,11 @@ class NativeBuilder:
         #: Held for the whole of :meth:`build`: one compiler at a time,
         #: whoever asks.
         self._build_lock = threading.Lock()
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._thread: Optional[threading.Thread] = None
+        self._executor = ThreadPoolExecutor(
+            1, thread_name_prefix="native-builder"
+        )
+        #: Submitted builds not yet started.
+        self._queued = 0
         self._compiler_ids: Dict[str, str] = {}
         #: sha256(source) -> (tier, loaded function or None).
         self._outcomes: Dict[str, Tuple[str, Any]] = {}
@@ -724,10 +728,11 @@ class NativeBuilder:
         with self._lock:
             programs = list(self._programs)
             builds = self._builds
+            queued = self._queued
         return {
             "estimate_seconds": self.estimate,
             "builds": builds,
-            "queued": self._queue.qsize(),
+            "queued": queued,
             "programs": sorted(
                 f"{program.label}: {program.tier}" for program in programs
             ),
@@ -746,18 +751,23 @@ class NativeBuilder:
         if self.parked:
             return False
         with self._lock:
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._serve, name="native-builder", daemon=True
-                )
-                self._thread.start()
-        self._queue.put((program, state))
+            self._queued += 1
+        self._executor.submit(self._serve, program, state)
         return True
 
-    def _serve(self) -> None:
-        while True:
-            program, state = self._queue.get()
+    def _serve(self, program: Any, state: Dict[str, Any]) -> None:
+        with self._lock:
+            self._queued -= 1
+        try:
             self.build(program, state)
+        except Exception as exc:
+            # build() turns every expected failure into a tier; this is
+            # a bug. The executor would keep it in a future nobody
+            # reads, so log it and leave the program on NumPy.
+            (program.registry or metrics_registry()).error_log.record(
+                "native.build", f"unexpected: {exc!r}"
+            )
+            program.publish(f"failed: {exc!r}", None)
 
     # -- one build -------------------------------------------------------
 

@@ -366,10 +366,13 @@ class DatasetCache:
         return True
 
     def _store_disk(self, key: str, generator: str, config, db) -> None:
-        """Persist ``db`` atomically (write to a temp dir, then rename)."""
+        """Persist ``db`` atomically (write to a temp dir, then rename).
+
+        Called only after :meth:`_load_disk` missed, so an entry already
+        under ``key`` is corrupt: it is moved aside and dropped before
+        the fresh one is renamed in.
+        """
         entry = self._entry_dir(key)
-        if entry.exists():
-            return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         tables = []
         tmp = Path(
@@ -431,6 +434,12 @@ class DatasetCache:
                 ],
             }
             (tmp / _META_FILE).write_text(json.dumps(meta, indent=1))
+            if entry.exists():
+                aside = Path(
+                    tempfile.mkdtemp(prefix=f".{key}-corrupt-", dir=self.cache_dir)
+                )
+                entry.replace(aside)
+                shutil.rmtree(aside, ignore_errors=True)
             try:
                 tmp.rename(entry)
             except OSError:
@@ -500,9 +509,9 @@ class DatasetCache:
                     fk["ref_column"],
                 )
             return db
-        except (OSError, ValueError, KeyError):
-            # Corrupt or truncated entry: treat as a miss (it will be
-            # regenerated and re-stored under a temp dir + rename).
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            # Corrupt, truncated or wrong-shape entry: treat as a miss
+            # (it is regenerated, and _store_disk replaces it).
             return None
 
     # -- management ------------------------------------------------------

@@ -26,7 +26,7 @@ from .events import (
     SeqWrite,
     TupleOverhead,
 )
-from .hashtable import EMPTY, NULL_KEY, TOMBSTONE, HashTable
+from .hashtable import EMPTY, NULL_KEY, HashTable
 from .machine import PAPER_MACHINE, MachineModel
 from .program import (
     CompiledQuery,
@@ -73,7 +73,6 @@ __all__ = [
     "WorkerPool",
     "WorkerStats",
     "SetAssociativeCache",
-    "TOMBSTONE",
     "Tracer",
     "TupleOverhead",
     "TwoBitPredictor",

@@ -36,6 +36,13 @@ from .session import Session
 #: they gain in balance; scans shorter than one minimum morsel run serial.
 MIN_MORSEL_ROWS = 4096
 
+#: Scan size below which a partitionable program runs serial: the
+#: vectorized kernels chew through hundreds of millions of rows per
+#: second, so dispatching morsels to workers only pays off on large
+#: scans. ``ExecutionKnobs.min_parallel_rows`` overrides it; a pinned
+#: ``ExecutionKnobs.morsel_rows`` forces the parallel path anyway.
+MIN_PARALLEL_ROWS = 1 << 18
+
 #: Target morsels per worker when the session does not pin a size —
 #: enough slack for the shared cursor to balance skewed morsels.
 MORSELS_PER_WORKER = 8
@@ -109,15 +116,13 @@ class MorselExecutor:
         started = time.perf_counter()
         serial_limit = MIN_MORSEL_ROWS
         if plan is not None and session.knobs.morsel_rows is None:
-            # A backend may declare a higher fan-out floor (the
-            # vectorized kernels outrun thread dispatch on small
-            # scans); the session knob — set explicitly or seeded from
-            # the feedback store's measured serial-vs-parallel
-            # crossover — overrides the program's declared floor, and
-            # an explicitly pinned morsel size overrides both.
+            # The session knob — set explicitly or seeded from the
+            # feedback store's measured serial-vs-parallel crossover —
+            # overrides the fan-out floor, and an explicitly pinned
+            # morsel size overrides both.
             floor = session.knobs.min_parallel_rows
             if floor is None:
-                floor = plan.min_parallel_rows
+                floor = MIN_PARALLEL_ROWS
             serial_limit = max(serial_limit, floor)
         if (
             plan is None

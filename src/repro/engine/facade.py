@@ -50,6 +50,9 @@ AUTO_STRATEGY = "swole"
 #: interpreter and remains the authority for costing and explain.
 BACKENDS = ("instrumented", "vectorized")
 
+#: LRU capacity of an engine's compiled-program cache.
+PLAN_CACHE_SIZE = 64
+
 
 class Engine:
     """A database bound to a machine model, a plan cache, and workers.
@@ -68,8 +71,6 @@ class Engine:
         and are reused across queries. Only vectorized programs fan
         out; an instrumented run is one serial pass whatever the
         count.
-    plan_cache_size:
-        LRU capacity of the compiled-program cache.
     knobs:
         Default :class:`ExecutionKnobs` for sessions this engine spawns
         (copied: the engine never writes to the caller's object). Its
@@ -129,8 +130,10 @@ class Engine:
         the thread tier.
 
     The engine is a context manager; ``with Engine(db) as engine:``
-    shuts the pool down on exit, and an ``atexit`` hook covers engines
-    that are never explicitly closed. :meth:`shutdown` is idempotent.
+    shuts the pool down on exit; the pool's executor joins the threads
+    of engines never explicitly closed at interpreter exit, and an
+    ``atexit`` hook stops their shard workers. :meth:`shutdown` is
+    idempotent.
     """
 
     #: The paper's 1024-row vector size. No compilation depends on it:
@@ -143,7 +146,6 @@ class Engine:
         *,
         machine: MachineModel = PAPER_MACHINE,
         workers: int = 1,
-        plan_cache_size: int = 64,
         knobs: Optional[ExecutionKnobs] = None,
         registry: Optional[MetricsRegistry] = None,
         backend: Optional[str] = None,
@@ -172,7 +174,7 @@ class Engine:
         self.shards = shards
         self._shard_group = None
         self._shard_lock = threading.Lock()
-        self.plan_cache = PlanCache(capacity=plan_cache_size)
+        self.plan_cache = PlanCache(capacity=PLAN_CACHE_SIZE)
         self.pool = WorkerPool(workers)
         self.registry = (
             registry if registry is not None else metrics_registry()
@@ -183,9 +185,6 @@ class Engine:
             "plan_cache", self.plan_cache.stats.snapshot
         )
         self.registry.register_source("pool", self.pool.snapshot)
-        #: ``_record_run``'s instruments, resolved once per label set.
-        self._run_cells: dict = {}
-        self._event_cells: dict = {}
         # Lazy import: repro.adaptive imports engine modules, and
         # ``repro.engine.__init__`` imports this facade.
         from ..adaptive import resolve_adaptive
@@ -368,7 +367,6 @@ class Engine:
         *,
         workers: Optional[int] = None,
         session: Optional[Session] = None,
-        deadline: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
         backend: Optional[str] = None,
         shards: Optional[int] = None,
@@ -388,22 +386,16 @@ class Engine:
         shard worker process instead of on its pool thread; answers are
         identical either way.
 
-        ``deadline`` gives the run a relative budget in seconds;
-        ``cancel`` threads an existing
-        :class:`~repro.engine.cancellation.CancelToken` through instead
-        (the serving layer mints its token at admission so queue wait
-        counts against the budget). Either way, a parallel run checks
-        the token at every morsel claim and raises
+        ``cancel`` threads a
+        :class:`~repro.engine.cancellation.CancelToken` through — a
+        relative budget is ``cancel=CancelToken.after(seconds)``; the
+        serving layer mints its token at admission so queue wait
+        counts against the budget. A parallel run checks the token at
+        every morsel claim and raises
         :class:`~repro.errors.QueryTimeout` naming the elapsed time;
         serial runs check only before starting (a running kernel cannot
         be interrupted).
         """
-        if deadline is not None:
-            if cancel is not None:
-                raise ReproError(
-                    "pass either deadline= or cancel=, not both"
-                )
-            cancel = CancelToken.after(deadline)
         n_shards = shards if shards is not None else (self.shards or 0)
         if strategy == "auto" and self.adaptive is not None:
             # Adaptive routing: auto means "the measured-best arm",
@@ -455,39 +447,20 @@ class Engine:
         heuristics reason about, and — past the threshold — a
         slow-query log entry keyed by the plan fingerprint."""
         reg = self.registry
-        key = (strategy, backend, metrics.plan_cache)
-        cells = self._run_cells.get(key)
-        if cells is None:
-            # Resolved once per label set: a registry lookup validates
-            # and sorts its label names every time, which a
-            # sub-millisecond native kernel would notice on every run.
-            cells = self._run_cells[key] = (
-                reg.histogram(
-                    "span_seconds",
-                    stage="execute",
-                    strategy=strategy,
-                    backend=backend,
-                ),
-                reg.counter(
-                    "queries_total", strategy=strategy, backend=backend
-                ),
-                reg.counter(
-                    "plan_cache_lookups_total",
-                    strategy=strategy,
-                    outcome=metrics.plan_cache,
-                ),
-            )
-        span_seconds, queries, lookups = cells
-        span_seconds.observe(metrics.wall_seconds)
-        queries.inc()
-        lookups.inc()
+        reg.histogram(
+            "span_seconds", stage="execute", strategy=strategy,
+            backend=backend,
+        ).observe(metrics.wall_seconds)
+        reg.counter("queries_total", strategy=strategy, backend=backend).inc()
+        reg.counter(
+            "plan_cache_lookups_total",
+            strategy=strategy,
+            outcome=metrics.plan_cache,
+        ).inc()
         for kind, count in metrics.event_counts.items():
-            cell = self._event_cells.get((strategy, kind))
-            if cell is None:
-                cell = self._event_cells[(strategy, kind)] = reg.counter(
-                    "engine_events_total", strategy=strategy, kind=kind
-                )
-            cell.inc(count)
+            reg.counter(
+                "engine_events_total", strategy=strategy, kind=kind
+            ).inc(count)
         reg.slow_log.record(
             fingerprint=fingerprint,
             strategy=strategy,

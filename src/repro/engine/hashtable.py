@@ -27,8 +27,6 @@ from ..errors import ExecutionError
 
 #: Sentinel for an empty slot. Keys may be any int64 except the sentinels.
 EMPTY = np.int64(-(2**62) - 11)
-#: Sentinel for a deleted slot (tombstone).
-TOMBSTONE = np.int64(-(2**62) - 12)
 #: The masked "throwaway" key used by key masking (paper §III-B). It is a
 #: perfectly ordinary key from the table's point of view.
 NULL_KEY = np.int64(-(2**62) - 13)
@@ -106,17 +104,14 @@ class HashTable:
 
     def _check_keys(self, keys: np.ndarray) -> np.ndarray:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size and (
-            (keys == EMPTY).any() or (keys == TOMBSTONE).any()
-        ):
+        if keys.size and (keys == EMPTY).any():
             raise ExecutionError("key collides with a sentinel value")
         return keys
 
-    def _locate(
-        self, keys: np.ndarray, stop_at_empty: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Find the slot of each key (or, with ``stop_at_empty``, the empty
-        slot where it would be inserted). Returns (slots, found_mask)."""
+    def _locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Find the slot of each key (an absent key resolves at the
+        empty slot where it would be inserted). Returns (slots,
+        found_mask)."""
         n = keys.shape[0]
         slots = self._home_slots(keys)
         found = np.zeros(n, dtype=bool)
@@ -133,10 +128,7 @@ class HashTable:
             match = stored == keys[pending]
             empty = stored == EMPTY
             found[pending[match]] = True
-            if stop_at_empty:
-                done = match | empty
-            else:
-                done = match | empty  # absent keys resolve at first empty
+            done = match | empty
             slots[pending[~done]] = (slot[~done] + 1) & self._mask
             pending = pending[~done]
         return slots, found
@@ -198,11 +190,7 @@ class HashTable:
         if keys.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0, dtype=bool)
-        return self._locate(keys, stop_at_empty=True)
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Membership test (semijoin probe)."""
-        return self.lookup(keys)[1]
+        return self._locate(keys)
 
     def add_at(self, slots: np.ndarray, agg: int, deltas: np.ndarray) -> None:
         """Scatter-add ``deltas`` into aggregate column ``agg`` at slots."""
@@ -223,22 +211,9 @@ class HashTable:
         """Set-semantics insert (semijoin build side)."""
         self.upsert_slots(keys)
 
-    def delete(self, keys: np.ndarray) -> int:
-        """Delete keys (tombstoning their slots); return how many existed.
-
-        Used by eager aggregation's cleanup scan (paper §III-E).
-        """
-        slots, found = self.lookup(keys)
-        victims = np.unique(slots[found])
-        existed = int(victims.size)
-        self._keys[victims] = TOMBSTONE
-        self._aggs[victims] = 0
-        self._num_entries -= existed
-        return existed
-
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return (keys, aggs) for all live entries, sorted by key."""
-        live = (self._keys != EMPTY) & (self._keys != TOMBSTONE)
+        live = self._keys != EMPTY
         keys = self._keys[live]
         aggs = self._aggs[live]
         order = np.argsort(keys, kind="stable")

@@ -5,18 +5,18 @@ call is exactly the kind of per-query setup cost that dominates short
 OLAP queries (Sirin & Ailamaki's micro-architectural OLAP analysis puts
 the blame for poor utilization on per-query overheads, not kernel
 work). The :class:`WorkerPool` amortizes that cost across queries the
-way the plan cache amortizes compilation:
+way the plan cache amortizes compilation: it wraps one
+``concurrent.futures.ThreadPoolExecutor``, created on the first
+parallel batch, whose threads stay alive between batches.
 
-* worker threads start lazily on the first parallel batch and then
-  block on a condition variable until the next batch arrives;
 * a worker carries no per-query state: a morsel is a plain
   ``partial(ctx, lo, hi)`` call, priced by no tracer;
 * a batch carries a cooperative cancel flag: the first morsel failure
-  stops the remaining workers from pulling further morsels instead of
+  stops the remaining lanes from pulling further morsels instead of
   letting them drain the cursor;
-* ``shutdown()`` is idempotent, the pool is a context manager, and a
-  lazily-registered ``atexit`` hook tears the threads down at
-  interpreter exit.
+* ``shutdown()`` is idempotent, the pool is a context manager and
+  restarts lazily; the executor joins its own threads at interpreter
+  exit.
 
 Determinism is unaffected by pooling: partial values are stored by
 morsel *index* and merged in that order, never in thread-timing order,
@@ -32,23 +32,25 @@ concurrent queries queue on the submit lock, never interleave morsels.
 
 from __future__ import annotations
 
-import atexit
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError
 from .cancellation import CancelToken
 
+#: Name prefix of the pool's threads (``repro-pool_0``, ...).
+THREAD_NAME_PREFIX = "repro-pool"
+
 
 class MorselBatch:
     """One parallel run: a shared morsel cursor plus its result slots.
 
-    Workers call :meth:`drain`; morsel indices are claimed under the
+    Each lane calls :meth:`drain`; morsel indices are claimed under the
     batch lock, values land in index-addressed slots (order never
-    depends on thread timing), and
-    the first failure flips :attr:`cancelled` so other workers stop
-    claiming work.
+    depends on thread timing), and the first failure flips
+    :attr:`cancelled` so other lanes stop claiming work.
 
     An optional :class:`~repro.engine.cancellation.CancelToken` adds a
     second stop condition at the same cursor: when the token's deadline
@@ -74,8 +76,7 @@ class MorselBatch:
         self.ctx = ctx
         self.morsels = morsels
         self.label = label
-        #: Worker ids >= this do not participate (lets one pool serve
-        #: requests for fewer workers than it has threads).
+        #: Lanes (concurrent :meth:`drain` calls) this batch runs on.
         self.workers = workers
         self.cancel = cancel
         self.values: List[Optional[Dict[str, Any]]] = [None] * len(morsels)
@@ -86,15 +87,7 @@ class MorselBatch:
         #: re-raise from :meth:`raise_failure`).
         self.stop_error: Optional[ExecutionError] = None
         self._next = 0
-        self._in_flight = 0
         self._lock = threading.Lock()
-        self._done = threading.Event()
-
-    # -- claiming --------------------------------------------------------
-
-    def claimable(self) -> bool:
-        """Whether a worker could still pull a morsel (racy, advisory)."""
-        return not self.cancelled and self._next < len(self.morsels)
 
     def _claim(self) -> Optional[int]:
         with self._lock:
@@ -105,53 +98,32 @@ class MorselBatch:
                 self.stop_error = self.cancel.stop_error(
                     self.label, self.values
                 )
-                if self._in_flight == 0:
-                    self._done.set()
                 return None
             index = self._next
             self._next += 1
-            self._in_flight += 1
             return index
-
-    def _finish(self, failed: Optional[Tuple[int, BaseException]]) -> None:
-        with self._lock:
-            if failed is not None:
-                self.errors.append(failed)
-                self.cancelled = True
-            self._in_flight -= 1
-            exhausted = self.cancelled or self._next >= len(self.morsels)
-            if exhausted and self._in_flight == 0:
-                self._done.set()
-
-    # -- running ---------------------------------------------------------
 
     def drain(self, worker_id: int) -> None:
         """Run morsels until the cursor is exhausted or the batch is
-        cancelled. Records per-worker busy seconds."""
+        cancelled. Records the lane's busy seconds."""
         busy = 0.0
-        while True:
-            index = self._claim()
-            if index is None:
-                break
+        while (index := self._claim()) is not None:
             begin = time.perf_counter()
             lo, hi = self.morsels[index]
-            failed = None
             try:
                 self.values[index] = self.plan.partial(self.ctx, lo, hi)
             except BaseException as exc:  # re-raised by raise_failure()
-                failed = (index, exc)
-            busy += time.perf_counter() - begin
-            self._finish(failed)
-            if failed is not None:
+                with self._lock:
+                    self.errors.append((index, exc))
+                    self.cancelled = True
                 break
+            finally:
+                busy += time.perf_counter() - begin
         if busy > 0.0:
             with self._lock:
                 self.wall_by_worker[worker_id] = (
                     self.wall_by_worker.get(worker_id, 0.0) + busy
                 )
-
-    def wait(self) -> None:
-        self._done.wait()
 
     def raise_failure(self) -> None:
         """Re-raise the first morsel failure (naming the morsel), or the
@@ -169,7 +141,7 @@ class MorselBatch:
 
     def result(self) -> Tuple[List[Dict[str, Any]], Dict[int, float]]:
         """Completed values in morsel order, plus busy seconds per
-        worker."""
+        lane."""
         self.raise_failure()
         return (
             [v for v in self.values if v is not None],
@@ -178,34 +150,22 @@ class MorselBatch:
 
 
 class WorkerPool:
-    """Lazily-started persistent threads draining morsel batches.
+    """Morsel batches drained on a lazily created thread-pool executor.
 
-    One batch runs at a time (the executor submits whole queries);
-    worker threads park on a condition variable between batches. The
-    pool grows on demand when a batch requests more workers than it has
-    threads, so one engine-owned pool serves any ``workers=`` override.
+    One batch runs at a time (the executor submits whole queries). The
+    pool grows on demand: a batch asking for more lanes than the
+    executor has threads swaps it for a wider one, so one engine-owned
+    pool serves any ``workers=`` override.
     """
 
     def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ExecutionError("worker pool needs at least one worker")
         self.workers = workers
-        self._cond = threading.Condition()
+        #: Guards the executor reference and the telemetry below.
+        self._lock = threading.Lock()
         self._submit_lock = threading.Lock()
-        # Serialises ensure_started against shutdown as whole
-        # operations. Without it, an ensure racing a shutdown could (a)
-        # flip _closed back to False between shutdown's notify and its
-        # join, leaving workers parked forever while join blocks on
-        # them, and (b) re-register the atexit hook in the window where
-        # shutdown is about to unregister it, losing the registration.
-        # Held only around lifecycle transitions, never during a batch,
-        # and workers only ever take _cond — no ordering cycle.
-        self._lifecycle = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self._batch: Optional[MorselBatch] = None
-        self._closed = False
-        self._atexit_registered = False
-        # Lifetime telemetry (read by snapshot(), updated under _cond).
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._batches = 0
         self._batch_morsels = 0
         self._busy_seconds = 0.0
@@ -215,50 +175,37 @@ class WorkerPool:
 
     @property
     def started(self) -> bool:
-        return bool(self._threads)
+        return self._executor is not None
+
+    def _ensure(self, workers: Optional[int]) -> Optional[ThreadPoolExecutor]:
+        """Create the executor, or swap it for a wider one; returns the
+        executor a swap retired (the caller shuts it down outside the
+        lock). Caller holds ``_lock``."""
+        retired = None
+        if workers is not None and workers > self.workers:
+            self.workers = workers
+            retired, self._executor = self._executor, None
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                self.workers, thread_name_prefix=THREAD_NAME_PREFIX
+            )
+        return retired
 
     def ensure_started(self, workers: Optional[int] = None) -> None:
-        """Start (or grow) the worker threads; safe to call repeatedly,
-        including concurrently with :meth:`shutdown` (the lifecycle lock
-        makes each a whole-operation critical section)."""
-        with self._lifecycle:
-            with self._cond:
-                self._closed = False
-                if workers is not None and workers > self.workers:
-                    self.workers = workers
-                while len(self._threads) < self.workers:
-                    worker_id = len(self._threads)
-                    thread = threading.Thread(
-                        target=self._worker_loop,
-                        args=(worker_id,),
-                        name=f"repro-pool-{worker_id}",
-                        daemon=True,
-                    )
-                    self._threads.append(thread)
-                    thread.start()
-                if self._threads and not self._atexit_registered:
-                    atexit.register(self.shutdown)
-                    self._atexit_registered = True
+        """Create (or widen) the executor; safe to call repeatedly,
+        including concurrently with :meth:`shutdown`."""
+        with self._lock:
+            retired = self._ensure(workers)
+        if retired is not None:
+            retired.shutdown()
 
     def shutdown(self) -> None:
-        """Stop and join all workers. Idempotent; the pool restarts
+        """Join the executor's threads. Idempotent; the pool restarts
         lazily if used again afterwards."""
-        with self._lifecycle:
-            with self._cond:
-                self._closed = True
-                threads = list(self._threads)
-                self._cond.notify_all()
-            # Join outside _cond (workers need it to observe _closed)
-            # but inside the lifecycle lock, so a concurrent
-            # ensure_started cannot flip _closed back and strand this
-            # join on workers that will never exit.
-            for thread in threads:
-                thread.join()
-            with self._cond:
-                self._threads = [t for t in self._threads if t.is_alive()]
-                if self._atexit_registered and not self._threads:
-                    self._atexit_registered = False
-                    atexit.unregister(self.shutdown)
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -271,18 +218,29 @@ class WorkerPool:
     def run_batch(
         self, batch: MorselBatch
     ) -> Tuple[List[Dict[str, Any]], Dict[int, float]]:
-        """Drain ``batch`` on the pool's threads and return its
-        morsel-ordered values and busy seconds per worker."""
-        self.ensure_started(batch.workers)
+        """Drain ``batch`` on ``batch.workers`` lanes and return its
+        morsel-ordered values and busy seconds per lane."""
         with self._submit_lock:
             begin = time.perf_counter()
-            with self._cond:
-                self._batch = batch
-                self._cond.notify_all()
-            batch.wait()
+            # Submitting under _lock keeps a concurrent shutdown from
+            # closing the executor between its creation and the
+            # submits; holding the batch lock makes every lane wait
+            # until all are queued, so a fresh executor starts one
+            # thread per lane instead of reusing a lane that already
+            # drained the cursor.
+            with self._lock:
+                retired = self._ensure(batch.workers)
+                with batch._lock:
+                    lanes = [
+                        self._executor.submit(batch.drain, lane)
+                        for lane in range(batch.workers)
+                    ]
+            if retired is not None:
+                retired.shutdown()
+            for lane in lanes:
+                lane.result()
             elapsed = time.perf_counter() - begin
-            with self._cond:
-                self._batch = None
+            with self._lock:
                 self._batches += 1
                 self._batch_morsels += sum(
                     1 for v in batch.values if v is not None
@@ -300,11 +258,11 @@ class WorkerPool:
         every batch; the gap is morsel-claim contention plus cursor
         exhaustion tail.
         """
-        with self._cond:
+        with self._lock:
             capacity = self._capacity_seconds
             return {
                 "workers": self.workers,
-                "threads": len(self._threads),
+                "threads": self.workers if self.started else 0,
                 "batches": self._batches,
                 "morsels": self._batch_morsels,
                 "busy_seconds": self._busy_seconds,
@@ -313,23 +271,3 @@ class WorkerPool:
                     self._busy_seconds / capacity if capacity else 0.0
                 ),
             }
-
-    # -- workers ---------------------------------------------------------
-
-    def _worker_loop(self, worker_id: int) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and not self._has_work(worker_id):
-                    self._cond.wait()
-                if self._closed:
-                    return
-                batch = self._batch
-            batch.drain(worker_id)
-
-    def _has_work(self, worker_id: int) -> bool:
-        batch = self._batch
-        return (
-            batch is not None
-            and worker_id < batch.workers
-            and batch.claimable()
-        )

@@ -41,12 +41,6 @@ class ParallelPlan:
     aggregation's cleanup). None of them takes a session: morsels are
     priced by no tracer.
 
-    ``min_parallel_rows`` (0 = the executor's default) lets a backend
-    raise the scan size below which fanning out is a loss: the
-    vectorized kernels finish small scans faster than threads can be
-    dispatched. Pinning ``ExecutionKnobs.morsel_rows`` overrides the
-    raised floor — the explicit knob exists to force the parallel path.
-
     ``sharded`` marks a plan whose ``partial`` runs in a shard worker
     process (:func:`repro.engine.shard.remote_plan`): reported as
     ``RunMetrics.sharded``, and fanned out even on one lane.
@@ -59,7 +53,6 @@ class ParallelPlan:
     finalize: Optional[
         Callable[[Dict[str, Any], Any], Dict[str, Any]]
     ] = None
-    min_parallel_rows: int = 0
     sharded: bool = False
 
 

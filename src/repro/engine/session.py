@@ -23,8 +23,7 @@ class ExecutionKnobs:
     min_parallel_rows:
         Scan length below which partitionable programs run serial
         anyway (the thread fan-out floor). ``None`` defers to the
-        compiled program's own declared floor (the vectorized backend
-        declares ``VECTORIZED_MIN_PARALLEL_ROWS``). Set explicitly — or
+        executor's ``MIN_PARALLEL_ROWS``. Set explicitly — or
         let an adaptive engine seed it from the feedback store's
         measured serial-vs-parallel crossover — to override the
         built-in constant per host. A pinned ``morsel_rows`` disables

@@ -17,14 +17,16 @@ round-trips the morsel to a worker, and the engine's one
 thread run (its threads only wait on pipes here), under the same
 :class:`~repro.engine.executor.MorselExecutor`:
 
-* each morsel becomes one **task** on the pickle-free line-JSON
-  protocol — plan envelope + compile-spec wire form + row range, never
-  data, never pickled code;
+* each morsel becomes one **task**, a pickled dict on the worker's
+  stdin — plan envelope + compile-spec wire form + row range, never
+  data, never code objects;
 * workers compile the plan themselves (codegen is deterministic — the
   CI matrix pins golden sources across processes), run the program's
-  ``partial`` over their row range, and ship the raw partial state
-  back (arrays as dtype-tagged base64 of their exact bytes);
-* the decoded partials land in the batch's **morsel-index** slots and
+  ``partial`` over their row range, and pickle the raw partial state
+  back on stdout (pickle keeps arrays, floats and big ints bit-exact).
+  Pickle only ever crosses between a parent and the worker process it
+  spawned;
+* the returned partials land in the batch's **morsel-index** slots and
   go through the one :func:`~repro.engine.program.merge_partials` /
   ``finalize`` path, in the same order as a serial or thread run, so
   sharded answers are *byte-identical* to serial ones (float
@@ -47,9 +49,8 @@ the paper's clock is the instrumented backend's serial pass.
 from __future__ import annotations
 
 import atexit
-import base64
-import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -58,8 +59,6 @@ from functools import cache
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Any, Dict, Tuple
-
-import numpy as np
 
 from ..errors import ExecutionError, ReproError
 from ..obs import MetricsRegistry, observe_span
@@ -77,72 +76,15 @@ _STOP_GRACE_SECONDS = 2.0
 
 
 class ShardWorkerDied(ExecutionError):
-    """The pipe to a shard worker hit EOF or broke mid-request."""
-
-
-# -- partial-value codec -------------------------------------------------
-#
-# Partial states are small (per-morsel aggregate scalars or compact
-# key/agg arrays), but they must survive the pipe *exactly*: the merge
-# is float arithmetic, so a decimal round-trip would break the
-# byte-identical guarantee. Arrays and NumPy scalars ship as base64 of
-# their raw bytes with a dtype tag; Python ints as decimal strings
-# (arbitrary precision); floats as C99 hex literals (exact).
-
-
-def encode_partial(value: Dict[str, Any]) -> Dict[str, Any]:
-    """One partial state as a JSON-safe, bit-exact wire object."""
-    out: Dict[str, Any] = {}
-    for name, item in value.items():
-        if isinstance(item, np.ndarray):
-            arr = np.ascontiguousarray(item)
-            out[name] = {
-                "nd": [arr.dtype.str, list(arr.shape)],
-                "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
-            }
-        elif isinstance(item, np.generic):
-            out[name] = {
-                "ns": item.dtype.str,
-                "b64": base64.b64encode(item.tobytes()).decode("ascii"),
-            }
-        elif isinstance(item, bool):
-            out[name] = {"j": item}
-        elif isinstance(item, int):
-            out[name] = {"i": str(item)}
-        elif isinstance(item, float):
-            out[name] = {"f": item.hex()}
-        else:
-            out[name] = {"j": item}
-    return out
-
-
-def decode_partial(wire: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`encode_partial`."""
-    out: Dict[str, Any] = {}
-    for name, item in wire.items():
-        if "nd" in item:
-            dtype, shape = item["nd"]
-            out[name] = np.frombuffer(
-                base64.b64decode(item["b64"]), dtype=np.dtype(dtype)
-            ).reshape(shape)
-        elif "ns" in item:
-            out[name] = np.frombuffer(
-                base64.b64decode(item["b64"]), dtype=np.dtype(item["ns"])
-            )[0]
-        elif "i" in item:
-            out[name] = int(item["i"])
-        elif "f" in item:
-            out[name] = float.fromhex(item["f"])
-        else:
-            out[name] = item["j"]
-    return out
+    """The pipe to a shard worker hit EOF, broke mid-request or
+    carried an unreadable frame."""
 
 
 # -- worker handle -------------------------------------------------------
 
 
 class ShardWorkerHandle:
-    """One worker process plus its line-JSON request channel."""
+    """One worker process plus its pickled-frame request channel."""
 
     def __init__(self, shard_id: int, proc: subprocess.Popen) -> None:
         self.shard_id = shard_id
@@ -164,8 +106,6 @@ class ShardWorkerHandle:
             [sys.executable, "-m", "repro.engine.shard_worker"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
             env=env,
         )
         handle = cls(shard_id, proc)
@@ -188,7 +128,7 @@ class ShardWorkerHandle:
 
     def send(self, message: Dict[str, Any]) -> None:
         try:
-            self.proc.stdin.write(json.dumps(message) + "\n")
+            pickle.dump(message, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise ShardWorkerDied(
@@ -197,27 +137,20 @@ class ShardWorkerHandle:
             ) from exc
 
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one op and block for its reply line."""
+        """Send one op and block for its reply frame."""
         with self._lock:
             self.send(message)
             try:
-                line = self.proc.stdout.readline()
-            except (OSError, ValueError) as exc:
-                raise ShardWorkerDied(
-                    f"shard {self.shard_id} (pid {self.pid}) pipe broke "
-                    f"mid-reply: {exc}"
-                ) from exc
-            if not line:
+                return pickle.load(self.proc.stdout)
+            except EOFError as exc:
                 raise ShardWorkerDied(
                     f"shard {self.shard_id} (pid {self.pid}) exited "
                     f"mid-request (exit code {self.proc.poll()})"
-                )
-            try:
-                return json.loads(line)
-            except ValueError as exc:
+                ) from exc
+            except Exception as exc:  # a broken pipe or a torn frame
                 raise ShardWorkerDied(
-                    f"shard {self.shard_id} (pid {self.pid}) spoke "
-                    f"garbage: {line[:200]!r}"
+                    f"shard {self.shard_id} (pid {self.pid}) sent an "
+                    f"unreadable reply: {exc!r}"
                 ) from exc
 
     def stop(self, grace: float = _STOP_GRACE_SECONDS) -> None:
@@ -472,7 +405,6 @@ def remote_plan(group: ShardGroup, compiled: CompiledQuery):
         }
 
     def partial(ctx, lo: int, hi: int) -> Dict[str, Any]:
-        reply = group.run_task({**template(), "lo": lo, "hi": hi})
-        return decode_partial(reply["value"])
+        return group.run_task({**template(), "lo": lo, "hi": hi})["value"]
 
     return replace(compiled.parallel, partial=partial, sharded=True)

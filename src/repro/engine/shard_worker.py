@@ -1,8 +1,9 @@
 """Shard worker process: ``python -m repro.engine.shard_worker``.
 
 One worker serves one shard of a :class:`~repro.engine.shard.ShardGroup`.
-The protocol is line-JSON on stdin/stdout (stderr passes through to the
-parent for crash forensics):
+The protocol is pickled dicts on stdin/stdout, one frame per message
+(stderr passes through to the parent for crash forensics, and so does
+anything the worker prints):
 
 ``init``
     Loads the dataset **by fingerprint** from the on-disk dataset cache
@@ -12,7 +13,7 @@ parent for crash forensics):
     ``fatal``.
 ``task``
     Runs one morsel ``[lo, hi)`` of a compiled program's ``partial``
-    and replies with the bit-exact encoded partial state.
+    and replies with the partial state (pickle keeps it bit-exact).
 ``shutdown``
     Exit 0. SIGTERM does the same, but drains a task already in flight
     first (graceful drain); a second SIGTERM exits immediately.
@@ -27,8 +28,8 @@ merge byte-identically.
 
 from __future__ import annotations
 
-import json
 import os
+import pickle
 import signal
 import sys
 import time
@@ -41,7 +42,6 @@ from ..errors import PlanError
 from ..plan.serde import plan_from_wire
 from .machine import MachineModel
 from .plan_cache import CompileSpec
-from .shard import encode_partial
 
 #: Compiled programs kept per worker (LRU, keyed by the task's
 #: :class:`CompileSpec`); a serving worker sees a small working set.
@@ -130,14 +130,14 @@ class _Worker:
         return {
             "op": "result",
             "id": msg.get("id"),
-            "value": encode_partial(value),
+            "value": value,
             "wall": time.perf_counter() - started,
         }
 
 
-def _reply(obj: Dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
-    sys.stdout.flush()
+def _reply(frames, obj: Dict[str, Any]) -> None:
+    pickle.dump(obj, frames, pickle.HIGHEST_PROTOCOL)
+    frames.flush()
 
 
 def main() -> int:
@@ -159,14 +159,20 @@ def main() -> int:
     # parent's own drain output.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    for line in sys.stdin:
-        if not line.strip():
-            continue
+    # Frames own the real stdout; a stray print goes to stderr instead
+    # of tearing a reply.
+    requests, frames = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr
+    while True:
         try:
-            msg = json.loads(line)
-        except ValueError:
-            _reply({"op": "error", "error": f"bad frame: {line[:200]!r}"})
-            continue
+            msg = pickle.load(requests)
+        except EOFError:
+            return 0  # the parent closed our stdin
+        except Exception as exc:
+            # The stream cannot be resynchronised past a torn frame:
+            # answer once, then exit so the parent respawns this shard.
+            _reply(frames, {"op": "error", "error": f"bad frame: {exc!r}"})
+            return 1
         op = msg.get("op")
         if op == "shutdown":
             return 0
@@ -193,12 +199,11 @@ def main() -> int:
             }
         finally:
             worker.busy = False
-        _reply(reply)
+        _reply(frames, reply)
         if reply.get("op") == "fatal":
             return 1
         if worker.stop_requested:
             return 0
-    return 0  # EOF: parent closed our stdin
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ their own ad-hoc ``snapshot()`` dict. This module gives them one home:
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments,
   created on demand by ``(name, labels)`` and shared by identity — two
   call sites asking for ``counter("queries_total", strategy="swole")``
-  increment the same cell;
+  increment the same cell. A resolved cell is memoised under the
+  ``(name, labels)`` spelling the call used, so the name check and the
+  label sort run once per spelling, not once per update;
 * **stat sources**: a component registers a zero-argument callable
   (typically its existing ``stats.snapshot`` bound method) and the
   registry folds its dict into every :meth:`MetricsRegistry.snapshot`,
@@ -221,6 +223,8 @@ class MetricsRegistry:
         self._counters: Dict[_Key, Counter] = {}
         self._gauges: Dict[_Key, Gauge] = {}
         self._histograms: Dict[_Key, Histogram] = {}
+        #: (kind, name, labels as passed) -> resolved cell.
+        self._memo: Dict[tuple, Any] = {}
         self._sources: Dict[str, Callable[[], Mapping[str, Any]]] = {}
         self.slow_log = slow_log if slow_log is not None else SlowQueryLog()
         self.error_log = error_log if error_log is not None else ErrorLog()
@@ -229,28 +233,31 @@ class MetricsRegistry:
     # -- instruments -----------------------------------------------------
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        key = (_check_name(name), _label_key(labels))
-        with self._lock:
-            cell = self._counters.get(key)
-            if cell is None:
-                cell = self._counters[key] = Counter()
-            return cell
+        return self._cell(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = (_check_name(name), _label_key(labels))
-        with self._lock:
-            cell = self._gauges.get(key)
-            if cell is None:
-                cell = self._gauges[key] = Gauge()
-            return cell
+        return self._cell(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
+        return self._cell(self._histograms, Histogram, name, labels)
+
+    def _cell(self, cells: dict, kind: type, name: str, labels: dict):
+        """The ``kind`` cell for ``(name, labels)``, memoised under the
+        spelling the call passed; validated and sorted only on a miss.
+        Only all-string label values are memoised: ``1`` and ``True``
+        are equal as keys but are different labels."""
+        spelling = (kind, name, *labels.items())
+        cell = self._memo.get(spelling)
+        if cell is not None:
+            return cell
         key = (_check_name(name), _label_key(labels))
         with self._lock:
-            cell = self._histograms.get(key)
+            cell = cells.get(key)
             if cell is None:
-                cell = self._histograms[key] = Histogram()
-            return cell
+                cell = cells[key] = kind()
+        if all(type(value) is str for value in labels.values()):
+            self._memo[spelling] = cell
+        return cell
 
     # -- sources ---------------------------------------------------------
 

@@ -16,11 +16,9 @@ from .column import (
 )
 from .compression import (
     DictionaryEncoding,
-    compress_int_column,
     dictionary_encode,
     fixed_point_decode,
     fixed_point_encode,
-    null_suppress,
 )
 from .database import Database
 from .fkindex import ForeignKeyIndex
@@ -38,7 +36,6 @@ __all__ = [
     "PositionalBitmap",
     "Table",
     "bitmap_from_mask",
-    "compress_int_column",
     "date_column",
     "decimal_column",
     "dictionary_encode",
@@ -47,6 +44,5 @@ __all__ = [
     "int_column",
     "make_table",
     "maybe_compress",
-    "null_suppress",
     "string_column",
 ]

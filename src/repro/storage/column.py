@@ -236,13 +236,16 @@ def decimal_column(
     """Build a fixed-point DECIMAL column from float values.
 
     Values are rounded to ``scale`` decimal places and stored as int64
-    multiplied by ``10**scale`` — the paper's fixed-point storage scheme.
+    multiplied by ``10**scale`` — the paper's fixed-point storage scheme
+    (:func:`~repro.storage.compression.fixed_point_encode`, which
+    rejects values that overflow int64).
     """
-    physical = np.rint(np.asarray(values, dtype=np.float64) * 10**scale)
+    from .compression import fixed_point_encode
+
     return Column(
         name=name,
         logical_type=LogicalType.DECIMAL,
-        values=physical.astype(np.int64),
+        values=fixed_point_encode(values, scale),
         scale=scale,
     )
 
@@ -251,15 +254,18 @@ def string_column(name: str, values: Sequence[str]) -> Column:
     """Build a dictionary-encoded STRING column from raw strings.
 
     The dictionary is sorted so that code order matches lexicographic
-    order, allowing range predicates on encoded values.
+    order, allowing range predicates on encoded values
+    (:func:`~repro.storage.compression.dictionary_encode`, which
+    rejects strings containing NUL).
     """
-    raw = np.asarray(values, dtype=object)
-    dictionary, codes = np.unique(raw.astype(str), return_inverse=True)
+    from .compression import dictionary_encode
+
+    encoded = dictionary_encode(values)
     return Column(
         name=name,
         logical_type=LogicalType.STRING,
-        values=codes.astype(np.int32),
-        dictionary=tuple(dictionary.tolist()),
+        values=encoded.codes,
+        dictionary=encoded.dictionary,
     )
 
 

@@ -1,13 +1,18 @@
-"""Compression codecs used by the column store.
+"""Compression codecs of the column store.
 
 The paper's evaluation (Section IV) uses three well-known lightweight
-compression techniques, all of which are implemented here:
+compression techniques, each with exactly one implementation here:
 
-1. **Dictionary encoding** for low-cardinality string columns.
-2. **Null suppression** (byte-width minimisation) for low-cardinality
-   integer columns.
+1. **Dictionary encoding** for low-cardinality string columns
+   (:func:`dictionary_encode`, which
+   :func:`~repro.storage.column.string_column` calls).
+2. **Null suppression** (byte-width minimisation) for integer columns:
+   :func:`column_encoding` narrows every integer stream to
+   :func:`narrowest_int_dtype` of its range, and
+   :meth:`~repro.storage.column.Column.encoded_values` serves it.
 3. **Fixed-point storage** for decimals (multiply by a power of ten and
-   store as integers).
+   store as integers; :func:`fixed_point_encode`, which
+   :func:`~repro.storage.column.decimal_column` calls).
 
 Each codec round-trips exactly; the test suite asserts this by property.
 """
@@ -120,46 +125,20 @@ def dictionary_encode(values: Sequence[str]) -> DictionaryEncoding:
     The dictionary is sorted so code comparisons preserve lexicographic
     order, which lets encoded columns answer range predicates directly.
     """
-    raw = np.asarray(list(values), dtype=object).astype(str)
-    if any("\x00" in v for v in raw):
+    raw = [str(v) for v in values]
+    if "\x00" in "".join(raw):
         # NumPy's fixed-width string arrays treat NUL as a terminator and
-        # would silently truncate; reject it as a C-string store would.
+        # would silently truncate ("a\x00" == "a"), so the check reads
+        # the Python strings; reject it as a C-string store would.
         raise StorageError("strings may not contain NUL characters")
-    dictionary, codes = np.unique(raw, return_inverse=True)
+    dictionary, codes = np.unique(
+        np.asarray(raw, dtype=str), return_inverse=True
+    )
     if dictionary.shape[0] > np.iinfo(np.int32).max:
         raise StorageError("dictionary too large for int32 codes")
     return DictionaryEncoding(
         codes=codes.astype(np.int32), dictionary=tuple(dictionary.tolist())
     )
-
-
-def null_suppress(values: np.ndarray) -> np.ndarray:
-    """Shrink an integer array to the narrowest dtype that holds its range.
-
-    This is the "null suppression" scheme from the paper's setup: leading
-    zero bytes of small integers are not stored. Raises if given a
-    non-integer array.
-    """
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        raise StorageError("null suppression requires an integer array")
-    if values.size == 0:
-        return values.astype(np.int8)
-    return values.astype(
-        narrowest_int_dtype(int(values.min()), int(values.max()))
-    )
-
-
-def suppressed_logical_type(values: np.ndarray) -> LogicalType:
-    """Return the narrowest integer :class:`LogicalType` for ``values``."""
-    narrowed = null_suppress(values)
-    mapping = {
-        np.dtype(np.int8): LogicalType.INT8,
-        np.dtype(np.int16): LogicalType.INT16,
-        np.dtype(np.int32): LogicalType.INT32,
-        np.dtype(np.int64): LogicalType.INT64,
-    }
-    return mapping[narrowed.dtype]
 
 
 def fixed_point_encode(values: np.ndarray, scale: int) -> np.ndarray:
@@ -176,13 +155,3 @@ def fixed_point_encode(values: np.ndarray, scale: int) -> np.ndarray:
 def fixed_point_decode(values: np.ndarray, scale: int) -> np.ndarray:
     """Decode fixed-point int64 values back to floats."""
     return np.asarray(values, dtype=np.float64) / 10**scale
-
-
-def compress_int_column(name: str, values: np.ndarray) -> Column:
-    """Build an integer column using null suppression."""
-    narrowed = null_suppress(np.asarray(values))
-    return Column(
-        name=name,
-        logical_type=suppressed_logical_type(narrowed),
-        values=narrowed,
-    )

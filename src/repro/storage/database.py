@@ -90,28 +90,6 @@ class Database:
             for col in table.iter_columns()
         }
 
-    def encoding_fingerprint(self) -> str:
-        """Stable digest of every column's encoding descriptor.
-
-        Part of the plan-cache key when compressed access paths are on:
-        the access-encoding pass decides from these descriptors, so two
-        databases with identical descriptors produce identical
-        decisions (and differing data ranges can never serve each
-        other's compiled code paths).
-        """
-        import hashlib
-
-        parts = []
-        for name in self.catalog.table_names:
-            for col in self.table(name).iter_columns():
-                parts.append(f"{name}.{col.name}={col.encoding.describe()}")
-        digest = hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-        return f"enc:{digest}"
-
-    def all_data(self) -> Dict[str, Dict[str, np.ndarray]]:
-        """Raw data for every table (used by statistics sampling)."""
-        return {name: self.data(name) for name in self.catalog.table_names}
-
     def column_values(
         self, table: str, column: str, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.adaptive import (
     ARM_CYCLE,
+    FEEDBACK_SNAPSHOT_VERSION,
     AdaptiveController,
     AdaptivePolicy,
     FeedbackStore,
@@ -452,6 +454,45 @@ class TestFeedbackPersistence:
             assert (
                 warm.adaptive.store.snapshot()["recorded"] >= recorded
             )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "top_level_list",
+            "recorded_not_a_number",
+            "summaries_list",
+            "fanout_bucket_list",
+            "valid",
+        ],
+    )
+    def test_corrupt_snapshot_is_a_cold_start(
+        self, micro_db, tmp_path, monkeypatch, shape
+    ):
+        # Each corrupt shape restores what parses (here: nothing); the
+        # engine starts and serves. The valid snapshot warm starts.
+        valid = self._seasoned_store().snapshot()
+        feedback = {
+            "top_level_list": [],
+            "recorded_not_a_number": {"recorded": "abc"},
+            "summaries_list": {"summaries": []},
+            "fanout_bucket_list": {"fanout": {"16384": []}},
+            "valid": valid,
+        }[shape]
+        state = (
+            feedback if isinstance(feedback, list)
+            else {"version": FEEDBACK_SNAPSHOT_VERSION, "feedback": feedback}
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        (tmp_path / "feedback.json").write_text(json.dumps(state))
+        with Engine(micro_db, adaptive=True) as engine:
+            restored = engine.adaptive.store.snapshot()
+            if shape == "valid":
+                assert restored["recorded"] == valid["recorded"] > 0
+                assert set(restored["summaries"]) == {"fp-a", "fp-b"}
+            else:
+                assert restored["recorded"] == 0
+                assert restored["summaries"] == {}
+            engine.execute(mb.q1(30), "auto")
 
     def test_static_engine_saves_nothing(self, micro_db):
         with Engine(micro_db) as engine:

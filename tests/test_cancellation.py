@@ -4,7 +4,8 @@ The contract: a :class:`CancelToken` carries a monotonic deadline plus
 an explicit cancel flag; the morsel batch checks it at every claim, so
 a timed-out parallel run stops within one morsel's worth of work and
 raises :class:`QueryTimeout` naming the elapsed time; ``Engine.execute``
-accepts either a relative ``deadline=`` budget or an existing token.
+takes the token as ``cancel=`` (a relative budget is
+``CancelToken.after(seconds)``).
 Thread and shard runs share the one cursor, so the engine-level cases
 run on both tiers.
 """
@@ -18,7 +19,7 @@ from repro.datagen import microbench as mb
 from repro.datagen.cache import load_dataset
 from repro.engine import CancelToken, Engine, ExecutionKnobs, MorselBatch
 from repro.engine.program import results_equal
-from repro.errors import QueryCancelled, QueryTimeout, ReproError
+from repro.errors import QueryCancelled, QueryTimeout
 
 from .conftest import drain
 
@@ -169,21 +170,12 @@ class TestMorselCursorStops:
 
 
 class TestEnginePlumbing:
-    def test_deadline_and_cancel_are_exclusive(self, micro_db):
-        with Engine(db=micro_db, workers=2) as engine:
-            with pytest.raises(ReproError, match=r"not both"):
-                engine.execute(
-                    mb.q1(30),
-                    "swole",
-                    deadline=1.0,
-                    cancel=CancelToken(),
-                )
-
     def test_generous_deadline_completes_normally(self, micro_db):
         with Engine(db=micro_db, workers=2) as engine:
             plain = engine.execute(mb.q1(30), "swole", workers=2)
             bounded = engine.execute(
-                mb.q1(30), "swole", workers=2, deadline=60.0
+                mb.q1(30), "swole", workers=2,
+                cancel=CancelToken.after(60.0),
             )
             assert bounded.value == plain.value
 

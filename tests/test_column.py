@@ -79,6 +79,11 @@ class TestConstructors:
         col = decimal_column("d", [0.005], scale=2)
         assert col.values.tolist() in ([0], [1])  # banker's rounding
 
+    def test_decimal_overflow_rejected(self):
+        # 1e17 at scale 2 is 1e19 > int64 max: stored, it would wrap.
+        with pytest.raises(StorageError, match="overflows int64"):
+            decimal_column("d", [1e17])
+
     def test_date_column(self):
         col = date_column("d", [0, 10_000])
         assert col.logical_type is LogicalType.DATE
@@ -112,6 +117,12 @@ class TestStringColumn:
         col = int_column("a", [1])
         with pytest.raises(StorageError):
             col.code_for("x")
+
+    def test_nul_rejected(self):
+        # A trailing NUL would vanish in NumPy's fixed-width strings, so
+        # "a" and "a\x00" would share one code.
+        with pytest.raises(StorageError, match="NUL"):
+            string_column("s", ["a", "a\x00"])
 
     def test_decode_strings(self):
         col = string_column("s", ["p", "q", "p"])

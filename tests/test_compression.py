@@ -10,19 +10,17 @@ from repro.engine.machine import PAPER_MACHINE
 from repro.engine.session import Session
 from repro.errors import StorageError
 from repro.storage.column import (
+    Column,
     LogicalType,
     decimal_column,
     int_column,
     string_column,
 )
 from repro.storage.compression import (
-    compress_int_column,
     dictionary_encode,
     fixed_point_decode,
     fixed_point_encode,
     narrowest_int_dtype,
-    null_suppress,
-    suppressed_logical_type,
 )
 
 from .conftest import compile_named
@@ -70,33 +68,41 @@ class TestDictionaryEncoding:
     def test_nul_characters_rejected(self):
         with pytest.raises(StorageError):
             dictionary_encode(["a\x00b"])
+        with pytest.raises(StorageError):
+            dictionary_encode(["a", "a\x00"])  # a trailing NUL too
+
+
+def null_suppressed(values):
+    """The code stream null suppression serves for an int64 column."""
+    return int_column("a", np.asarray(values, dtype=np.int64)).encoded_values()
 
 
 class TestNullSuppression:
+    """Null suppression is the ``ns`` codec of :func:`column_encoding`,
+    served by :meth:`Column.encoded_values`."""
+
     def test_small_values_become_int8(self):
-        assert null_suppress(np.asarray([0, 100, -100])).dtype == np.int8
+        assert null_suppressed([0, 100, -100]).dtype == np.int8
 
     def test_medium_values_become_int16(self):
-        assert null_suppress(np.asarray([0, 1000])).dtype == np.int16
+        assert null_suppressed([0, 1000]).dtype == np.int16
 
     def test_large_values_stay_int64(self):
-        assert null_suppress(np.asarray([2**40])).dtype == np.int64
+        assert null_suppressed([2**40]).dtype == np.int64
 
     def test_empty_array(self):
-        assert null_suppress(np.asarray([], dtype=np.int64)).dtype == np.int8
+        col = int_column("a", np.asarray([], dtype=np.int64))
+        assert col.encoding.codec == "none"
+        assert col.encoded_values().dtype == np.int64
 
     def test_rejects_floats(self):
-        with pytest.raises(StorageError):
-            null_suppress(np.asarray([1.5]))
+        col = Column("f", LogicalType.FLOAT64, np.asarray([1.5]))
+        assert col.encoding.codec == "none"
+        assert col.encoded_values() is col.values
 
     def test_suppressed_logical_type(self):
-        assert (
-            suppressed_logical_type(np.asarray([1, 2])) is LogicalType.INT8
-        )
-        assert (
-            suppressed_logical_type(np.asarray([2**20]))
-            is LogicalType.INT32
-        )
+        assert int_column("a", [1, 2]).encoding.dtype == "int8"
+        assert int_column("a", [2**20]).encoding.dtype == "int32"
 
     @given(
         st.lists(
@@ -107,9 +113,7 @@ class TestNullSuppression:
     )
     @settings(max_examples=50, deadline=None)
     def test_lossless_property(self, values):
-        array = np.asarray(values, dtype=np.int64)
-        narrowed = null_suppress(array)
-        assert narrowed.astype(np.int64).tolist() == values
+        assert null_suppressed(values).astype(np.int64).tolist() == values
 
 
 class TestFixedPoint:
@@ -145,13 +149,14 @@ class TestFixedPoint:
 
 class TestCompressIntColumn:
     def test_narrowest_type_chosen(self):
-        col = compress_int_column("a", np.asarray([1, 2, 3]))
-        assert col.logical_type is LogicalType.INT8
+        col = int_column("a", np.asarray([1, 2, 3]))
+        assert col.encoding.codec == "ns"
+        assert col.encoding.describe() == "ns:int8(8B->1B)"
 
     def test_values_preserved(self):
-        col = compress_int_column("a", np.asarray([300, -300]))
-        assert col.logical_type is LogicalType.INT16
-        assert col.values.tolist() == [300, -300]
+        codes = null_suppressed([300, -300])
+        assert codes.dtype == np.int16
+        assert codes.tolist() == [300, -300]
 
 
 class TestNarrowestIntDtype:

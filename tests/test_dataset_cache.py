@@ -1,5 +1,7 @@
 """Dataset cache: fingerprinting, both layers, and round-trip fidelity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,58 @@ class TestDiskLayer:
         assert not tmp_path.exists()
         cache.load("microbench", SMALL)
         assert cache.last_source == "generated"
+
+
+def _rewrite_meta(entry, edit):
+    meta = json.loads((entry / "meta.json").read_text())
+    (entry / "meta.json").write_text(json.dumps(edit(meta)))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _set_columns(meta, columns):
+    meta["tables"][0]["columns"] = columns
+    return meta
+
+
+#: Ways an on-disk entry goes bad: wrong-shape metadata, truncation.
+CORRUPTIONS = {
+    "meta_is_a_list": lambda entry: _rewrite_meta(entry, lambda meta: []),
+    "tables_is_an_int": lambda entry: _rewrite_meta(
+        entry, lambda meta: {**meta, "tables": 5}
+    ),
+    "columns_is_a_string": lambda entry: _rewrite_meta(
+        entry, lambda meta: _set_columns(meta, "abc")
+    ),
+    "meta_truncated": lambda entry: _truncate(entry / "meta.json"),
+    "codes_truncated": lambda entry: _truncate(
+        next(entry.glob("*.codes.npy"))
+    ),
+}
+
+
+class TestCorruptEntryHeals:
+    """A corrupt entry is a miss once: the regenerated dataset replaces
+    it, so the next process loads from disk and shard workers (which
+    only ever load by fingerprint) start."""
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_next_process_loads_from_disk(self, tmp_path, corruption):
+        DatasetCache(cache_dir=tmp_path).load("microbench", SMALL)
+        CORRUPTIONS[corruption](
+            tmp_path / dataset_fingerprint("microbench", SMALL)
+        )
+        healing = DatasetCache(cache_dir=tmp_path)
+        healing.load("microbench", SMALL)
+        assert healing.last_source == "generated"
+        cache = DatasetCache(cache_dir=tmp_path)
+        db = cache.load("microbench", SMALL)
+        assert cache.last_source == "disk"
+        databases_equal(db, mb.generate(SMALL))
+        with Engine(db, shards=1) as engine:
+            assert engine.start_shards().snapshot()["alive"] == 1
 
 
 class TestValidation:

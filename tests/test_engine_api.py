@@ -198,7 +198,7 @@ class TestSessionApi:
         # The fan-out floor is a knob (``knobs=ExecutionKnobs(
         # min_parallel_rows=...)``), not a second Engine parameter.
         assert list(inspect.signature(Engine).parameters) == [
-            "db", "machine", "workers", "plan_cache_size",
+            "db", "machine", "workers",
             "knobs", "registry", "backend", "encoding", "adaptive",
             "shards",
         ]

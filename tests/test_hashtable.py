@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.hashtable import EMPTY, NULL_KEY, TOMBSTONE, HashTable
+from repro.engine.hashtable import EMPTY, NULL_KEY, HashTable
 from repro.errors import ExecutionError
 
 
@@ -72,9 +72,8 @@ class TestAggregate:
 
     def test_sentinel_keys_rejected(self):
         table = HashTable(expected_keys=2)
-        for bad in (EMPTY, TOMBSTONE):
-            with pytest.raises(ExecutionError):
-                table.insert_keys(np.asarray([bad], dtype=np.int64))
+        with pytest.raises(ExecutionError):
+            table.insert_keys(np.asarray([EMPTY], dtype=np.int64))
 
     def test_empty_batch(self):
         table = HashTable(expected_keys=2)
@@ -89,11 +88,6 @@ class TestLookup:
         slots, found = table.lookup(np.asarray([10, 30, 20]))
         assert found.tolist() == [True, False, True]
 
-    def test_contains(self):
-        table = HashTable(expected_keys=4)
-        table.insert_keys(np.asarray([1]))
-        assert table.contains(np.asarray([1, 2])).tolist() == [True, False]
-
     def test_probe_statistics_accumulate(self):
         table = HashTable(expected_keys=64)
         table.insert_keys(np.arange(64))
@@ -105,39 +99,8 @@ class TestLookup:
         table = HashTable(expected_keys=128)
         keys = np.arange(0, 256, 2)[:128]
         table.insert_keys(keys)
-        assert table.contains(keys).all()
-        assert not table.contains(keys + 1).any()
-
-
-class TestDelete:
-    def test_delete_removes_entries(self):
-        table = HashTable(expected_keys=8)
-        table.aggregate(np.arange(8), np.ones(8, dtype=np.int64))
-        existed = table.delete(np.asarray([0, 1, 99]))
-        assert existed == 2
-        assert table.num_entries == 6
-        assert table.get(0) is None
-
-    def test_lookup_probes_past_tombstones(self):
-        table = HashTable(expected_keys=8)
-        keys = np.arange(16)
-        table.insert_keys(keys)
-        table.delete(keys[:8])
-        assert table.contains(keys[8:]).all()
-
-    def test_double_delete_is_idempotent(self):
-        table = HashTable(expected_keys=4)
-        table.insert_keys(np.asarray([1, 2]))
-        assert table.delete(np.asarray([1])) == 1
-        assert table.delete(np.asarray([1])) == 0
-        assert table.num_entries == 1
-
-    def test_items_excludes_deleted(self):
-        table = HashTable(expected_keys=4)
-        table.aggregate(np.asarray([1, 2, 3]), np.asarray([1, 1, 1]))
-        table.delete(np.asarray([2]))
-        keys, _ = table.items()
-        assert keys.tolist() == [1, 3]
+        assert table.lookup(keys)[1].all()
+        assert not table.lookup(keys + 1)[1].any()
 
 
 class TestItems:
@@ -173,20 +136,3 @@ def test_aggregate_matches_counter(pairs):
     assert dict(zip(got_keys.tolist(), got_aggs[:, 0].tolist())) == dict(
         expected
     )
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_delete_then_lookup_consistency(data):
-    """Property: membership after interleaved inserts and deletes."""
-    universe = list(range(50))
-    inserted = data.draw(st.lists(st.sampled_from(universe), max_size=60))
-    deleted = data.draw(st.lists(st.sampled_from(universe), max_size=30))
-    table = HashTable(expected_keys=50)
-    if inserted:
-        table.insert_keys(np.asarray(inserted, dtype=np.int64))
-    if deleted:
-        table.delete(np.asarray(deleted, dtype=np.int64))
-    expected = set(inserted) - set(deleted)
-    present = table.contains(np.asarray(universe, dtype=np.int64))
-    assert {u for u, p in zip(universe, present) if p} == expected

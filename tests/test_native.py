@@ -165,17 +165,46 @@ class TestImportSurface:
 
 class TestSkiRental:
     def test_no_build_before_a_program_has_earned_it(
-        self, builder, tmp_path
+        self, builder, monkeypatch, tmp_path
     ):
         builder.parked = False
+        handed = []
+        monkeypatch.setattr(
+            builder, "submit", lambda *args: handed.append(args)
+        )
         db = _db(tmp_path)
         with Engine(db, registry=MetricsRegistry()) as engine:
             for _ in range(20):  # microseconds each: far under 50 ms
                 engine.execute(_plan())
             program = engine.compile(_plan()).program
         assert program.tier == "numpy"
-        assert builder._thread is None  # nothing was ever handed over
+        assert not handed  # nothing was ever handed over
         assert not (tmp_path / "native").exists()
+
+    def test_a_builder_bug_is_logged_not_lost(self, builder, monkeypatch):
+        # An unexpected raise inside build() must not vanish into the
+        # executor's future: the program leaves "building" and the
+        # error log names it.
+        class Program:
+            registry = MetricsRegistry()
+            tier = "building"
+
+            def publish(self, tier, kernel):
+                assert kernel is None
+                self.tier = tier
+
+        def broken(program, state):
+            raise RuntimeError("emitter bug")
+
+        monkeypatch.setattr(builder, "build", broken)
+        builder.parked = False
+        program = Program()
+        assert builder.submit(program, {})
+        _wait_for(lambda: program.tier != "building")
+        assert program.tier == "failed: RuntimeError('emitter bug')"
+        assert builder.snapshot()["queued"] == 0
+        errors = program.registry.snapshot()["errors"]
+        assert "emitter bug" in repr(errors)
 
     @requires_cc
     def test_a_hot_program_goes_native_behind_run_final(

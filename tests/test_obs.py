@@ -43,6 +43,60 @@ class TestInstruments:
         with pytest.raises(ReproError, match="not a valid identifier"):
             reg.gauge("ok_name", **{"bad label": 1})
 
+    def test_memoised_cell_is_the_validated_cell(self):
+        reg = MetricsRegistry()
+        first = reg.counter("queries_total", strategy="swole", backend="c")
+        # Another label order is another memo spelling of one cell.
+        again = reg.counter("queries_total", backend="c", strategy="swole")
+        assert first is again
+        assert first is reg.counter(
+            "queries_total", strategy="swole", backend="c"
+        )
+        first.inc()
+        assert reg.snapshot()["counters"] == {
+            "queries_total{backend=c,strategy=swole}": 1
+        }
+        # A non-string value names its str() cell and is not memoised
+        # (1 and True are equal as keys but are different labels).
+        assert reg.gauge("g", n=1) is reg.gauge("g", n="1")
+        assert reg.gauge("g", n=True) is not reg.gauge("g", n=1)
+        # A rejected name never reaches the memo: it raises every time.
+        for _ in range(2):
+            with pytest.raises(ReproError, match="not a valid identifier"):
+                reg.histogram("nope-hyphens", stage="x")
+            with pytest.raises(ReproError, match="not a valid identifier"):
+                reg.counter("ok_name", **{"bad label": "x"})
+
+    def test_concurrent_first_lookups_share_one_cell(self):
+        # Eight threads race to resolve (and memoise) the same cells
+        # under a tiny switch interval; every increment lands in one.
+        import sys
+
+        reg = MetricsRegistry()
+        per_thread, threads = 500, 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        reg.counter("hits_total", shard=str(i % 3)).inc()
+                        for i in range(per_thread)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        counters = reg.snapshot()["counters"]
+        assert sum(counters.values()) == per_thread * threads
+        assert len(counters) == 3
+
     def test_gauge_moves_both_ways(self):
         reg = MetricsRegistry()
         gauge = reg.gauge("queue_depth")

@@ -1,8 +1,9 @@
 """Multi-process shard executor.
 
 The contract under test: worker processes map the same on-disk columns
-by dataset fingerprint, morsels ship over a pickle-free line-JSON
-protocol, and the gathered answer is byte-identical to the serial one
+by dataset fingerprint, morsels and partials ship as pickled frames
+over the worker's pipes, and the gathered answer is byte-identical to
+the serial one
 (``repr`` equality — every float bit). Plus the operational envelope:
 a SIGKILLed worker's morsel retries on a fresh process, engines refuse
 databases without cache provenance, and small scans fall back to
@@ -11,6 +12,7 @@ in-process execution instead of paying the pipe.
 
 import json
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -27,11 +29,11 @@ from repro.engine import Engine, ExecutionKnobs
 from repro.engine.costing import StatsOverride
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.plan_cache import plan_key
+from repro.engine import shard_worker
 from repro.engine.shard import (
     MAX_TASK_RETRIES,
+    ShardWorkerDied,
     ShardWorkerHandle,
-    decode_partial,
-    encode_partial,
 )
 from repro.errors import ExecutionError, PlanError, ReproError
 from repro.plan.serde import plan_to_wire
@@ -78,52 +80,124 @@ def sharded_engine(cached_tpch_db):
     engine.shutdown()
 
 
+class PipeProc:
+    """Stands in for a worker's ``Popen``: the handle's stdin/stdout
+    are two real ``os.pipe``s whose far ends the test plays the worker
+    on."""
+
+    pid = 0
+
+    def __init__(self):
+        task_r, task_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.stdin = os.fdopen(task_w, "wb")
+        self.stdout = os.fdopen(reply_r, "rb")
+        self.worker_in = os.fdopen(task_r, "rb")
+        self.worker_out = os.fdopen(reply_w, "wb")
+
+    def poll(self):
+        return None
+
+    def close(self):
+        for end in (self.stdin, self.stdout, self.worker_in, self.worker_out):
+            if not end.closed:
+                end.close()
+
+
 class TestWireCodec:
-    """The partial-state codec must be bit-exact through real JSON."""
+    """Tasks and partials cross a real pipe as pickled frames, bit-exact."""
 
-    def roundtrip(self, value):
-        return decode_partial(json.loads(json.dumps(encode_partial(value))))
+    @pytest.fixture()
+    def pipe(self):
+        proc = PipeProc()
+        yield proc
+        proc.close()
 
-    def test_arrays_roundtrip_bit_exact(self):
+    def roundtrip(self, pipe, value):
+        """Send ``value`` in a task frame through the parent's handle;
+        the far end echoes it back through the worker's reply path."""
+
+        def echo():
+            task = pickle.load(pipe.worker_in)
+            shard_worker._reply(
+                pipe.worker_out, {"op": "result", "value": task["value"]}
+            )
+
+        worker = threading.Thread(target=echo)
+        worker.start()
+        reply = ShardWorkerHandle(0, pipe).request(
+            {"op": "task", "value": value}
+        )
+        worker.join()
+        return reply["value"]
+
+    def test_arrays_roundtrip_bit_exact(self, pipe):
+        # Every dtype a kernel partial carries, plus a 2-D table.
         value = {
             "sums": np.array([0.1 + 0.2, -0.0, 1e-300, np.inf]),
+            "f32": np.array([0.1, -2.5], dtype=np.float32),
             "counts": np.arange(4, dtype=np.int64),
+            "codes8": np.array([-128, 127], dtype=np.int8),
+            "codes16": np.array([-300, 300], dtype=np.int16),
+            "codes32": np.array([-70000, 70000], dtype=np.int32),
+            "wrapped": np.array([2**64 - 1, 2**63], dtype=np.uint64),
             "mask": np.array([True, False, True]),
             "keys": np.array(["AIR", "RAIL", "TRUCK"]),
             "grid": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "empty": np.empty((0, 3), dtype=np.int64),
         }
-        back = self.roundtrip(value)
+        back = self.roundtrip(pipe, value)
         for name, item in value.items():
             assert back[name].dtype == item.dtype
             assert back[name].shape == item.shape
             assert back[name].tobytes() == item.tobytes()
 
-    def test_scalars_roundtrip_bit_exact(self):
+    def test_scalars_roundtrip_bit_exact(self, pipe):
         value = {
             "np_float": np.float64(0.1),
             "np_int": np.int32(-7),
             "big_int": 2**80 + 1,
+            "past_int64": 2**63,
+            "past_uint64": -(2**64) - 1,
             "flt": 0.1 + 0.2,  # != 0.3; a decimal round-trip would drift
             "neg_zero": -0.0,
             "flag": True,
             "text": "lineitem",
             "nothing": None,
         }
-        back = self.roundtrip(value)
+        back = self.roundtrip(pipe, value)
         assert isinstance(back["np_float"], np.float64)
         assert back["np_float"].tobytes() == value["np_float"].tobytes()
         assert back["np_int"] == np.int32(-7)
+        assert back["np_int"].dtype == np.int32
         assert back["big_int"] == 2**80 + 1
+        assert back["past_int64"] == 2**63
+        assert back["past_uint64"] == -(2**64) - 1
         assert back["flt"].hex() == (0.1 + 0.2).hex()
         assert str(back["neg_zero"]) == "-0.0"
         assert back["flag"] is True
         assert back["text"] == "lineitem"
         assert back["nothing"] is None
 
-    def test_nan_payload_survives(self):
-        value = {"x": np.array([np.nan, 1.0])}
-        back = self.roundtrip(value)
-        assert back["x"].tobytes() == value["x"].tobytes()
+    def test_nan_payload_survives(self, pipe):
+        payload = np.array([0x7FF8000000000001], dtype=np.int64).view(
+            np.float64
+        )
+        value = {"x": np.array([np.nan, 1.0]), "payload": payload}
+        back = self.roundtrip(pipe, value)
+        for name in value:
+            assert back[name].tobytes() == value[name].tobytes()
+
+    def test_torn_frame_is_a_dead_worker(self, pipe):
+        pipe.worker_out.write(b"\x00")  # no pickle opcode
+        pipe.worker_out.flush()
+        with pytest.raises(ShardWorkerDied, match="unreadable"):
+            ShardWorkerHandle(0, pipe).request({"op": "task"})
+
+    def test_eof_is_a_dead_worker(self, pipe):
+        pipe.worker_out.close()
+        with pytest.raises(ShardWorkerDied, match="exited mid-request"):
+            ShardWorkerHandle(0, pipe).request({"op": "task"})
 
     def test_override_wire_roundtrip(self):
         # The override rides inside the compile spec's wire form, unset

@@ -13,6 +13,7 @@ import pytest
 
 from repro.datagen import microbench as mb
 from repro.engine import Engine, MorselBatch, WorkerPool
+from repro.engine.pool import THREAD_NAME_PREFIX
 from repro.engine.program import results_equal
 from repro.engine.session import ExecutionKnobs
 from repro.errors import ExecutionError
@@ -30,7 +31,7 @@ def pool_thread_ids():
     return {
         t.ident
         for t in threading.enumerate()
-        if t.name.startswith("repro-pool-")
+        if t.name.startswith(THREAD_NAME_PREFIX + "_")
     }
 
 
@@ -125,11 +126,10 @@ class TestPoolLifecycle:
 
 class TestLifecycleRaces:
     def test_concurrent_ensure_and_shutdown_never_wedge(self):
-        # Regression for the register/unregister race: ensure_started
-        # and shutdown hammered from two threads must neither deadlock
-        # nor leave the atexit hook pointing at dead threads. Bounded
-        # iterations keep the test deterministic-fast; the join below
-        # is the liveness assertion.
+        # ensure_started and shutdown hammered from two threads must
+        # never deadlock, and the pool must still run a batch and shut
+        # down cleanly afterwards. Bounded iterations keep the test
+        # deterministic-fast; the join below is the liveness assertion.
         pool = WorkerPool(workers=2)
         stop = threading.Event()
         errors = []
@@ -166,6 +166,37 @@ class TestLifecycleRaces:
         # ...and shuts down cleanly.
         pool.shutdown()
         assert not pool.started
+
+
+    def test_every_morsel_runs_once_under_contention(self):
+        # More lanes than cores, many tiny morsels and a tiny switch
+        # interval: the shared cursor must hand out each morsel exactly
+        # once and keep values in morsel order, batch after batch.
+        import sys
+
+        class Counting:
+            def __init__(self):
+                self.ran = []
+
+            def partial(self, ctx, lo, hi):
+                self.ran.append(lo)
+                return {"lo": lo}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(workers=8) as pool:
+                for _ in range(5):
+                    plan = Counting()
+                    morsels = [(i, i + 1) for i in range(500)]
+                    values, busy = pool.run_batch(
+                        MorselBatch(plan, None, morsels, "stress", 8)
+                    )
+                    assert sorted(plan.ran) == list(range(500))
+                    assert [v["lo"] for v in values] == list(range(500))
+                    assert set(busy) <= set(range(8))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCancellation:
