@@ -10,12 +10,11 @@ table than the large one.
 import pytest
 
 from repro.bench import microbench as sweep
-from repro.codegen.lower import eager_aggregate
-from repro.core.eager_aggregation import groupjoin_pipeline
 from repro.datagen import microbench as mb
 from repro.engine.session import Session
+from repro.plan.passes import EAGER
 
-from conftest import BENCH_CONFIG, BENCH_SELS
+from conftest import BENCH_CONFIG, BENCH_SELS, staged_program
 
 #: First sweep point at which the planner rewrites the groupjoin to
 #: eager aggregation, per panel (earlier for the cache-resident build).
@@ -36,15 +35,18 @@ def large_panel():
     )
 
 
+def eager_program(db, machine, sel):
+    """µQ5 with the groupjoin forced to §III-E (independent of the
+    planner)."""
+    return staged_program(mb.q5(sel), db, machine, groupjoin_mode=EAGER)
+
+
 def test_fig12_wall_time_eager(benchmark, micro_db, micro_machine):
     session = Session(machine=micro_machine)
+    program = eager_program(micro_db, micro_machine, 50)
     benchmark.group = "fig12"
     benchmark.pedantic(
-        lambda: groupjoin_pipeline(
-            session, micro_db, eager_aggregate(mb.q5(50))
-        ),
-        rounds=3,
-        iterations=1,
+        lambda: program.run(session), rounds=3, iterations=1
     )
 
 
@@ -62,8 +64,7 @@ def _forced_eager_series(panel_s_rows):
     costs = []
     for sel in BENCH_SELS:
         session = Session(machine=machine)
-        groupjoin_pipeline(session, db, eager_aggregate(mb.q5(sel)))
-        costs.append(session.tracer.report.total_cycles)
+        costs.append(eager_program(db, machine, sel).run(session).cycles)
     return costs
 
 

@@ -19,7 +19,7 @@ import pytest
 from repro import Engine
 from repro.bench import microbench as sweep
 from repro.codegen.lower import lower_plan
-from repro.codegen.physexec import execute_plan
+from repro.codegen.pipeline import instrumented_run
 from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.engine.machine import PAPER_MACHINE
@@ -39,7 +39,8 @@ BENCH_TPCH = tpchgen.TpchConfig(scale_factor=0.005)
 def staged_program(plan, db, machine, strategy="swole", **forced):
     """A forced-technique program through the public stages:
     ``run_passes`` -> write ``forced`` over the ``Decisions`` ->
-    ``lower_plan`` -> ``physexec.execute_plan`` (decoded scans)."""
+    ``lower_plan`` -> the instrumented backend's counted, priced run
+    (decoded scans)."""
     bound, decisions, _ = run_passes(
         plan, db, machine, strategy, None, encoding="off"
     )
@@ -51,7 +52,7 @@ def staged_program(plan, db, machine, strategy="swole", **forced):
         name=plan.name,
         strategy=strategy,
         source=physical.describe(),
-        _fn=lambda session: execute_plan(physical, db, session),
+        _fn=instrumented_run(physical, db, name=plan.name),
     )
 
 

@@ -10,14 +10,14 @@ generated and ran, hybrid next to SWOLE.
 The engine always lets the planner choose. Forcing a technique for an
 ablation needs no knob — the stages are public — and the last section
 shows it: ``run_passes`` -> edit the ``Decisions`` -> ``lower_plan`` ->
-``physexec.execute_plan``.
+``pipeline.instrumented_run`` (the counted kernels, priced).
 
 Run:  python examples/emitted_code_tour.py
 """
 
 from repro import Engine, Session
 from repro.codegen.lower import lower_plan
-from repro.codegen.physexec import execute_plan
+from repro.codegen.pipeline import instrumented_run
 from repro.datagen import microbench as mb
 from repro.plan.passes import KEY_MASK, VALUE_MASK, run_passes
 
@@ -68,7 +68,7 @@ def main() -> None:
         decisions.agg_mode = mode
         physical = lower_plan(bound, decisions, db, "swole")
         session.reset()
-        execute_plan(physical, db, session)
+        instrumented_run(physical, db)(session)
         show(
             f"Fig 4 — forced {mode} (the planner chose {planned}): "
             f"{session.tracer.report.total_cycles:,.0f} simulated cycles",

@@ -28,10 +28,11 @@ compiler.
 forced-technique ablations the stages are public:
 ``repro.plan.passes.run_passes`` -> edit the returned ``Decisions`` ->
 ``repro.codegen.lower.lower_plan`` ->
-``repro.codegen.physexec.execute_plan``.
+``repro.codegen.pipeline.instrumented_run`` (the generated kernels,
+counting what they do, with the counts priced into simulated cycles).
 """
 
-__version__ = "2.8.0"
+__version__ = "2.9.0"
 
 from .codegen import available_strategies
 from .engine import (

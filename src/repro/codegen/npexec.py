@@ -3,20 +3,20 @@
 The generated kernels (:mod:`repro.codegen.vectorize`) are ``exec``'d
 with this module's helpers bound into their globals. Everything here is
 plain NumPy over the columns of one row block — no event emission, no
-simulated-cost accounting — but every helper is written to be
-*byte-identical* to the instrumented executor's semantics
-(:mod:`repro.codegen.physexec`):
+simulated-cost accounting (the instrumented backend runs these same
+kernels and prices their counts afterwards, :mod:`repro.codegen.price`)
+— and every helper keeps the answers byte-identical to the reference
+evaluators:
 
-- grouped results are ``{"keys": int64 ascending, "aggs": int64 2-D}``,
-  exactly what ``HashTable.items()`` + ``grouped_result`` produce;
+- grouped results are ``{"keys": int64 ascending, "aggs": int64 2-D}``;
 - arithmetic happens at int64 width with ndarray-only casts and the
   same floor-division / zero-check behaviour as ``Arith.evaluate``;
 - scalar aggregates come back as Python ints.
 
 Joins become sorted-array membership (``np.searchsorted``) instead of
-hash probes, and grouping becomes argsort + ``np.add.reduceat`` instead
-of scatter adds into a hash table — int64-exact in both cases, so the
-answers match the instrumented backend bit for bit.
+hash probes, and grouping becomes counting or argsort +
+``np.add.reduceat`` instead of scatter adds into a hash table —
+int64-exact in both cases.
 """
 
 from __future__ import annotations
@@ -286,7 +286,9 @@ class VectorizedProgram:
     ends in ``"native"`` with ``native`` set — from then on the final
     pipeline is one C call over the whole row range — or in
     ``"declined: <reason>"`` / ``"failed: <reason>"``, which are final:
-    the program stays on NumPy. ``fk_offsets`` (FK column -> the offsets
+    the program stays on NumPy. A program built with ``tier="counting"``
+    (the instrumented backend's, whose kernels count what they do) is
+    never handed to the builder. ``fk_offsets`` (FK column -> the offsets
     its gathers index through), ``cache_dir``, ``registry``, ``label``
     and ``notes`` (where the live C text is published as
     ``notes["native_source"]``) are what a build needs to know.
@@ -303,6 +305,7 @@ class VectorizedProgram:
         cache_dir: Optional[str] = None,
         registry: Any = None,
         label: str = "query",
+        tier: str = "numpy",
     ) -> None:
         if not kernels:
             raise PlanError("vectorized program needs at least one pipeline")
@@ -315,15 +318,16 @@ class VectorizedProgram:
         self.registry = registry
         self.label = label
         self.notes: Dict[str, Any] = {}
-        self.tier = "numpy"
+        self.tier = tier
         self.native: Optional[native.NativeKernel] = None
         self._numpy_seconds = 0.0
         self._tier_lock = threading.Lock()
-        builder = native.builder()
-        builder.track(self)
-        if registry is not None:
-            # The ``stats`` op: every live program's tier.
-            registry.register_source("native", builder.snapshot)
+        if tier == "numpy":
+            builder = native.builder()
+            builder.track(self)
+            if registry is not None:
+                # The ``stats`` op: every live program's tier.
+                registry.register_source("native", builder.snapshot)
         #: Post-merge cleanup applied once to the final (serial) or
         #: merged (parallel) result — eager aggregation's victim-key
         #: deletion lives here so block and morsel partials stay
@@ -335,18 +339,25 @@ class VectorizedProgram:
             else max(BLOCK_BYTES // max(row_bytes, 1), 1)
         )
 
-    def execute(self) -> Dict[str, Any]:
-        """Run every pipeline in order; the last one yields the answer."""
-        result = self.run_final(self.data[-1], self.run_setup(), 0)
+    def execute(
+        self, state: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """Run every pipeline in order; the last one yields the answer.
+        ``state`` (default: a fresh dict) receives the build states and
+        a counting program's counts."""
+        result = self.run_final(self.data[-1], self.run_setup(state), 0)
         if result is None:
             raise PlanError("physical plan produced no result")
         if self.finalize is not None:
             result = self.finalize(result)
         return result
 
-    def run_setup(self) -> Dict[str, Dict[str, Any]]:
-        """Run the build pipelines (all but the last) into fresh state."""
-        state: Dict[str, Dict[str, Any]] = {}
+    def run_setup(
+        self, state: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """Run the build pipelines (all but the last) into ``state``
+        (default: a fresh dict)."""
+        state = {} if state is None else state
         for (pipe, fn), view in zip(self.kernels[:-1], self.data[:-1]):
             fn(view, state, 0)
         return state

@@ -1,13 +1,15 @@
-"""Vectorized backend: physical pipelines -> generated Python kernels.
+"""Physical pipelines -> generated Python kernels, for both backends.
 
-The second execution backend. Where :mod:`repro.codegen.physexec`
-*interprets* a :class:`~repro.plan.physical.PhysicalPlan` op by op —
-doing the work and emitting priced access events — this module
-*generates* one plain-Python function per pipeline (NumPy statements
-over the columns of one row block, no events, no hash tables), compiles
-the text with
-``compile``/``exec``, and returns a
+This module *generates* one plain-Python function per pipeline of a
+:class:`~repro.plan.physical.PhysicalPlan` (NumPy statements over the
+columns of one row block, no events, no hash tables), compiles the
+text with ``compile``/``exec``, and returns a
 :class:`~repro.codegen.npexec.VectorizedProgram` ready to serve.
+Compiled with ``counting=True`` (the instrumented backend), each op
+also adds what it did — rows seen, survivors per conjunct, probes that
+hit, distinct build keys, groups — into the run's counts dict, which
+:func:`repro.codegen.price.price` turns into the priced access events;
+the serving kernels carry no count statement.
 
 The generated code is the access-aware program the paper's compiler
 would emit, minus the simulation harness:
@@ -28,15 +30,14 @@ NumPy operator (Col/Const/Compare/And/Or/Arith/InSet/StrMatch);
 anything else (Case, dictionary probes) falls back to the bound
 expression object's own vectorized ``evaluate``.
 
-Every op's semantics mirror the instrumented executor exactly — that
-equivalence is pinned by the backend sweep in
-``tests/test_backend_equivalence.py`` across all TPC-H query x
-strategy cells, serial and morsel-parallel.
+Answers are pinned against the reference evaluators by the backend
+sweep in ``tests/test_backend_equivalence.py`` across all TPC-H query
+x strategy cells, serial and morsel-parallel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +84,10 @@ from ..storage.database import Database
 from .npexec import RUNTIME_ENV, VectorizedProgram
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
+
+#: Where a counting kernel keeps the run's counts: a dict in the run's
+#: state, ``(pipeline index, op index, slot) -> int``.
+COUNTS = "#counts"
 
 
 class VectorizeError(PlanError):
@@ -196,10 +201,21 @@ def _bool(src: str) -> str:
 class _KernelEmitter:
     """Generates the body of one pipeline's kernel function."""
 
-    def __init__(self, pipe: Pipeline, db: Database, env: _Env) -> None:
+    def __init__(
+        self,
+        pipe: Pipeline,
+        db: Database,
+        env: _Env,
+        site: Optional[int] = None,
+    ) -> None:
         self.pipe = pipe
         self.db = db
         self.env = env
+        #: The pipeline's index when the kernel counts (instrumented
+        #: programs): every op then adds its rows into the run's counts
+        #: dict under ``(site, op index, slot)``.
+        self.site = site
+        self._op = 0
         # The scan view the pipeline was planned for: columns the
         # access-encoding pass chose stream as physical codes (narrow
         # dtypes), everything else decoded. The kernels are value safe
@@ -288,6 +304,47 @@ class _KernelEmitter:
             return f"np.ones({count_len}, dtype=np.int64)"
         return f"np.asarray({self.expr(agg.expr, data)}, dtype=np.int64)"
 
+    # -- counts (instrumented programs only) -----------------------------
+
+    def _key(self, slot: str) -> str:
+        return repr((self.site, self._op, slot))
+
+    def count(self, slot: str, src: str) -> None:
+        """Add the row count ``src`` into the op's counts record."""
+        if self.site is not None:
+            key = self._key(slot)
+            self.out(f"_counts[{key}] = _counts.get({key}, 0) + int({src})")
+
+    def measure(self, slot: str, src: str) -> None:
+        """Record the structure size ``src`` in the op's counts record."""
+        if self.site is not None:
+            self.out(f"_counts[{self._key(slot)}] = int({src})")
+
+    def live(self) -> str:
+        """Source for the number of rows the selection keeps."""
+        return "np.count_nonzero(mask)" if self.has_mask else "n"
+
+    def count_distinct(self, state: str) -> None:
+        """Distinct keys of a hash build (its entries at completion)."""
+        self.count("distinct", f"state[{state!r}]['keys'].shape[0]")
+
+    def count_groups(self) -> None:
+        self.count("groups", "result['keys'].shape[0]")
+
+    def count_hits(self, hit: str) -> None:
+        """Probes that find their key, among the live rows."""
+        live = f"{hit} & mask" if self.has_mask else hit
+        self.count("hits", f"np.count_nonzero({live})")
+
+    def narrow_counted(self, term: str) -> None:
+        """:meth:`narrow` by ``term``, counting the rows it keeps over
+        the whole block (a probe that tests every row)."""
+        if self.site is not None:
+            held, term = term, self.name("t")
+            self.out(f"{term} = {held}")
+            self.count("hits", f"np.count_nonzero({term})")
+        self.narrow(term)
+
     # -- operators -------------------------------------------------------
 
     def emit_op(self, op) -> None:
@@ -296,6 +353,7 @@ class _KernelEmitter:
             raise VectorizeError(
                 f"vectorized backend cannot lower {type(op).__name__}"
             )
+        self.count("k", self.live())
         handler(self, op)
 
     def op_filter(self, op: FilterStage) -> None:
@@ -307,13 +365,28 @@ class _KernelEmitter:
         carried_conjs = [
             conj for conj in op.conjuncts if conj not in view_conjs
         ]
-        for conj in view_conjs:
-            self.narrow(_bool(self.expr(conj)))
+        prefix = None
+        for i, conj in enumerate(view_conjs):
+            term = _bool(self.expr(conj))
+            if self.site is not None and op.mode == "branch":
+                # Tuple-at-a-time code branches on each conjunct over
+                # the rows its prefix kept: count those survivors.
+                term, held = self.name("t"), term
+                self.out(f"{term} = {held}")
+                if prefix is not None:
+                    held = f"{prefix} & {term}"
+                    prefix = self.name("p")
+                    self.out(f"{prefix} = {held}")
+                else:
+                    prefix = term
+                self.count(f"s{i}", f"np.count_nonzero({prefix})")
+            self.narrow(term)
         if carried_conjs:
             full = self.name("full")
             self.out(f"{full} = dict(v)")
             self.out(f"{full}.update(carried)")
-            for conj in carried_conjs:
+            for j, conj in enumerate(carried_conjs):
+                self.count(f"c{j}", self.live())
                 self.narrow(_bool(self.expr(conj, full)))
 
     def op_semihash_build(self, op: SemiHashBuild) -> None:
@@ -321,6 +394,7 @@ class _KernelEmitter:
             f"state[{op.state!r}] = "
             f"{{'keys': np.unique({self.keys_i64(op.key_column)})}}"
         )
+        self.count_distinct(op.state)
 
     def op_join_build(self, op: JoinBuild) -> None:
         self.out(
@@ -328,12 +402,14 @@ class _KernelEmitter:
             f"'keys': np.unique({self.keys_i64(op.key_column)}), "
             f"'carried': {self.carried_snapshot(op.carry)}, 'rows': n}}"
         )
+        self.count_distinct(op.state)
 
     def op_group_build(self, op: GroupBuild) -> None:
         self.out(
             f"state[{op.state!r}] = "
             f"{{'keys': np.unique({self.keys_i64(op.key_column)})}}"
         )
+        self.count_distinct(op.state)
 
     def op_bitmap_build(self, op: BitmapBuild) -> None:
         mask = "mask.copy()" if self.has_mask else "np.ones(n, dtype=bool)"
@@ -345,11 +421,12 @@ class _KernelEmitter:
     def op_hash_semi_probe(self, op: HashSemiProbe) -> None:
         hit = self.name("hit")
         self.out(f"{hit} = {self.member(op.fk_column, op.state)}")
+        self.count_hits(hit)
         self.narrow(f"~{hit}" if op.negate else hit)
 
     def op_bitmap_semi_probe(self, op: BitmapSemiProbe) -> None:
         off = self.fk_offsets_slice(op.fk_column)
-        self.narrow(f"state[{op.state!r}]['mask'][{off}]")
+        self.narrow_counted(f"state[{op.state!r}]['mask'][{off}]")
 
     def op_column_materialize(self, op: ColumnMaterialize) -> None:
         entry = self.name("entry")
@@ -359,6 +436,9 @@ class _KernelEmitter:
             f"{op.state!r}, {{'columns': {{}}, 'rows': n}})"
         )
         self.out(f"{entry}['columns'][{op.column!r}] = np.asarray({src})")
+        self.measure(
+            "width", f"{entry}['columns'][{op.column!r}].dtype.itemsize"
+        )
 
     def gather(self, columns, state: str, entry: str, off: str) -> None:
         """Gather build-side payload columns through the FK offsets."""
@@ -376,10 +456,17 @@ class _KernelEmitter:
     def op_carried_gather(self, op: CarriedGather) -> None:
         off = self.fk_offsets_slice(op.fk_column)
         self.gather(op.columns, op.state, "carried", off)
+        if op.priced:
+            for column in op.columns:
+                self.measure(
+                    f"bytes:{column}",
+                    f"state[{op.state!r}]['carried'][{column!r}].nbytes",
+                )
 
     def op_hash_join_carry_probe(self, op: HashJoinCarryProbe) -> None:
         hit = self.name("hit")
         self.out(f"{hit} = {self.member(op.fk_column, op.state)}")
+        self.count_hits(hit)
         self.narrow(hit)
         off = self.fk_offsets_slice(op.fk_column)
         self.gather(op.carry, op.state, "carried", off)
@@ -401,7 +488,7 @@ class _KernelEmitter:
         self.out(
             f"{bit} = state[{op.state!r}]['exists'][lo:lo + n]"
         )
-        self.narrow(f"~{bit}" if op.anti else bit)
+        self.narrow_counted(f"~{bit}" if op.anti else bit)
 
     def op_multi_bitmap_build(self, op: MultiBitmapBuild) -> None:
         masks = ", ".join(
@@ -427,7 +514,8 @@ class _KernelEmitter:
             f"({_bool(self.expr(bp, rows))} & {_bool(self.expr(pp))})"
             for bp, pp in op.disjuncts
         )
-        self.narrow(f"({arms})")
+        self.narrow_counted(f"({arms})")
+        self.count("final", self.live())
 
     def op_disjunct_bitmap_probe(self, op: DisjunctBitmapProbe) -> None:
         off = self.fk_offsets_slice(op.fk_column)
@@ -437,7 +525,7 @@ class _KernelEmitter:
             f"({bitmaps}[{i}][{off}] & {_bool(self.expr(pp))})"
             for i, (_, pp) in enumerate(op.disjuncts)
         )
-        self.narrow(f"({arms})")
+        self.narrow_counted(f"({arms})")
 
     def op_outer_groupjoin_agg(self, op: OuterGroupJoinAgg) -> None:
         # All four aggregation modes reduce to "count the selected
@@ -451,6 +539,12 @@ class _KernelEmitter:
         self.out(
             f"{uk}, {cnt} = _count_by({fks}.astype(np.int64))"
         )
+        self.count("distinct", f"{uk}.shape[0]")
+        if op.mode == PS.VALUE_MASK:
+            # Value masking inserts every row's key, selected or not.
+            self.count(
+                "distinct_all", f"np.unique({self.col(op.fk_column)}).shape[0]"
+            )
         self.out(
             f"state[{op.state!r}] = {{'keys': {uk}, 'counts': {cnt}, "
             f"'rows': {build_rows}}}"
@@ -463,6 +557,7 @@ class _KernelEmitter:
             f"result = _distribution({built}['counts'], "
             f"{built}['rows'] - {built}['keys'].shape[0])"
         )
+        self.count_groups()
         self.has_result = True
 
     def op_groupjoin_agg(self, op: GroupJoinAgg) -> None:
@@ -490,6 +585,7 @@ class _KernelEmitter:
         self.out(
             f"{smask} = mask & {hit}" if self.has_mask else f"{smask} = {hit}"
         )
+        self.count("hits", f"np.count_nonzero({smask})")
         self.out(
             f"{keys} = {self.col(op.fk_column)}[{smask}].astype(np.int64)"
         )
@@ -502,6 +598,7 @@ class _KernelEmitter:
             for agg in op.aggregates
         )
         self.out(f"result = _group({keys}, [{deltas}])")
+        self.count_groups()
         self.has_result = True
 
     def _subset_inputs(self, cols: List[str]) -> str:
@@ -610,6 +707,9 @@ class _KernelEmitter:
                 self.out(f"result = _group({keys}, [{deltas}], mask)")
             else:
                 self.out(f"result = _group({keys}, [{deltas}])")
+            if op.mode == PS.VALUE_MASK:
+                # Value masking inserts every row's key, selected or not.
+                self.count("distinct", f"np.unique({keys}).shape[0]")
         elif op.mode in (PS.CONDITIONAL, PS.GATHERED):
             cols = sorted(
                 (set(op.key.columns()) & self.view_cols) | set(base_cols)
@@ -629,6 +729,7 @@ class _KernelEmitter:
             raise VectorizeError(
                 f"unknown grouped aggregation mode {op.mode!r}"
             )
+        self.count_groups()
         self.has_result = True
 
     def op_eager_aggregate(self, op: EagerAggregate) -> None:
@@ -662,8 +763,10 @@ class _KernelEmitter:
             }
 
         self.finalize = cleanup
+        self.measure("deleted", str(victims.size))
         for conj in op.probe_conjuncts:
             self.narrow(_bool(self.expr(conj)))
+        self.count("selected", self.live())
         keys = self.name("keys")
         self.out(f"{keys} = {self.col(op.fk_column)}.astype(np.int64)")
         delta_names = []
@@ -676,6 +779,7 @@ class _KernelEmitter:
             self.out(f"result = _group({keys}, [{deltas}], mask)")
         else:
             self.out(f"result = _group({keys}, [{deltas}])")
+        self.count_groups()
         self.has_result = True
 
     # -- assembly --------------------------------------------------------
@@ -693,7 +797,8 @@ class _KernelEmitter:
         }
 
     def emit(self, fn_name: str) -> str:
-        for op in self.pipe.ops:
+        for index, op in enumerate(self.pipe.ops):
+            self._op = index
             self.emit_op(op)
         header = [
             f"def {fn_name}(v, state, lo):",
@@ -701,6 +806,8 @@ class _KernelEmitter:
             "    n = _rows(v)",
             "    carried = {}",
         ]
+        if self.site is not None:
+            header.append(f"    _counts = state.setdefault({COUNTS!r}, {{}})")
         footer = ["    return result" if self.has_result else "    return None"]
         return "\n".join(header + self.lines + footer)
 
@@ -776,11 +883,16 @@ def compile_physical(
     db: Database,
     name: str = "query",
     registry=None,
+    counting: bool = False,
 ) -> VectorizedProgram:
     """Generate, ``exec``, and wrap one kernel per pipeline.
 
     ``registry`` is where a later native build of the program reports
-    (default: the process-wide registry)."""
+    (default: the process-wide registry). ``counting`` is the
+    instrumented backend's program: the kernels also count what they
+    do into ``state[COUNTS]`` (what :func:`repro.codegen.price.price`
+    turns into events), run each pipeline as one block and stay on
+    NumPy."""
     env = _Env()
     sources: List[str] = [
         f"# vectorized kernels for {name} [{physical.strategy}]",
@@ -788,7 +900,7 @@ def compile_physical(
     emitters: List[_KernelEmitter] = []
     finalize = None
     for idx, pipe in enumerate(physical.pipelines):
-        emitter = _KernelEmitter(pipe, db, env)
+        emitter = _KernelEmitter(pipe, db, env, idx if counting else None)
         sources.append(emitter.emit(f"_kernel_{idx}"))
         emitters.append(emitter)
         if emitter.finalize is not None:
@@ -801,20 +913,23 @@ def compile_physical(
         (emitter.pipe, namespace[f"_kernel_{idx}"])
         for idx, emitter in enumerate(emitters)
     ]
+    split = splittable(physical) and not counting
     return VectorizedProgram(
         kernels,
         [emitter.bound_view() for emitter in emitters],
         source,
         finalize=finalize,
-        row_bytes=emitters[-1].row_bytes if splittable(physical) else None,
+        row_bytes=emitters[-1].row_bytes if split else None,
         fk_offsets=env.fk_bound(physical.pipelines[-1].table),
         cache_dir=getattr(db, "dataset_cache_dir", None),
         registry=registry,
         label=f"{name}[{physical.strategy}]",
+        tier="counting" if counting else "numpy",
     )
 
 
 __all__ = [
+    "COUNTS",
     "VectorizeError",
     "compile_expr",
     "compile_physical",

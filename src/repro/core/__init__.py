@@ -1,5 +1,5 @@
-"""SWOLE core: the §III cost models, the per-decision choosers built on
-them, and the technique kernels the physical-plan interpreter calls."""
+"""SWOLE core: the §III cost models and the per-decision choosers
+built on them."""
 
 from .cost_models import (
     ModelInputs,

@@ -1,9 +1,12 @@
-"""Access, branch, and compute events emitted by executing kernels.
+"""Access, branch, and compute events priced by the machine model.
 
-Generated programs run for real on NumPy columns; while running, they emit
-these events describing *what the equivalent compiled C code would have
-done to the memory system*. Event counts (rows touched, selectivities,
-structure sizes, branch outcome fractions) are therefore **measured**, not
+Generated programs run for real on NumPy columns and count what they
+do (rows each op sees, survivors per conjunct, probes that hit,
+distinct build keys, groups); :func:`repro.codegen.price.price` turns
+those counts into these events, describing *what the equivalent
+compiled C code would have done to the memory system*. Event counts
+(rows touched, selectivities, structure sizes, branch outcome
+fractions, hash-table occupancies) are therefore **measured**, not
 estimated — only latencies come from the machine model.
 
 The event vocabulary deliberately mirrors the access-pattern taxonomy the

@@ -46,8 +46,9 @@ AUTO_STRATEGY = "swole"
 #: Execution backends a query can be compiled for. ``vectorized`` is
 #: the serving default (generated NumPy kernels run a cache-sized row
 #: block at a time, replaced by a C kernel once a program is hot);
-#: ``instrumented`` replays the plan through the event-priced
-#: interpreter and remains the authority for costing and explain.
+#: ``instrumented`` runs the same kernels counting what they do, one
+#: serial pass, and prices the counts — the authority for costing and
+#: explain.
 BACKENDS = ("instrumented", "vectorized")
 
 #: LRU capacity of an engine's compiled-program cache.
@@ -81,8 +82,8 @@ class Engine:
         Default execution backend for this engine's compilations:
         ``"vectorized"`` (default — generated NumPy kernels over
         cache-sized row blocks, with a native C tier for hot programs)
-        or ``"instrumented"`` (the event-priced interpreter;
-        the costing authority). Every query-taking method also accepts
+        or ``"instrumented"`` (the same kernels, counting, with the
+        counts priced into simulated cycles; the costing authority). Every query-taking method also accepts
         a per-call ``backend=``.
     registry:
         The :class:`~repro.obs.MetricsRegistry` this engine reports

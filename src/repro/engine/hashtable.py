@@ -7,10 +7,11 @@ open-addressing table with int64 keys and a fixed number of int64
 aggregate columns (sums / counts — every evaluated query needs only
 those; averages divide sums by counts at result time).
 
-The table is a *pure* data structure: it performs the real work and keeps
-probe statistics, while the kernels that call it are responsible for
-emitting the corresponding :class:`~repro.engine.events.RandomAccess`
-events (using :attr:`nbytes` as the structure footprint).
+The table is a *pure* data structure: it performs the real work, while
+the kernels that call it are responsible for emitting the corresponding
+:class:`~repro.engine.events.RandomAccess` events (using :attr:`nbytes`
+as the structure footprint and the occupancy ``num_entries /
+capacity`` for the expected probe length).
 
 Batch operations are vectorised: collisions are resolved by iterating
 probe distances over the *unresolved subset* with NumPy masks, so the
@@ -49,6 +50,14 @@ def _next_pow2(n: int) -> int:
     return power
 
 
+def table_geometry(expected_keys: int, num_aggs: int) -> Tuple[int, int]:
+    """``(capacity, nbytes)`` of a table sized for ``expected_keys``:
+    a power of two at least twice the keys (eight slots at least), and
+    the footprint random accesses are priced against."""
+    capacity = max(8, _next_pow2(2 * max(expected_keys, 1)))
+    return capacity, capacity * (8 + 8 * max(num_aggs, 1))
+
+
 class HashTable:
     """Linear-probing table: int64 key -> ``num_aggs`` int64 aggregates."""
 
@@ -59,14 +68,12 @@ class HashTable:
             raise ExecutionError("expected_keys must be non-negative")
         if num_aggs < 0:
             raise ExecutionError("num_aggs must be non-negative")
-        self._capacity = max(8, _next_pow2(2 * max(expected_keys, 1)))
+        self._capacity, _ = table_geometry(expected_keys, num_aggs)
         self._mask = np.int64(self._capacity - 1)
         self._keys = np.full(self._capacity, EMPTY, dtype=np.int64)
         self._aggs = np.zeros((self._capacity, max(num_aggs, 1)), dtype=np.int64)
         self._num_aggs = num_aggs
         self._num_entries = 0
-        self.total_probes = 0
-        self.total_ops = 0
 
     # -- geometry --------------------------------------------------------
 
@@ -91,12 +98,6 @@ class HashTable:
         """Structure footprint used for random-access costing."""
         return self._capacity * self.slot_bytes
 
-    @property
-    def mean_probes(self) -> float:
-        if self.total_ops == 0:
-            return 0.0
-        return self.total_probes / self.total_ops
-
     # -- internals -------------------------------------------------------
 
     def _home_slots(self, keys: np.ndarray) -> np.ndarray:
@@ -117,12 +118,10 @@ class HashTable:
         found = np.zeros(n, dtype=bool)
         pending = np.arange(n, dtype=np.int64)
         distance = 0
-        self.total_ops += n
         while pending.size:
             distance += 1
             if distance > self._capacity + 1:
                 raise ExecutionError("hash table probe loop did not converge")
-            self.total_probes += pending.size
             slot = slots[pending]
             stored = self._keys[slot]
             match = stored == keys[pending]
@@ -140,12 +139,10 @@ class HashTable:
         result = np.empty(n, dtype=np.int64)
         pending = np.arange(n, dtype=np.int64)
         distance = 0
-        self.total_ops += n
         while pending.size:
             distance += 1
             if distance > self._capacity + 1:
                 raise ExecutionError("hash table is full")
-            self.total_probes += pending.size
             slot = slots[pending]
             stored = self._keys[slot]
             match = stored == keys[pending]

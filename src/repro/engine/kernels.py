@@ -1,10 +1,13 @@
-"""The shared kernel library composed by every code-generation strategy.
+"""The shared kernel library of the hand-coded TPC-H programs.
 
 Each kernel does the real work with NumPy *and* emits the events the
-equivalent compiled C would generate against the memory system. All
-strategies use the same kernels (as the paper uses the same library code
-across its hand-coded strategies) and differ only in which kernels they
-compose and with which access patterns.
+equivalent compiled C would generate against the memory system. The
+hand-coded strategy programs (:func:`repro.tpch.oracle_tpch`) compose
+them — as the paper uses the same library code across its hand-coded
+strategies — and the generic compiler's pricing
+(:mod:`repro.codegen.price`) shares their per-access costs
+(:func:`ht_op_cycles`, the loop overheads), so both price identical
+access patterns identically.
 
 Conventions:
 
@@ -47,6 +50,11 @@ _COMPARE_OPS = {
 }
 
 
+#: Rows of the cache-resident tile an intermediate (``cmp``, ``idx``,
+#: masked keys) occupies: the paper's vector size (Menon et al.).
+TILE_ROWS = 1024
+
+
 def _width(values: np.ndarray) -> int:
     return int(values.dtype.itemsize)
 
@@ -70,21 +78,25 @@ def seq_write(
     array: str,
     resident: bool = False,
 ) -> np.ndarray:
-    """Account a sequential write of ``values`` (e.g. a masked key array).
+    """Account a sequential write of ``values`` (e.g. a masked key array)."""
+    price_seq_write(session, values.shape[0], _width(values), array, resident)
+    return values
 
-    ``resident`` marks a tile-sized intermediate that stays in cache:
-    one 1024-row tile, the paper's vector size (Menon et al.).
-    """
-    array_bytes = 1024 * _width(values) if resident else 0
+
+def price_seq_write(
+    session: Session, n: int, width: int, array: str, resident: bool = False
+) -> None:
+    """A sequential write of ``n`` elements of ``width`` bytes.
+    ``resident`` marks a tile-sized intermediate that stays in cache
+    (one :data:`TILE_ROWS` tile)."""
     session.tracer.emit(
         SeqWrite(
-            n=values.shape[0],
-            width=_width(values),
+            n=n,
+            width=width,
             array=array,
-            array_bytes=array_bytes,
+            array_bytes=TILE_ROWS * width if resident else 0,
         )
     )
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +197,19 @@ def string_match(
     discussion), so the cost is scalar per tuple regardless of strategy.
     The caller computes ``mask`` from decoded/dictionary data.
     """
-    session.tracer.emit(
-        Compute(n=mask.shape[0], op=per_tuple_op, simd=False, width=1)
-    )
-    seq_write(session, mask.view(np.uint8), f"cmp({array})", resident=True)
+    price_string_match(session, mask.shape[0], array, per_tuple_op)
     return mask
+
+
+def price_string_match(
+    session: Session, n: int, array: str, per_tuple_op: str = "strcmp"
+) -> None:
+    """A scalar string predicate over ``n`` rows plus its resident
+    result write."""
+    session.tracer.emit(
+        Compute(n=n, op=per_tuple_op, simd=False, width=1)
+    )
+    price_seq_write(session, n, 1, f"cmp({array})", resident=True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +232,16 @@ def selection_vector(
         taken = float(mask.mean()) if n else 0.0
         session.tracer.emit(Branch(n=n, taken_fraction=taken, site="selvec"))
         session.tracer.emit(Compute(n=idx.shape[0], op="mov", simd=False))
+        seq_write(session, idx, "idx", resident=True)
     else:
-        session.tracer.emit(Compute(n=n, op="select", simd=False))
-    seq_write(session, idx, "idx", resident=True)
+        price_selection_vector(session, n, int(idx.shape[0]))
     return idx
+
+
+def price_selection_vector(session: Session, n: int, k: int) -> None:
+    """The predicated selection vector of ``k`` out of ``n`` rows."""
+    session.tracer.emit(Compute(n=n, op="select", simd=False))
+    price_seq_write(session, k, 8, "idx", resident=True)
 
 
 def gather(
@@ -231,14 +257,18 @@ def gather(
     the per-element gather overhead. This is the pattern SWOLE eliminates.
     """
     n_range = values.shape[0] if n_range is None else n_range
-    k = int(idx.shape[0])
-    session.tracer.emit(
-        CondRead(
-            n_range=int(n_range), n_selected=k, width=_width(values), array=array
-        )
+    price_gather(
+        session, int(n_range), int(idx.shape[0]), _width(values), array
     )
-    session.tracer.emit(Compute(n=k, op="gather", simd=False))
     return values[idx]
+
+
+def price_gather(
+    session: Session, n_range: int, k: int, width: int, array: str
+) -> None:
+    """``k`` of ``n_range`` elements read through a selection vector."""
+    price_cond_read(session, n_range, k, width, array)
+    session.tracer.emit(Compute(n=k, op="gather", simd=False))
 
 
 def conditional_read(
@@ -249,16 +279,19 @@ def conditional_read(
     Costs the same CondRead pattern but without gather overhead (the
     caller prices the branch itself).
     """
-    k = int(mask.sum())
-    session.tracer.emit(
-        CondRead(
-            n_range=values.shape[0],
-            n_selected=k,
-            width=_width(values),
-            array=array,
-        )
+    price_cond_read(
+        session, values.shape[0], int(mask.sum()), _width(values), array
     )
     return values[mask]
+
+
+def price_cond_read(
+    session: Session, n_range: int, k: int, width: int, array: str
+) -> None:
+    """A forward traversal of ``n_range`` rows touching ``k``."""
+    session.tracer.emit(
+        CondRead(n_range=n_range, n_selected=k, width=width, array=array)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +324,54 @@ def interpreter_overhead(session: Session, n: int, operators: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ht_op_cycles(session: Session, table: HashTable) -> float:
-    """Per-access compute: hash plus expected probe arithmetic."""
-    probes = max(table.mean_probes, 1.0)
+def probe_length(alpha: float, hit: float = 1.0) -> float:
+    """Expected linear-probe length at load factor ``alpha`` (Knuth):
+    ``½(1 + 1/(1-α))`` for a key that is found, ``½(1 + 1/(1-α)²)`` for
+    one that is not, mixed by the hit fraction ``hit``."""
+    return hit * 0.5 * (1.0 + 1.0 / (1.0 - alpha)) + (1.0 - hit) * 0.5 * (
+        1.0 + 1.0 / (1.0 - alpha) ** 2
+    )
+
+
+def ht_op_cycles(
+    session: Session, entries: int, capacity: int, hit: float = 1.0
+) -> float:
+    """Per-access compute: hash plus expected probe arithmetic, priced
+    from the table's occupancy ``entries / capacity`` at build
+    completion. ``hit`` is the fraction of accesses that find their key
+    (1 for inserts and aggregates). A table with no empty slot left is
+    full, as the linear-probing table it models would be."""
+    if entries >= capacity:
+        raise ExecutionError(
+            f"hash table is full: {entries} keys in {capacity} slots"
+        )
+    probes = probe_length(entries / capacity, hit)
     return session.machine.op_cost("hash") + (probes - 1.0) * 2.0
+
+
+def price_ht_access(
+    session: Session,
+    kind: str,
+    n: int,
+    nbytes: int,
+    entries: int,
+    capacity: int,
+    hit: float = 1.0,
+    hot: float = 0.0,
+) -> None:
+    """``n`` accesses to a hash table of ``nbytes`` holding ``entries``
+    of ``capacity`` slots; ``hit`` of them find their key, ``hot`` of
+    them go to the key-masking throwaway entry."""
+    session.tracer.emit(
+        RandomAccess(
+            n=n,
+            struct_bytes=nbytes,
+            kind=kind,
+            hot_fraction=hot,
+            op_cycles=ht_op_cycles(session, entries, capacity, hit),
+            prefetched=session.knobs.ht_prefetch,
+        )
+    )
 
 
 def mask_keys(
@@ -322,11 +399,14 @@ def mask_keys(
     Costs a predicated select per tuple plus a sequential write of the
     masked key array (tile-resident).
     """
-    n = int(keys.shape[0])
+    price_mask_keys(session, int(keys.shape[0]), array)
+    return np.where(mask, keys, NULL_KEY)
+
+
+def price_mask_keys(session: Session, n: int, array: str) -> None:
+    """The key-masking blend of ``n`` int64 keys and its resident write."""
     session.tracer.emit(Compute(n=n, op="blend", simd=True, width=8))
-    masked = np.where(mask, keys, NULL_KEY)
-    seq_write(session, masked, f"key({array})", resident=True)
-    return masked
+    price_seq_write(session, n, 8, f"key({array})", resident=True)
 
 
 def ht_aggregate(
@@ -344,15 +424,9 @@ def ht_aggregate(
     """
     hot = float((keys == NULL_KEY).mean()) if keys.size else 0.0
     table.aggregate(keys, deltas, agg=agg)
-    session.tracer.emit(
-        RandomAccess(
-            n=int(keys.shape[0]),
-            struct_bytes=table.nbytes,
-            kind=kind,
-            hot_fraction=hot,
-            op_cycles=_ht_op_cycles(session, table),
-            prefetched=session.knobs.ht_prefetch,
-        )
+    price_ht_access(
+        session, kind, int(keys.shape[0]), table.nbytes,
+        table.num_entries, table.capacity, hot=hot,
     )
 
 
@@ -361,14 +435,9 @@ def ht_insert_keys(
 ) -> None:
     """Set-semantics build (semijoin / join build side)."""
     table.insert_keys(keys)
-    session.tracer.emit(
-        RandomAccess(
-            n=int(keys.shape[0]),
-            struct_bytes=table.nbytes,
-            kind="ht_insert",
-            op_cycles=_ht_op_cycles(session, table),
-            prefetched=session.knobs.ht_prefetch,
-        )
+    price_ht_access(
+        session, "ht_insert", int(keys.shape[0]), table.nbytes,
+        table.num_entries, table.capacity,
     )
 
 
@@ -378,15 +447,10 @@ def ht_lookup(
     """Probe: returns (slots, found). Hot-entry handling as in aggregate."""
     hot = float((keys == NULL_KEY).mean()) if keys.size else 0.0
     slots, found = table.lookup(keys)
-    session.tracer.emit(
-        RandomAccess(
-            n=int(keys.shape[0]),
-            struct_bytes=table.nbytes,
-            kind="ht_lookup",
-            hot_fraction=hot,
-            op_cycles=_ht_op_cycles(session, table),
-            prefetched=session.knobs.ht_prefetch,
-        )
+    k = int(keys.shape[0])
+    price_ht_access(
+        session, "ht_lookup", k, table.nbytes, table.num_entries,
+        table.capacity, hit=int(found.sum()) / k if k else 1.0, hot=hot,
     )
     return slots, found
 

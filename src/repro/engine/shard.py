@@ -117,6 +117,8 @@ class ShardWorkerHandle:
             ready = {"error": str(exc)}
         if ready.get("op") != "ready":
             proc.kill()
+            proc.wait()
+            handle.close_pipes()
             raise ReproError(
                 f"shard worker {shard_id} failed to initialise: "
                 f"{ready.get('error', ready)}"
@@ -155,9 +157,15 @@ class ShardWorkerHandle:
 
     def stop(self, grace: float = _STOP_GRACE_SECONDS) -> None:
         """Graceful stop ladder: shutdown op + stdin close, SIGTERM,
-        SIGKILL."""
-        if self.proc.poll() is not None:
-            return
+        SIGKILL. Both pipes are closed on every path, an already-exited
+        worker's included."""
+        try:
+            if self.proc.poll() is None:
+                self._wind_down(grace)
+        finally:
+            self.close_pipes()
+
+    def _wind_down(self, grace: float) -> None:
         try:
             self.send({"op": "shutdown"})
             self.proc.stdin.close()
@@ -176,6 +184,15 @@ class ShardWorkerHandle:
             pass
         self.proc.kill()
         self.proc.wait()
+
+    def close_pipes(self) -> None:
+        """Close the request and reply pipes (a close that fails to
+        flush into a dead worker still releases the descriptor)."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except (OSError, ValueError):
+                pass
 
 
 # -- the shard group -----------------------------------------------------

@@ -5,9 +5,11 @@ an ordered list of :class:`Pipeline` objects (build pipelines first,
 the probe pipeline last), each a sequence of physical operators over
 one base table's column stream. The lowering stage
 (:mod:`repro.codegen.lower`) produces it from a bound logical plan
-plus the pass :class:`~repro.plan.passes.Decisions`; the executor
-(:mod:`repro.codegen.physexec`) interprets it into kernel calls that
-do the real NumPy work and emit the priced access events.
+plus the pass :class:`~repro.plan.passes.Decisions`; the kernel
+emitter (:mod:`repro.codegen.vectorize`) generates one NumPy function
+per pipeline from it, and the pricer (:mod:`repro.codegen.price`)
+walks it again to turn what those kernels counted into the priced
+access events.
 
 The operator vocabulary is deliberately small — exactly the shapes the
 paper's strategies generate:
@@ -470,11 +472,10 @@ class EagerAggregate(PhysicalOp):
     """§III-E rewrite: unconditional FK-grouped aggregation of the probe
     table, then a build-side cleanup scan deleting non-qualifying keys.
 
-    Carries exactly what the morsel-splittable kernels in
-    :mod:`repro.core.eager_aggregation` read: ``table`` is the probe
-    table, aggregated by ``fk_column``; the cleanup scan deletes the
-    ``pk_column`` keys of ``build_table`` rows failing
-    ``build_conjuncts``.
+    Carries exactly what the generated kernel and its pricing read:
+    ``table`` is the probe table, aggregated by ``fk_column``; the
+    cleanup scan deletes the ``pk_column`` keys of ``build_table`` rows
+    failing ``build_conjuncts``.
     """
 
     table: str

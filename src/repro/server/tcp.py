@@ -10,9 +10,11 @@ generator opens one per simulated client).
 
 The transport adds little to the serving policy — admission control,
 deadlines, and shedding all live in the service. The transport itself
-answers two things: a malformed line (``bad_request``) and a ``stats``
-request, which returns the service registry's telemetry snapshot
-*without* entering the admission queue (a saturated server must still
+answers three things: a malformed line (``bad_request``), a line longer
+than :data:`MAX_FRAME_BYTES` (``bad_request``, then the connection is
+closed — a client that never sends a newline cannot grow the server's
+memory) and a ``stats`` request, which returns the service registry's
+telemetry snapshot *without* entering the admission queue (a saturated server must still
 be observable). ``stop()`` drains the service (in-flight queries
 finish, queued ones are rejected), closes the listener and all client
 connections, and returns a :class:`StopReport`: socket errors on the
@@ -26,6 +28,7 @@ from __future__ import annotations
 import errno
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
@@ -48,6 +51,14 @@ from .service import QueryService
 #: teardown path, not failures (a handler thread closes its own socket;
 #: a second ``stop()`` finds the listener closed).
 _ALREADY_GONE = (errno.EBADF, errno.ENOTCONN, errno.EPIPE)
+
+#: Longest request line the server reads, newline included (bytes).
+MAX_FRAME_BYTES = 4 << 20
+
+#: Seconds a connection refused for an oversized frame keeps discarding
+#: what its client still sends, so the client reads the error reply
+#: instead of a reset.
+_LINGER_SECONDS = 1.0
 
 
 @dataclass
@@ -275,7 +286,23 @@ class TcpQueryServer:
         try:
             reader = conn.makefile("rb")
             writer = conn.makefile("wb")
-            for line in reader:
+            while True:
+                line = reader.readline(MAX_FRAME_BYTES + 1)
+                if not line:
+                    break
+                if len(line) > MAX_FRAME_BYTES:
+                    self._refuse_frame(conn, writer)
+                    break
+                if not line.endswith(b"\n"):
+                    # EOF inside a frame: the client closed mid-request.
+                    self._conn_error(
+                        "frame_truncated",
+                        ProtocolError(
+                            f"connection closed after {len(line)} bytes "
+                            "of an unterminated frame"
+                        ),
+                    )
+                    break
                 if not line.strip():
                     continue
                 response = self._handle_line(line)
@@ -300,6 +327,36 @@ class TcpQueryServer:
                 conn.close()
             except OSError:
                 pass
+
+    def _refuse_frame(self, conn: socket.socket, writer) -> None:
+        """Answer an oversized frame with ``bad_request``, then close
+        the connection: send FIN and discard the rest of the frame for
+        at most :data:`_LINGER_SECONDS`, reading nothing into memory."""
+        message = f"request frame exceeds {MAX_FRAME_BYTES} bytes"
+        self._conn_error("frame_oversized", ProtocolError(message))
+        response = QueryResponse(
+            id="",
+            status=STATUS_ERROR,
+            error=ErrorInfo(code=ERR_BAD_REQUEST, message=message),
+        )
+        try:
+            writer.write(dump_line(response.to_wire()))
+            writer.flush()
+            conn.shutdown(socket.SHUT_WR)
+        except (OSError, ValueError) as exc:
+            self._conn_error("conn_write", exc)
+            return
+        deadline = time.monotonic() + _LINGER_SECONDS
+        try:
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                conn.settimeout(remaining)
+                if not conn.recv(1 << 16):
+                    break
+        except OSError:
+            pass  # timed out or reset: the reply is out either way
 
     def _handle_line(self, line: bytes) -> QueryResponse:
         try:

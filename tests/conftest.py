@@ -9,8 +9,7 @@ import pytest
 
 from repro.codegen import native
 from repro.codegen.lower import lower_plan
-from repro.codegen.physexec import execute_plan
-from repro.codegen.pipeline import compile_pipeline
+from repro.codegen.pipeline import compile_pipeline, instrumented_run
 from repro.codegen.vectorize import compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch
@@ -61,7 +60,7 @@ def staged_program(
         name=plan.name,
         strategy=strategy,
         source=physical.describe(),
-        _fn=lambda session: execute_plan(physical, db, session),
+        _fn=instrumented_run(physical, db, name=plan.name),
         notes={"plan": decisions.describe(), "decisions": decisions},
     )
 

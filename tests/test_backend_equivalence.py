@@ -3,9 +3,12 @@
 The contract of :mod:`repro.codegen.vectorize` is byte-identity: for
 every query the engine can run, the generated NumPy kernels — and the
 native C kernel that replaces a hot program's final pipeline — must
-return exactly what the instrumented interpreter returns —
-same keys, same aggregates, same Python scalar types — under every
-strategy, serially and morsel-parallel. These tests pin that contract:
+return exactly what the instrumented backend returns — same keys, same
+aggregates, same Python scalar types — under every strategy, serially
+and morsel-parallel. The instrumented backend runs those same kernels
+(counting, one block per table), so every cell is also checked against
+an independent answer: ``reference_result``, ``engine/reference.py``,
+or one computed in the test. These tests pin that contract:
 
 * the full TPC-H pipeline sweep (8 queries x 4 strategies, 32 cells),
   serial and parallel (``morsel_rows`` pinned to defeat the vectorized
@@ -38,13 +41,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import npexec
+from repro.codegen import native, npexec
 from repro.codegen.lower import lower_plan
 from repro.codegen.vectorize import VectorizeError, compile_physical
 from repro.datagen import microbench as mb
 from repro.datagen import tpch as tpchgen
 from repro.datagen.cache import load_dataset
-from repro.engine import Engine, ExecutionKnobs
+from repro.engine import Engine, ExecutionKnobs, reference
 from repro.engine.machine import PAPER_MACHINE
 from repro.engine.program import results_equal
 from repro.errors import PlanError
@@ -99,6 +102,11 @@ class TestTpchSweep:
         instrumented = tpch_engine.execute(
             plan, strategy, workers=1, backend="instrumented"
         )
+        assert_value_equals(
+            reference_result(name, tpch_engine.db),
+            instrumented.value,
+            (name, strategy),
+        )
         for workers in (1, 4):
             vectorized = tpch_engine.execute(
                 plan, strategy, workers=workers, backend="vectorized"
@@ -130,12 +138,16 @@ class TestEncodedSweep:
         self, tpch_engine, decoded_engine, name, strategy
     ):
         plan = logical_plan(name)
+        expected = reference_result(name, tpch_engine.db)
         for backend in ("instrumented", "vectorized"):
             encoded = tpch_engine.execute(
                 plan, strategy, workers=1, backend=backend
             )
             decoded = decoded_engine.execute(
                 plan, strategy, workers=1, backend=backend
+            )
+            assert_value_equals(
+                expected, encoded.value, (name, strategy, backend)
             )
             assert results_equal(encoded, decoded), (
                 name,
@@ -156,6 +168,11 @@ class TestMicrobenchQueries:
     def test_byte_identical(self, micro_engine, query, strategy):
         instrumented = micro_engine.execute(
             query, strategy, workers=1, backend="instrumented"
+        )
+        assert_value_equals(
+            reference.evaluate(query, micro_engine.db),
+            instrumented.value,
+            strategy,
         )
         for workers in (1, 4):
             vectorized = micro_engine.execute(
@@ -238,6 +255,41 @@ def _edge_case_plans():
     }
 
 
+def _edge_case_answer(shape, db):
+    """Each degenerate shape's answer, computed straight from the
+    columns (the reference evaluator does not walk these node kinds)."""
+    if shape == "empty-anti-build":
+        # Nothing to anti-join against: every order counts.
+        keys, counts = np.unique(
+            db.data("orders")["o_orderpriority"], return_counts=True
+        )
+        return {
+            "keys": keys.astype(np.int64),
+            "aggs": counts.astype(np.int64).reshape(-1, 1),
+        }
+    if shape == "all-unmatched-outer":
+        # No order qualifies: every customer lands in the zero bucket.
+        return {
+            "keys": np.zeros(1, dtype=np.int64),
+            "aggs": np.asarray([[db.table("customer").num_rows]]),
+        }
+    # Only the first disjunct can match.
+    line, part = db.data("lineitem"), db.data("part")
+    brand = db.table("part").column("p_brand").dictionary.index("Brand#12")
+    at = db.fk_index("lineitem", "l_partkey").offsets
+    hit = (
+        (part["p_brand"][at] == brand)
+        & (part["p_size"][at] >= 1)
+        & (part["p_size"][at] <= 5)
+        & (line["l_quantity"] >= 1)
+        & (line["l_quantity"] <= 11)
+    )
+    revenue = line["l_extendedprice"].astype(np.int64) * (
+        100 - line["l_discount"].astype(np.int64)
+    )
+    return {"revenue": int(np.sum(revenue[hit], dtype=np.int64))}
+
+
 class TestEdgeCasePlans:
     """Degenerate plan shapes agree across backends under every
     strategy (empty intermediates stress the kernels' zero-row paths)."""
@@ -245,10 +297,12 @@ class TestEdgeCasePlans:
     @pytest.mark.parametrize("shape", sorted(_edge_case_plans()))
     def test_byte_identical(self, tpch_engine, shape):
         plan = _edge_case_plans()[shape]
+        expected = _edge_case_answer(shape, tpch_engine.db)
         for strategy in STRATEGIES:
             instrumented = tpch_engine.execute(
                 plan, strategy, workers=1, backend="instrumented"
             )
+            assert_value_equals(expected, instrumented.value, strategy)
             vectorized = tpch_engine.execute(
                 plan, strategy, workers=4, backend="vectorized"
             )
@@ -479,6 +533,9 @@ class TestBlockBoundaries:
         whole = tpch_engine.execute(
             plan, strategy, workers=1, backend="instrumented"
         )
+        assert_value_equals(
+            reference_result(name, tpch_engine.db), whole.value, strategy
+        )
         for encoding, engine in engines.items():
             _pin_block_rows(monkeypatch, engine, plan, strategy, rows)
             for workers in (1, 4):
@@ -499,11 +556,14 @@ class TestBlockBoundaries:
         self, monkeypatch, shape, table_rows
     ):
         plan = _skewed_plans()[shape]
-        with Engine(db=_skewed_db(table_rows)) as engine:
+        db = _skewed_db(table_rows)
+        expected = reference.evaluate(plan, db)
+        with Engine(db=db) as engine:
             for strategy in ("datacentric", "hybrid", "swole"):
                 whole = engine.execute(
                     plan, strategy, backend="instrumented"
                 )
+                assert_value_equals(expected, whole.value, strategy)
                 assert _pin_block_rows(
                     monkeypatch, engine, plan, strategy, 256
                 ) == 256
@@ -798,6 +858,9 @@ class TestNativeEdges:
         ) as engine:
             for strategy in ("datacentric", "hybrid", "swole"):
                 want = engine.execute(plan, strategy, backend="instrumented")
+                assert_value_equals(
+                    reference.evaluate(plan, db), want.value, strategy
+                )
                 program = engine.compile(plan, strategy).program
                 assert program.build_now() == "native"
                 for workers in (1, 2):
@@ -815,6 +878,31 @@ class TestNativeEdges:
 
 class TestEngineSeams:
     """Backend selection is visible and isolated at the engine layer."""
+
+    def test_instrumented_programs_stay_serial_and_off_the_native_tier(
+        self, tpch_db, monkeypatch
+    ):
+        # Every NumPy kernel second counts as a build's worth: a serving
+        # program is handed to the builder on its first run, a counting
+        # one never is.
+        builder = native.builder()
+        monkeypatch.setattr(
+            type(builder), "estimate", property(lambda self: 0.0)
+        )
+        submitted = []
+        monkeypatch.setattr(
+            builder,
+            "submit",
+            lambda program, state: submitted.append(program.label) or False,
+        )
+        plan = logical_plan("Q6")
+        with Engine(db=tpch_db, workers=2) as engine:
+            compiled = engine.compile(plan, "swole", backend="instrumented")
+            assert compiled.parallel is None and compiled.program is None
+            engine.execute(plan, "swole", backend="instrumented")
+            assert submitted == []
+            engine.execute(plan, "swole", backend="vectorized")
+            assert submitted == ["Q6[swole]"]
 
     def test_plan_cache_keys_are_backend_qualified(self, tpch_db):
         with Engine(db=tpch_db) as engine:

@@ -113,6 +113,36 @@ class TestHashKernels:
         assert event.prefetched is True
 
 
+class TestProbeLength:
+    """Hash accesses are priced from occupancy at build completion."""
+
+    def test_knuth_expected_probes(self):
+        assert K.probe_length(0.0) == 1.0
+        assert K.probe_length(0.0, hit=0.0) == 1.0
+        assert K.probe_length(0.5) == 1.5
+        assert K.probe_length(0.5, hit=0.0) == 2.5
+        assert K.probe_length(0.5, hit=0.5) == 2.0
+
+    def test_cycles_grow_with_occupancy_and_misses(self, session):
+        base = session.machine.op_cost("hash")
+        assert K.ht_op_cycles(session, 0, 16) == base
+        assert K.ht_op_cycles(session, 8, 16) == base + 1.0
+        assert K.ht_op_cycles(session, 8, 16, hit=0.0) == base + 3.0
+
+    def test_kernels_price_the_table_they_filled(self, session):
+        table = HashTable(expected_keys=4)  # 8 slots
+        K.ht_insert_keys(session, table, np.arange(4))
+        K.ht_lookup(session, table, np.asarray([0, 1, 100, 200]))
+        insert, lookup = events_of(session, RandomAccess)
+        base = session.machine.op_cost("hash")
+        assert insert.op_cycles == base + 1.0  # alpha 0.5, every key new
+        assert lookup.op_cycles == base + 2.0  # alpha 0.5, half miss
+
+    def test_a_table_without_an_empty_slot_is_full(self, session):
+        with pytest.raises(ExecutionError, match="hash table is full"):
+            K.ht_op_cycles(session, 8, 8)
+
+
 class TestOverheadKernels:
     def test_scalar_loop(self, session):
         K.scalar_loop(session, 100)

@@ -34,6 +34,7 @@ import repro
 from repro import Engine
 from repro.codegen import native
 from repro.datagen import microbench as mb
+from repro.engine import reference
 from repro.obs import MetricsRegistry
 from repro.plan.builder import PlanBuilder
 from repro.plan.expressions import Case, Col, Const
@@ -42,7 +43,7 @@ from repro.storage.column import Column, LogicalType
 from repro.storage.database import Database
 from repro.storage.table import Table
 
-from .conftest import requires_cc
+from .conftest import assert_value_equals, requires_cc
 from .conftest import vectorized_program as _program
 
 REAL_CC = native.find_compiler()
@@ -216,6 +217,7 @@ class TestSkiRental:
         plan = _plan(grouped=True)
         with Engine(db, registry=registry) as engine:
             want = engine.execute(plan, backend="instrumented").value
+            assert_value_equals(reference.evaluate(plan, db), want, plan.name)
             compiled = engine.compile(plan)
             program = compiled.program
             assert program.tier == "numpy"
@@ -552,6 +554,7 @@ class TestFaultDrills:
         plan = _plan()
         with Engine(db, registry=registry) as engine:
             want = engine.execute(plan, backend="instrumented").value
+            assert_value_equals(reference.evaluate(plan, db), want, plan.name)
             assert engine.execute(plan).value == want  # earns its build
             dropped = engine.compile(plan).program
             assert dropped.tier == "building"

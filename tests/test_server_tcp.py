@@ -3,6 +3,7 @@ graceful stop."""
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.server import QueryService, ServiceClient, TcpQueryServer
 from repro.server.protocol import encode_value
+from repro.server.tcp import MAX_FRAME_BYTES
 
 
 @pytest.fixture()
@@ -194,6 +196,65 @@ class TestConnectionTelemetry:
             )
         finally:
             server.stop(timeout=10.0)
+
+
+class TestFrameBound:
+    """A frame past the byte cap, or one the client abandons half
+    written, costs the server one connection: the event is counted and
+    logged, and a fresh connection is served as before."""
+
+    @pytest.fixture()
+    def observed(self, micro_db):
+        registry = MetricsRegistry()
+        engine = Engine(db=micro_db, workers=1, registry=registry)
+        service = QueryService(
+            engine, concurrency=1, registry=registry, own_engine=True
+        )
+        server = TcpQueryServer(service, port=0).start()
+        yield server, registry
+        server.stop(timeout=10.0)
+
+    @staticmethod
+    def assert_recorded(registry, site):
+        counter = registry.counter("tcp_stop_errors_total", site=site)
+        deadline = time.monotonic() + 5.0
+        while counter.value == 0:
+            assert time.monotonic() < deadline, f"{site} never counted"
+            time.sleep(0.01)
+        assert counter.value == 1
+        entries = registry.error_log.snapshot()["entries"]
+        assert any(
+            e["source"] == "tcp.conn" and site in e["message"]
+            for e in entries
+        )
+
+    @staticmethod
+    def assert_still_serving(server):
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            conn.sendall(b'{"op": "stats", "id": "after"}\n')
+            reply = json.loads(conn.makefile("rb").readline())
+        assert (reply["id"], reply["status"]) == ("after", "ok")
+
+    def test_oversized_frame_is_refused_and_closed(self, observed):
+        server, registry = observed
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            conn.sendall(b"x" * (MAX_FRAME_BYTES + 10))
+            reader = conn.makefile("rb")
+            reply = json.loads(reader.readline())
+            assert reader.readline() == b""  # the server closed it
+            reader.close()
+        assert reply["status"] == "error"
+        assert reply["error"]["code"] == "bad_request"
+        assert str(MAX_FRAME_BYTES) in reply["error"]["message"]
+        self.assert_recorded(registry, "frame_oversized")
+        self.assert_still_serving(server)
+
+    def test_half_written_frame_then_close(self, observed):
+        server, registry = observed
+        with socket.create_connection(server.address, timeout=5.0) as conn:
+            conn.sendall(b'{"op": "stats", "id": "hal')
+        self.assert_recorded(registry, "frame_truncated")
+        self.assert_still_serving(server)
 
 
 class TestBadInput:

@@ -10,6 +10,7 @@ databases without cache provenance, and small scans fall back to
 in-process execution instead of paying the pipe.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -17,6 +18,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -32,14 +34,23 @@ from repro.engine.plan_cache import plan_key
 from repro.engine import shard_worker
 from repro.engine.shard import (
     MAX_TASK_RETRIES,
+    ShardGroup,
     ShardWorkerDied,
     ShardWorkerHandle,
 )
 from repro.errors import ExecutionError, PlanError, ReproError
+from repro.obs import MetricsRegistry
 from repro.plan.serde import plan_to_wire
 from repro.server import QueryRequest, QueryService
 from repro.server.protocol import ProtocolError
-from repro.tpch import PIPELINE_QUERIES, STRATEGIES, logical_plan
+from repro.tpch import (
+    PIPELINE_QUERIES,
+    STRATEGIES,
+    logical_plan,
+    reference_result,
+)
+
+from .conftest import assert_value_equals
 
 SHARDS = 2
 #: A fan-out floor of one row keeps the tiny test datasets parallel;
@@ -333,10 +344,12 @@ class TestShardedSweep:
         self, serial_engine, swept_engine, name, strategy
     ):
         plan = logical_plan(name)
+        expected = reference_result(name, serial_engine.db)
         for backend in ("vectorized", "instrumented"):
             serial = serial_engine.execute(plan, strategy, backend=backend)
             sharded = swept_engine.execute(plan, strategy, backend=backend)
             cell = (name, strategy, backend)
+            assert_value_equals(expected, serial.value, cell)
             assert repr(sharded.value) == repr(serial.value), cell
             if backend == "instrumented":
                 # The paper's clock never fans out.
@@ -751,6 +764,40 @@ class TestOnePool:
         assert len(sent) == clients * rounds
         assert group.snapshot()["tasks"] - tasks_before == sum(sent)
         assert group._idle.qsize() == group.shards
+
+
+class TestWorkerPipes:
+    """Stopping a worker handle releases both of its pipes, whether the
+    worker was live or had already died: collecting the handle then
+    finds no unclosed file to warn about."""
+
+    @pytest.mark.parametrize("killed", (False, True), ids=("live", "sigkilled"))
+    def test_stop_closes_both_pipes(self, cached_tpch_db, monkeypatch, killed):
+        gc.collect()  # earlier tests' garbage is not this test's
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        group = ShardGroup(
+            1,
+            cached_tpch_db,
+            machine=PAPER_MACHINE,
+            registry=MetricsRegistry(),
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                handle = group.worker(0)
+                if killed:
+                    os.kill(handle.pid, signal.SIGKILL)
+                    handle.proc.wait()
+                handle.stop()
+                pipes = (handle.proc.stdin, handle.proc.stdout)
+                group._handles.clear()
+                del handle
+                gc.collect()
+        finally:
+            group.stop()
+        assert all(pipe.closed for pipe in pipes)
+        assert not unraisable, [hook.exc_value for hook in unraisable]
 
 
 class TestLifecycle:

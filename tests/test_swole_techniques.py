@@ -2,7 +2,7 @@
 access-pattern contracts that make them "access-aware".
 
 Forced techniques go through the public stages (``run_passes`` -> edit
-the ``Decisions`` -> ``lower_plan`` -> ``physexec.execute_plan``; see
+the ``Decisions`` -> ``lower_plan`` -> the instrumented run; see
 ``conftest.staged_program``); planner-chosen ones through the engine.
 """
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from repro import Engine
 from repro.codegen.lower import eager_aggregate
-from repro.core.eager_aggregation import groupjoin_pipeline
 from repro.datagen import microbench as mb
 from repro.engine import Session, reference
 from repro.engine.events import CondRead, RandomAccess, SeqRead
@@ -133,8 +132,9 @@ class TestPositionalBitmapSemijoin:
 
 
 def eager_groupjoin(session, db, query):
-    """§III-E forced on ``query``, the op built straight from its tree."""
-    return groupjoin_pipeline(session, db, eager_aggregate(query))
+    """§III-E forced on ``query`` through the staged pipeline."""
+    program = staged_program(query, db, "swole", groupjoin_mode=PS.EAGER)
+    return program.run(session).value
 
 
 class TestEagerAggregation:
