@@ -57,6 +57,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -65,7 +66,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -106,6 +107,10 @@ BUILD_SEED_SECONDS = 0.05
 
 #: A compiler still running after this long is killed.
 BUILD_DEADLINE_SECONDS = 30.0
+
+#: A build's private temp directory: ``.<first 16 hex digits of the
+#: key>-<random suffix>`` (see :meth:`NativeBuilder._compile`).
+_BUILD_TEMP_DIR = re.compile(r"\.[0-9a-f]{16}-")
 
 
 class NativeDecline(PlanError):
@@ -688,6 +693,11 @@ class NativeBuilder:
     is remembered for the life of the process: a source is built, or
     fails, once.
 
+    A process killed mid-compile leaves its temp directory behind; the
+    first build into a directory removes the ones older than
+    :data:`BUILD_DEADLINE_SECONDS` (a live build's is younger: its
+    compiler is killed by then).
+
     ``parked`` keeps :meth:`submit` from accepting work (programs stay
     on NumPy); :meth:`build` still runs synchronously when called.
     """
@@ -709,6 +719,8 @@ class NativeBuilder:
         self._build_seconds = 0.0
         self._builds = 0
         self._programs: "weakref.WeakSet" = weakref.WeakSet()
+        #: Directories built into, whose stale temp directories are gone.
+        self._swept: set = set()
 
     @property
     def estimate(self) -> float:
@@ -837,6 +849,9 @@ class NativeBuilder:
             ).hexdigest()
             directory = _native_dir(cache_dir)
             directory.mkdir(parents=True, exist_ok=True)
+            if directory not in self._swept:
+                self._swept.add(directory)
+                _sweep_stale_builds(directory)
             library = directory / f"{key}.so"
             log = directory / f"{key}.log"
             outcome = "cached"
@@ -903,6 +918,21 @@ class NativeBuilder:
             return status
         finally:
             shutil.rmtree(work, ignore_errors=True)
+
+
+def _sweep_stale_builds(directory: Path) -> None:
+    """Remove the build temp directories in ``directory`` last touched
+    more than :data:`BUILD_DEADLINE_SECONDS` ago."""
+    cutoff = time() - BUILD_DEADLINE_SECONDS
+    for entry in directory.iterdir():
+        if not _BUILD_TEMP_DIR.match(entry.name):
+            continue
+        try:
+            stale = entry.is_dir() and entry.stat().st_mtime < cutoff
+        except OSError:  # gone already: another process swept it
+            continue
+        if stale:
+            shutil.rmtree(entry, ignore_errors=True)
 
 
 def _native_dir(cache_dir: Optional[str]) -> Path:

@@ -13,17 +13,18 @@ evaluators:
   same floor-division / zero-check behaviour as ``Arith.evaluate``;
 - scalar aggregates come back as Python ints.
 
-Joins become sorted-array membership (``np.searchsorted``) instead of
-hash probes, and grouping becomes counting or argsort +
-``np.add.reduceat`` instead of scatter adds into a hash table —
-int64-exact in both cases.
+Hash builds become key sets (:func:`key_set`: a presence table over
+the key range for dense keys, a sorted unique array for sparse ones)
+and hash probes and IN-lists become :func:`member` tests against
+them, and grouping becomes counting or argsort + ``np.add.reduceat``
+instead of scatter adds into a hash table — int64-exact in both cases.
 """
 
 from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +35,14 @@ from .common import dense_spread_limit, slice_columns
 
 __all__ = [
     "BLOCK_BYTES",
+    "KEY_SET_MIN_SPREAD",
+    "KEY_SET_SPREAD_PER_KEY",
+    "KeySet",
+    "MEMBER_ROW_BYTES",
     "VectorizedProgram",
     "group_sorted",
+    "key_set",
+    "key_set_limit",
     "member",
     "count_by",
     "distribution",
@@ -75,17 +82,89 @@ def int_div(lhs, rhs):
     return np.floor_divide(lhs, rhs)
 
 
-def member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Membership of int64 ``values`` in a *sorted unique* key array.
+#: A key set carries a presence table when its key spread (max - min)
+#: is at most :data:`KEY_SET_SPREAD_PER_KEY` values per build key, with
+#: a floor of :data:`KEY_SET_MIN_SPREAD` for small builds. The bound is
+#: per build key because the table costs one byte per value in the
+#: range: 64 bytes a key is eight times the int64 key array the set is
+#: made from, so a dense set never costs more than a constant factor of
+#: its input. Wider (sparse) sets keep the sorted array.
+KEY_SET_SPREAD_PER_KEY = 64
+KEY_SET_MIN_SPREAD = 1 << 16
 
-    The vectorized replacement for a hash-set semijoin probe: binary
-    search + one equality check per probe value.
+
+def key_set_limit(rows: int) -> int:
+    """Widest key spread a key set of ``rows`` build keys gives a
+    presence table."""
+    return max(KEY_SET_MIN_SPREAD, KEY_SET_SPREAD_PER_KEY * rows)
+
+
+class KeySet(NamedTuple):
+    """A hash build's keys, in the form :func:`member` probes.
+
+    ``keys`` is the sorted unique int64 keys (what ``np.unique``
+    returns, so ``keys.shape[0]`` is the build's distinct count).
+    ``present`` is the presence table of a dense set: ``present[k - lo]``
+    for ``k`` in ``[lo, max]``, plus one trailing ``False`` that an
+    out-of-range probe is clipped to; ``None`` for a sparse set, which
+    is probed by binary search over ``keys``.
     """
-    if table.size == 0:
-        return np.zeros(values.shape[0], dtype=bool)
-    pos = np.searchsorted(table, values)
-    pos[pos == table.size] = table.size - 1
-    return table[pos] == values
+
+    keys: np.ndarray
+    present: Optional[np.ndarray]
+    lo: int
+
+
+def key_set(keys: np.ndarray) -> KeySet:
+    """The :class:`KeySet` of integer ``keys`` (any width, duplicates
+    allowed): a presence table without a sort when the spread is within
+    :func:`key_set_limit`, else ``np.unique``."""
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return KeySet(np.empty(0, dtype=np.int64), np.zeros(1, dtype=bool), 0)
+    lo = int(keys.min())
+    spread = int(keys.max()) - lo
+    if spread > key_set_limit(keys.size):
+        return KeySet(np.unique(keys).astype(np.int64, copy=False), None, lo)
+    present = np.zeros(spread + 2, dtype=bool)
+    present[np.subtract(keys, np.int64(lo), dtype=np.int64)] = True
+    return KeySet(np.flatnonzero(present) + np.int64(lo), present, lo)
+
+
+#: Bytes per probe value of the temporaries :func:`member` allocates at
+#: most: a sparse set's int64 widening, search positions and gathered
+#: keys plus the hit mask (a dense set's offsets and hit mask are 9).
+MEMBER_ROW_BYTES = 8 + 8 + 8 + 1
+
+
+def member(values: np.ndarray, keys: KeySet) -> np.ndarray:
+    """Membership of integer ``values`` in a :class:`KeySet`.
+
+    The vectorized hash-set probe. A dense set is a range check plus a
+    table read: ``values - lo``, read as uint64, puts every value below
+    ``lo`` above the table too (the table's range lies inside int64's,
+    so no wrap lands in it), and clipping to the trailing ``False``
+    makes the check branch-free. The clipped offsets are read back as
+    int64, NumPy's index type, so the table read converts nothing. A
+    sparse set is a binary search plus one equality check per value.
+    Values that are not exact in int64 (floats, uint64) take
+    ``np.isin``.
+    """
+    values = np.asarray(values)
+    if not np.can_cast(values.dtype, np.int64):
+        return np.isin(values, keys.keys)
+    present = keys.present
+    if present is None:
+        table = keys.keys
+        values = values.astype(np.int64, copy=False)
+        pos = np.searchsorted(table, values)
+        np.minimum(pos, table.size - 1, out=pos)
+        return table[pos] == values
+    off = np.empty(values.shape, dtype=np.int64)
+    np.subtract(values, np.int64(keys.lo), out=off)
+    wrapped = off.view(np.uint64)
+    np.minimum(wrapped, np.uint64(present.size - 1), out=wrapped)
+    return present[off]
 
 
 #: Rows per hi/lo-split bincount pass: every 32-bit partial sum stays
@@ -247,6 +326,7 @@ def distribution(per_key: np.ndarray, missing: int) -> Dict[str, np.ndarray]:
 RUNTIME_ENV: Dict[str, Any] = {
     "np": np,
     "_rows": rows_of,
+    "_key_set": key_set,
     "_member": member,
     "_group": group_sorted,
     "_count_by": count_by,

@@ -204,12 +204,24 @@ def _fk_gather(
 
 
 class _Table:
-    """A hash table's size at build completion."""
+    """A hash table's size at build completion: sized for the
+    ``expected`` keys the plan declares, unless the measured ``entries``
+    would fill that — a planner estimate from a prefix sample can be
+    short — and then sized for the entries, as a table that grows
+    would end up.
+
+    The resize happens only where a full table would otherwise raise,
+    so every table that fits prices as sized. That leaves a cliff: an
+    estimate a few entries short of filling the table prices an access
+    near a full table (``α → 1``, about ``capacity / 2`` probes), while
+    one entry more resizes to ``α ≈ 0.5`` (about 1.5 probes)."""
 
     __slots__ = ("entries", "capacity", "nbytes")
 
     def __init__(self, expected: int, num_aggs: int, entries: int) -> None:
         self.capacity, self.nbytes = table_geometry(expected, num_aggs)
+        if entries >= self.capacity:
+            self.capacity, self.nbytes = table_geometry(entries, num_aggs)
         self.entries = entries
 
 

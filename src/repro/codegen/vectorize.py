@@ -16,12 +16,15 @@ would emit, minus the simulation harness:
 
 - predicates become boolean-mask expressions honoring the same
   value-mask / key-mask semantics the passes decided;
-- hash semijoins/joins become ``np.searchsorted`` membership against
-  the build side's sorted unique keys;
+- hash builds become key sets (``_key_set``) and hash semijoins/joins
+  and IN-lists become ``_member`` tests against them (an IN-list's key
+  set is built at compile time): a range check plus a presence table
+  read for dense keys, a binary search for sparse ones
+  (:func:`repro.codegen.npexec.key_set`);
 - grouped aggregation becomes argsort + ``np.add.reduceat`` segment
   sums (int64-exact, so results match the hash-table path bit for
   bit);
-- FK-index offset arrays, InSet constant tables, build-side column
+- FK-index offset arrays, IN-lists' key sets, build-side column
   dicts, and non-inlinable expressions are bound into the kernel's
   globals at compile time (``_FK*`` / ``_C*`` / ``_T*`` / ``_E*``).
 
@@ -81,7 +84,13 @@ from ..plan.physical import (
     SemiHashBuild,
 )
 from ..storage.database import Database
-from .npexec import RUNTIME_ENV, VectorizedProgram
+from .npexec import (
+    MEMBER_ROW_BYTES,
+    RUNTIME_ENV,
+    VectorizedProgram,
+    key_set,
+    member,
+)
 
 _ARITH_SYMBOL = {"add": "+", "sub": "-", "mul": "*"}
 
@@ -156,9 +165,9 @@ def compile_expr(expr: Expr, data: str, env: _Env) -> str:
     if isinstance(expr, InSet):
         child = compile_expr(expr.child, data, env)
         table = env.bind(
-            "_C", np.asarray(expr.values, dtype=np.int64)
+            "_C", key_set(np.asarray(expr.values, dtype=np.int64))
         )
-        return f"np.isin(np.asarray({child}), {table})"
+        return f"_member({child}, {table})"
     if isinstance(expr, StrMatch):
         term = f"({data}[{expr.flag_column!r}] != 0)"
         return f"(~{term})" if expr.negated else term
@@ -169,8 +178,9 @@ def compile_expr(expr: Expr, data: str, env: _Env) -> str:
 def _temp_bytes(expr: Expr, view: Dict[str, np.ndarray]) -> int:
     """Bytes per row of the full-length temporaries the code
     :func:`compile_expr` emits for ``expr`` allocates: one per boolean
-    node, eight per int64 arithmetic result, and eight more for each
-    narrow (encoded) ``view`` column an ``_i64`` widens on the way in."""
+    node, eight per int64 arithmetic result, eight more for each narrow
+    (encoded) ``view`` column an ``_i64`` widens on the way in, and
+    :data:`~repro.codegen.npexec.MEMBER_ROW_BYTES` per ``_member``."""
     if isinstance(expr, (Col, Const)):
         return 0
     if isinstance(expr, Arith):
@@ -188,7 +198,7 @@ def _temp_bytes(expr: Expr, view: Dict[str, np.ndarray]) -> int:
     if isinstance(expr, (And, Or)):
         return 1 + sum(_temp_bytes(term, view) for term in expr.terms)
     if isinstance(expr, InSet):
-        return 1 + _temp_bytes(expr.child, view)
+        return MEMBER_ROW_BYTES + _temp_bytes(expr.child, view)
     if isinstance(expr, StrMatch):
         return 1
     return 8  # a bound expression object's result column
@@ -275,19 +285,15 @@ class _KernelEmitter:
         return off
 
     def member(self, fk_column: str, state: str) -> str:
-        """Membership of the FK column in a build side's sorted keys
-        (the widened probe values plus their search positions)."""
-        self.row_bytes += 16
-        return (
-            f"_member({self.col(fk_column)}.astype(np.int64), "
-            f"state[{state!r}]['keys'])"
-        )
+        """Membership of the FK column in a build side's key set."""
+        self.row_bytes += MEMBER_ROW_BYTES
+        return f"_member({self.col(fk_column)}, state[{state!r}]['keys'])"
 
-    def keys_i64(self, column: str) -> str:
-        """Selected key values, widened to int64 (both access styles
-        of ``_read_keys`` produce the selected values in row order)."""
+    def key_set(self, column: str) -> str:
+        """The key set of the selected values of ``column`` (both
+        access styles of ``_read_keys`` produce them in row order)."""
         self.row_bytes += 8
-        return f"{self.selected(self.col(column))}.astype(np.int64)"
+        return f"_key_set({self.selected(self.col(column))})"
 
     def carried_snapshot(self, carry: Tuple[str, ...]) -> str:
         """Full-length payload columns for a build-side state entry."""
@@ -326,7 +332,11 @@ class _KernelEmitter:
 
     def count_distinct(self, state: str) -> None:
         """Distinct keys of a hash build (its entries at completion)."""
-        self.count("distinct", f"state[{state!r}]['keys'].shape[0]")
+        self.count("distinct", f"state[{state!r}]['keys'].keys.shape[0]")
+
+    def count_distinct_of(self, slot: str, src: str) -> None:
+        """Distinct values of the int column ``src``."""
+        self.count(slot, f"_key_set({src}).keys.shape[0]")
 
     def count_groups(self) -> None:
         self.count("groups", "result['keys'].shape[0]")
@@ -392,14 +402,14 @@ class _KernelEmitter:
     def op_semihash_build(self, op: SemiHashBuild) -> None:
         self.out(
             f"state[{op.state!r}] = "
-            f"{{'keys': np.unique({self.keys_i64(op.key_column)})}}"
+            f"{{'keys': {self.key_set(op.key_column)}}}"
         )
         self.count_distinct(op.state)
 
     def op_join_build(self, op: JoinBuild) -> None:
         self.out(
             f"state[{op.state!r}] = {{"
-            f"'keys': np.unique({self.keys_i64(op.key_column)}), "
+            f"'keys': {self.key_set(op.key_column)}, "
             f"'carried': {self.carried_snapshot(op.carry)}, 'rows': n}}"
         )
         self.count_distinct(op.state)
@@ -407,7 +417,7 @@ class _KernelEmitter:
     def op_group_build(self, op: GroupBuild) -> None:
         self.out(
             f"state[{op.state!r}] = "
-            f"{{'keys': np.unique({self.keys_i64(op.key_column)})}}"
+            f"{{'keys': {self.key_set(op.key_column)}}}"
         )
         self.count_distinct(op.state)
 
@@ -542,9 +552,7 @@ class _KernelEmitter:
         self.count("distinct", f"{uk}.shape[0]")
         if op.mode == PS.VALUE_MASK:
             # Value masking inserts every row's key, selected or not.
-            self.count(
-                "distinct_all", f"np.unique({self.col(op.fk_column)}).shape[0]"
-            )
+            self.count_distinct_of("distinct_all", self.col(op.fk_column))
         self.out(
             f"state[{op.state!r}] = {{'keys': {uk}, 'counts': {cnt}, "
             f"'rows': {build_rows}}}"
@@ -709,7 +717,7 @@ class _KernelEmitter:
                 self.out(f"result = _group({keys}, [{deltas}])")
             if op.mode == PS.VALUE_MASK:
                 # Value masking inserts every row's key, selected or not.
-                self.count("distinct", f"np.unique({keys}).shape[0]")
+                self.count_distinct_of("distinct", keys)
         elif op.mode in (PS.CONDITIONAL, PS.GATHERED):
             cols = sorted(
                 (set(op.key.columns()) & self.view_cols) | set(base_cols)
@@ -754,9 +762,10 @@ class _KernelEmitter:
             victims = build_data[op.pk_column][~keep].astype(np.int64)
         else:
             victims = np.empty(0, dtype=np.int64)
+        victim_set = key_set(victims)
 
         def cleanup(merged: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-            keep_keys = ~np.isin(merged["keys"], victims)
+            keep_keys = ~member(merged["keys"], victim_set)
             return {
                 "keys": merged["keys"][keep_keys],
                 "aggs": merged["aggs"][keep_keys],

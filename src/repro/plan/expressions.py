@@ -311,7 +311,10 @@ class InSet(Expr):
     """``child IN (v1, v2, ...)`` — an OR of equality comparisons.
 
     Evaluated with one SIMD comparison per member (the
-    :func:`repro.engine.kernels.isin` cost convention).
+    :func:`repro.engine.kernels.isin` cost convention). The generated
+    kernels probe a key set of the constants built at compile time
+    (:func:`repro.codegen.npexec.key_set`), which answers as
+    :meth:`evaluate` does.
     """
 
     child: Expr

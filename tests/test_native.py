@@ -481,6 +481,26 @@ class TestFaultDrills:
         ]
         assert leftovers == []
 
+    def test_first_build_sweeps_stale_temp_dirs(
+        self, builder, monkeypatch, tmp_path, registry
+    ):
+        # What a process killed during ``cc`` leaves behind, next to a
+        # build another process is still running.
+        fake = _fake_compiler(tmp_path, "exit 1")
+        monkeypatch.setattr(native, "find_compiler", lambda: fake)
+        directory = tmp_path / "cache" / "native"
+        stale = directory / ".0123456789abcdef-dead"
+        fresh = directory / ".fedcba9876543210-live"
+        for temp in (stale, fresh):
+            temp.mkdir(parents=True)
+            (temp / "kernel.c").write_text("/* half a build */\n")
+        old = time.time() - native.BUILD_DEADLINE_SECONDS - 60
+        os.utime(stale, (old, old))
+        program = _program(_plan(), _db(tmp_path / "cache"), registry=registry)
+        self._drill(program, registry, "compile_failed")
+        assert not stale.exists()
+        assert (fresh / "kernel.c").exists()
+
     @requires_cc
     @pytest.mark.parametrize("damage", ("truncated", "foreign"))
     def test_bad_so_in_the_cache(

@@ -19,13 +19,26 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import Engine
+from repro.codegen.price import _Table
 from repro.bench.tpch import FIG6_SERIES
 from repro.datagen import microbench as mb
 from repro.datagen import tpch
+from repro.engine import reference
+from repro.engine.hashtable import table_geometry
+from repro.engine.kernels import ht_op_cycles
+from repro.plan.builder import PlanBuilder
+from repro.plan.expressions import Col, Const
+from repro.plan.ops import AggSpec
+from repro.storage.column import Column, LogicalType
+from repro.storage.database import Database
+from repro.storage.table import Table
 from repro.tpch import PIPELINE_QUERIES, logical_plan
+
+from .conftest import assert_value_equals
 
 TABLE = Path(__file__).parent / "snapshots" / "paper_clock.json"
 
@@ -89,6 +102,59 @@ def test_every_cell_reproduces_its_cycles(table, workload, tpch_db, micro_db):
         if got[cell] != want[cell]
     }
     assert not moved, moved
+
+
+def test_prices_a_group_by_the_planner_underestimates():
+    """The planner sizes a group-by's table from a 65,536-row prefix
+    sample; here the prefix holds 8 keys and the tail 4,464 more, so
+    the sampled estimate is far short of the groups. The priced table
+    is then sized from the groups the kernel counted, and the paper's
+    clock answers what the serving path answers."""
+    prefix, tail = 65_536, 4_464
+    keys = np.concatenate((np.arange(prefix) % 8, 8 + np.arange(tail)))
+    db = Database()
+    db.add_table(
+        Table(
+            name="t",
+            columns=(
+                Column("k", LogicalType.INT32, keys.astype(np.int32)),
+                Column(
+                    "v", LogicalType.INT32,
+                    (np.arange(keys.size) % 97).astype(np.int32),
+                ),
+            ),
+        )
+    )
+    plan = (
+        PlanBuilder.scan("t")
+        .filter(Col("v") > Const(10))
+        .group_agg(AggSpec("sum", Col("v"), name="s"), key="k")
+        .build("skewed-prefix-group-by")
+    )
+    expected = reference.evaluate(plan, db)
+    engine = Engine(db)
+    for strategy in FIG6_SERIES:
+        priced = engine.execute(plan, strategy, backend="instrumented")
+        served = engine.execute(plan, strategy, backend="vectorized")
+        assert_value_equals(expected, priced.value, strategy)
+        assert_value_equals(expected, served.value, strategy)
+        assert priced.cycles > 0
+
+
+def test_a_table_resizes_only_when_its_entries_fill_it(session):
+    """The known cliff of sizing from entries only where a full table
+    would raise: one entry short of full still prices as sized, near
+    ``capacity / 2`` probes an access, while a full one is resized to
+    half load. (Moving the threshold would move priced cells.)"""
+    capacity, nbytes = table_geometry(8, 1)
+    near = _Table(8, 1, capacity - 1)
+    full = _Table(8, 1, capacity)
+    assert (near.capacity, near.nbytes) == (capacity, nbytes)
+    assert (full.capacity, full.nbytes) == table_geometry(capacity, 1)
+    base = session.machine.op_cost("hash")
+    # α = 15/16: ½(1 + 16) = 8.5 probes; α = 16/32: 1.5 probes.
+    assert ht_op_cycles(session, near.entries, near.capacity) == base + 15.0
+    assert ht_op_cycles(session, full.entries, full.capacity) == base + 1.0
 
 
 def _write(column: str) -> None:
